@@ -1,9 +1,10 @@
 /**
  * @file
  * DynInst: the record of one in-flight dynamic instruction, carried
- * from fetch through retire. The processor allocates these in a fixed
- * circular buffer; stale references (in ready queues or waiter lists)
- * are detected by sequence-number mismatch after reuse.
+ * from fetch through retire. The processor allocates these in a
+ * power-of-two ring sized to the window (it doubles when the live seq
+ * span reaches its size); stale references (in ready queues or waiter
+ * lists) are detected by sequence-number mismatch after reuse.
  */
 
 #ifndef TCSIM_CORE_DYNINST_H
@@ -85,6 +86,10 @@ struct DynInst
     Addr memAddr = kInvalidAddr;
     bool memAddrKnown = false;
     RegVal storeData = 0;
+    /** Blocked load: the store it waits for and the processor's
+     * memory-order epoch when it parked (see Processor::loadParked). */
+    InstSeqNum parkedOn = kInvalidSeqNum;
+    std::uint64_t parkEpoch = 0;
 
     // ------------------------------------------------------------------
     // Resolution state.

@@ -1,6 +1,7 @@
 #include "sim/processor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstdio>
 #include <istream>
@@ -21,9 +22,6 @@ using workload::FunctionalExecutor;
 
 namespace
 {
-
-/** Circular DynInst storage slots; must exceed any live seq span. */
-constexpr std::size_t kRobStorageSlots = 32768;
 
 /** Hard per-run cycle budget multiplier (hang detection). */
 constexpr std::uint64_t kMaxCyclesPerInst = 200;
@@ -62,12 +60,14 @@ Processor::Processor(const ProcessorConfig &config,
     memory_.initFrom(program_);
     archRegs_[2] = workload::kStackTop; // matches FunctionalExecutor
 
-    robStorage_.resize(kRobStorageSlots);
+    robStorage_.resize(std::bit_ceil(std::uint64_t{2} * config_.robEntries));
+    robMask_ = robStorage_.size() - 1;
     memDepTable_.assign(4096, 0);
     oracleRing_.resize(1024); // power of two; grows by doubling
     loadAddrIndex_.resize(kAddrIndexBuckets);
     storeAddrIndex_.resize(kAddrIndexBuckets);
     verifyIndexed_ = std::getenv("TCSIM_VERIFY_WINDOW_INDEX") != nullptr;
+    debugRetire_ = std::getenv("TCSIM_DEBUG_RETIRE") != nullptr;
     fetchPc_ = program_.entry();
 }
 
@@ -90,6 +90,7 @@ Processor::recordMemDepViolation(Addr load_pc)
     if (counter < 3)
         ++counter;
     ++memOrderViolations_;
+    ++memOrderEpoch_; // conflict predictions changed
 }
 
 void
@@ -114,9 +115,7 @@ Processor::checkStoreOrderViolation(core::DynInst &store)
                  static_cast<unsigned long long>(store.pc),
                  static_cast<unsigned long long>(store.memAddr),
                  static_cast<unsigned long long>(violator->pc));
-    static const bool debug_retire =
-        std::getenv("TCSIM_DEBUG_RETIRE") != nullptr;
-    if (debug_retire) {
+    if (debugRetire_) {
         std::fprintf(stderr,
                      "violation: store seq=%llu pc=%llx addr=%llx "
                      "load seq=%llu pc=%llx act=%d\n",
@@ -193,7 +192,7 @@ Processor::instFor(InstSeqNum seq)
 {
     if (seq == kInvalidSeqNum)
         return nullptr;
-    DynInst &slot = robStorage_[seq % kRobStorageSlots];
+    DynInst &slot = robStorage_[seq & robMask_];
     return slot.seq == seq ? &slot : nullptr;
 }
 
@@ -202,19 +201,34 @@ Processor::instFor(InstSeqNum seq) const
 {
     if (seq == kInvalidSeqNum)
         return nullptr;
-    const DynInst &slot = robStorage_[seq % kRobStorageSlots];
+    const DynInst &slot = robStorage_[seq & robMask_];
     return slot.seq == seq ? &slot : nullptr;
+}
+
+void
+Processor::growRobStorage()
+{
+    // Double the ring and re-place the live entries by the new mask;
+    // every other slot starts invalid, so stale seqs still miss.
+    std::vector<DynInst> bigger(robStorage_.size() * 2);
+    const std::uint64_t new_mask = bigger.size() - 1;
+    for (const InstSeqNum seq : robOrder_)
+        bigger[seq & new_mask] = std::move(robStorage_[seq & robMask_]);
+    robStorage_ = std::move(bigger);
+    robMask_ = new_mask;
 }
 
 DynInst &
 Processor::allocInst()
 {
-    if (!robOrder_.empty()) {
-        TCSIM_ASSERT(nextSeq_ - robOrder_.front() <
-                         kRobStorageSlots - 64,
-                     "DynInst storage span exhausted");
+    // The live span [oldest, nextSeq_] must fit the ring; it grows by
+    // at most one per call. Squashes do not rewind nextSeq_, so a long
+    // stall full of squashes can outgrow any fixed size.
+    if (!robOrder_.empty() &&
+        nextSeq_ - robOrder_.front() >= robStorage_.size()) {
+        growRobStorage();
     }
-    DynInst &slot = robStorage_[nextSeq_ % kRobStorageSlots];
+    DynInst &slot = robStorage_[nextSeq_ & robMask_];
     slot.reset(nextSeq_);
     robOrder_.push_back(nextSeq_);
     ++nextSeq_;
@@ -330,8 +344,8 @@ Processor::youngestMatchingStoreBefore(const DynInst &load) const
     return match;
 }
 
-bool
-Processor::loadMayProceed(const DynInst &load) const
+const DynInst *
+Processor::loadBlocker(const DynInst &load) const
 {
     // The reference scan walks older stores youngest-first and acts on
     // the first *event*: a matching known-address store (wait if its
@@ -386,11 +400,28 @@ Processor::loadMayProceed(const DynInst &load) const
 
     if (blocker != nullptr &&
         (match == nullptr || blocker->seq > match->seq)) {
-        return false; // the blocking unknown store is the first event
+        return blocker; // the blocking unknown store is the first event
     }
     if (match != nullptr && !match->executed)
-        return false; // matching store, data not yet ready
-    return true;
+        return match; // matching store, data not yet ready
+    return nullptr;
+}
+
+bool
+Processor::loadParked(const DynInst &load) const
+{
+    // The load stays blocked while the store it parked on is live,
+    // visible and still blocking and no epoch event has passed: the
+    // stores between the two were passed over at park time and cannot
+    // turn into an earlier event on their own (DESIGN.md section 7,
+    // "Parked loads").
+    if (load.parkEpoch != memOrderEpoch_)
+        return false;
+    const DynInst *store = instFor(load.parkedOn);
+    if (store == nullptr || store->discarded)
+        return false;
+    return !store->memAddrKnown ||
+           (store->memAddr == load.memAddr && !store->executed);
 }
 
 // ----------------------------------------------------------------------
@@ -875,10 +906,25 @@ Processor::tryScheduleMemory(DynInst &inst)
         addrIndexInsert(storeAddrIndex_, inst.memAddr, inst.seq);
         if (config_.disambiguation == Disambiguation::Speculative)
             checkStoreOrderViolation(inst);
+        // Perfect let younger loads pass this store by its oracle
+        // address; resolving elsewhere may make it their forwarder.
+        if (config_.disambiguation == Disambiguation::Perfect &&
+            inst.memAddr != inst.oracleMemAddr) {
+            ++memOrderEpoch_;
+        }
         return true;
     }
 
     TCSIM_ASSERT(inst.isLoad());
+    if (loadParked(inst)) {
+        if (verifyIndexed_) {
+            TCSIM_ASSERT(!slowLoadDisambiguation(inst),
+                         "parked load may proceed per reference scan "
+                         "(load seq %llu)",
+                         static_cast<unsigned long long>(inst.seq));
+        }
+        return false;
+    }
     inst.memAddr =
         FunctionalExecutor::effectiveAddr(inst.inst, inst.srcVal[0]);
 
@@ -887,16 +933,21 @@ Processor::tryScheduleMemory(DynInst &inst)
     // bypasses them unless the load is inactively issued — a salvaged
     // stale value would bypass the violation check — or has a
     // conflict history; Perfect "knows" the eventual addresses and
-    // waits only on true dependences.)
-    const bool proceed = loadMayProceed(inst);
+    // waits only on true dependences.) A blocked load parks on the
+    // store it waits for; later polls skip the lookup while the park
+    // holds.
+    const DynInst *blocker = loadBlocker(inst);
     if (verifyIndexed_) {
-        TCSIM_ASSERT(proceed == slowLoadDisambiguation(inst),
+        TCSIM_ASSERT((blocker == nullptr) == slowLoadDisambiguation(inst),
                      "indexed disambiguation diverges from reference "
                      "scan (load seq %llu)",
                      static_cast<unsigned long long>(inst.seq));
     }
-    if (!proceed)
+    if (blocker != nullptr) {
+        inst.parkedOn = blocker->seq;
+        inst.parkEpoch = memOrderEpoch_;
         return false;
+    }
 
     bool forwarded = false;
     const RegVal value = loadValueFor(inst, forwarded);
@@ -919,8 +970,19 @@ Processor::scheduleStage()
     for (std::uint32_t unit = 0; unit < nodeTables_.numUnits(); ++unit) {
         auto &queue = nodeTables_.readyQueue(
             static_cast<std::uint8_t>(unit));
+        const std::size_t queued = queue.size();
         unsigned attempts = 0;
-        while (!queue.empty() && attempts < 8) {
+        for (std::size_t seen = 0; !queue.empty() && attempts < 8; ++seen) {
+            if (seen == queued) {
+                // Every entry was seen this cycle without a fire:
+                // stale ones are gone and the rest now wait for a
+                // later cycle, so the remaining attempts would only
+                // pop and re-push them. Rotate by that many instead.
+                const std::size_t shift = (8 - attempts) % queue.size();
+                std::rotate(queue.begin(), queue.begin() + shift,
+                            queue.end());
+                break;
+            }
             const InstSeqNum seq = queue.front();
             queue.pop_front();
             DynInst *di = instFor(seq);
@@ -1329,9 +1391,12 @@ Processor::applyRecovery()
     const RecoveryRequest req = recovery_;
     if (DynInst *origin = instFor(req.originSeq))
         origin->recoveryApplied = true;
-    debugRecoveryLog_.emplace_back(cycle_, req.keepSeq, req.redirect,
-                                   (int)req.cause, req.salvage);
-    if (debugRecoveryLog_.size() > 24) debugRecoveryLog_.pop_front();
+    if (debugRetire_) {
+        debugRecoveryLog_.emplace_back(cycle_, req.keepSeq, req.redirect,
+                                       (int)req.cause, req.salvage);
+        if (debugRecoveryLog_.size() > 24)
+            debugRecoveryLog_.pop_front();
+    }
 
     squashYoungerThan(req.keepSeq);
     for (PendingBatch &pb : fetchQueue_)
@@ -1341,6 +1406,7 @@ Processor::applyRecovery()
     // Salvage: activate the surviving inactive suffix.
     DynInst *tail = nullptr;
     if (req.salvage) {
+        ++memOrderEpoch_; // newly visible stores; active loads
         for (auto it = robLowerBound(req.salvageFrom + 1);
              it != robOrder_.end(); ++it) {
             DynInst *di = instFor(*it);
@@ -1461,7 +1527,7 @@ Processor::retireOne(DynInst &inst)
     // (Pointer, not reference: the debug dump below can extend — and
     // so reallocate — the oracle ring.)
     const workload::StepResult *golden = &oracleAt(oracleRetireIdx_);
-    if (golden->pc != inst.pc && std::getenv("TCSIM_DEBUG_RETIRE")) {
+    if (golden->pc != inst.pc && debugRetire_) {
         for (std::uint64_t i = oracleRetireIdx_ >= 3 ? oracleRetireIdx_-3 : 0;
              i <= oracleRetireIdx_ + 3; ++i) {
             if (i < oracleBase_) continue;
@@ -1512,9 +1578,7 @@ Processor::retireOne(DynInst &inst)
                  "retired branch direction diverges at pc %llx seq %llu",
                  static_cast<unsigned long long>(inst.pc),
                  static_cast<unsigned long long>(inst.seq));
-    static const bool debug_retire =
-        std::getenv("TCSIM_DEBUG_RETIRE") != nullptr;
-    if (debug_retire) {
+    if (debugRetire_) {
         debugRetireLog_.emplace_back(
             inst.pc, inst.inst.op, inst.seq,
             inst.fetchGroup | (uint64_t(inst.active) << 56) |

@@ -309,7 +309,10 @@ class Processor
     // Helpers.
     core::DynInst *instFor(InstSeqNum seq);
     const core::DynInst *instFor(InstSeqNum seq) const;
+    /** Allocate the next seq's slot. May grow (and so move) the ring:
+     * no DynInst pointer may be held across a call. */
     core::DynInst &allocInst();
+    void growRobStorage();
     void wakeDependents(core::DynInst &producer);
     bool operandsReady(const core::DynInst &inst) const;
     void enqueueReady(core::DynInst &inst);
@@ -346,7 +349,10 @@ class Processor
     void unknownStoreResolved(InstSeqNum seq);
     const core::DynInst *
     youngestMatchingStoreBefore(const core::DynInst &load) const;
-    bool loadMayProceed(const core::DynInst &load) const;
+    /** @return the store @p load must wait for (the youngest visible
+     * blocking event), or null if it may proceed. */
+    const core::DynInst *loadBlocker(const core::DynInst &load) const;
+    bool loadParked(const core::DynInst &load) const;
     const core::DynInst *
     oldestViolatingLoadAfter(const core::DynInst &store) const;
     const core::DynInst *
@@ -416,7 +422,11 @@ class Processor
     // ------------------------------------------------------------------
     // Window state.
     // ------------------------------------------------------------------
+    /** Power-of-two DynInst ring: seq s lives at robStorage_[s &
+     * robMask_]. Sized to twice the window and doubled by allocInst()
+     * whenever the live seq span (squashes leave gaps) reaches it. */
     std::vector<core::DynInst> robStorage_;
+    std::uint64_t robMask_ = 0;
     std::deque<InstSeqNum> robOrder_;
     InstSeqNum nextSeq_ = 1;
     core::NodeTables nodeTables_;
@@ -454,6 +464,12 @@ class Processor
      */
     std::vector<std::uint8_t> memDepTable_;
     std::uint64_t memOrderViolations_ = 0;
+    /** Invalidates every parked load (see loadParked). Bumped by
+     * events that can change which store a load waits for besides
+     * that store's own progress: salvage activation, memory-dependence
+     * table updates, and, under Perfect, a store resolving to an
+     * address other than its oracle address. */
+    std::uint64_t memOrderEpoch_ = 0;
 
     std::uint32_t memDepIndex(Addr pc) const;
     bool memDepPredictsConflict(Addr pc) const;
@@ -496,6 +512,9 @@ class Processor
     Cycle statBaseCycle_ = 0;
     std::uint64_t statBaseInsts_ = 0;
     Accounting accounting_;
+    /** TCSIM_DEBUG_RETIRE=1: keep the last retirements and recoveries
+     * and dump them if the retired stream diverges from the oracle. */
+    bool debugRetire_ = false;
     std::deque<std::tuple<Addr, isa::Opcode, InstSeqNum, std::uint64_t>>
         debugRetireLog_;
     std::deque<std::tuple<Cycle, InstSeqNum, Addr, int, bool>>

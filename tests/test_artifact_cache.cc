@@ -16,6 +16,7 @@
 
 #include "bench/artifact_cache.h"
 #include "bench/harness.h"
+#include "test_paths.h"
 #include "workload/profile.h"
 
 namespace
@@ -29,7 +30,7 @@ class ArtifactCacheTest : public testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = testing::TempDir() + "/tcsim_artifact_cache_test";
+        dir_ = test::scratchPath("cache");
         std::filesystem::remove_all(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -18,6 +18,7 @@
 
 #include "sim/config.h"
 #include "sim/processor.h"
+#include "test_paths.h"
 #include "workload/btrace.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -32,7 +33,7 @@ constexpr std::uint64_t kTraceInsts = 40000;
 std::string
 tracePath(const std::string &tag)
 {
-    return testing::TempDir() + "/tcsim_btrace_test_" + tag + ".btrace";
+    return test::scratchPath(tag + ".btrace");
 }
 
 std::string

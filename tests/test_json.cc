@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "test_paths.h"
 
 namespace
 {
@@ -91,8 +92,7 @@ TEST(Json, RejectsMalformedDocuments)
 
 TEST(Json, ParseFileReadsAndFails)
 {
-    const std::string path =
-        testing::TempDir() + "/tcsim_json_test.json";
+    const std::string path = test::scratchPath("doc.json");
     {
         std::ofstream out(path);
         out << "{\"k\": 123}\n";

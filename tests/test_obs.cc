@@ -17,6 +17,7 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "sim/processor.h"
+#include "test_paths.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
 
@@ -33,13 +34,6 @@ slurp(const std::string &path)
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
-}
-
-std::string
-tempPath(const char *name)
-{
-    const char *dir = std::getenv("TMPDIR");
-    return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
 }
 
 // ----------------------------------------------------------------------
@@ -130,7 +124,7 @@ TEST(Trace, SinkFormatInference)
 
 TEST(Trace, JsonlSinkSchemaAndEscaping)
 {
-    const std::string path = tempPath("tcsim_test_trace.jsonl");
+    const std::string path = test::scratchPath("trace.jsonl");
     std::string error;
     auto sink = obs::makeSink(obs::SinkFormat::Jsonl, path, &error);
     ASSERT_NE(sink, nullptr) << error;
@@ -151,7 +145,7 @@ TEST(Trace, JsonlSinkSchemaAndEscaping)
 
 TEST(Trace, ChromeSinkWritesHeaderAndFooter)
 {
-    const std::string path = tempPath("tcsim_test_trace.json");
+    const std::string path = test::scratchPath("trace.json");
     {
         obs::Tracer tracer;
         tracer.enableAll();
@@ -255,7 +249,7 @@ TEST(Intervals, JsonDeltasSumToTotals)
     b.tcHits = 9;
     rec.snapshot(b);
 
-    const std::string path = tempPath("tcsim_test_intervals.json");
+    const std::string path = test::scratchPath("intervals.json");
     ASSERT_TRUE(rec.writeJsonFile(path, "bench", "config"));
     const std::string text = slurp(path);
     std::remove(path.c_str());

@@ -19,6 +19,7 @@
 #include "bench/sweep.h"
 #include "sample/simpoints.h"
 #include "sim/processor.h"
+#include "test_paths.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
 
@@ -134,8 +135,7 @@ TEST(SamplePlan, BandedSelectionFindsTwoPhases)
 
 TEST(SampleBbv, ArtifactStoreCorruptRejectRebuild)
 {
-    const std::string dir =
-        testing::TempDir() + "/tcsim_bbv_artifact_test";
+    const std::string dir = test::scratchPath("cache");
     std::filesystem::remove_all(dir);
     bench::ArtifactCache cache(dir);
     const std::string key = bench::bbvArtifactKey("compress", 40000,

@@ -18,6 +18,7 @@
 #include "bench/store_server.h"
 #include "common/json.h"
 #include "obs/http.h"
+#include "test_paths.h"
 
 namespace
 {
@@ -46,7 +47,7 @@ class LocalStoreTest : public testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = testing::TempDir() + "/tcsim_store_test";
+        dir_ = test::scratchPath("store");
         std::filesystem::remove_all(dir_);
     }
     void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -119,7 +120,7 @@ TEST_F(LocalStoreTest, SubdirObjectsWork)
 
 TEST(OpenStore, ParsesSpecs)
 {
-    const std::string dir = testing::TempDir() + "/tcsim_openstore";
+    const std::string dir = test::scratchPath("store");
     auto local = openStore(dir);
     ASSERT_NE(local, nullptr);
     EXPECT_NE(dynamic_cast<LocalDirStore *>(local.get()), nullptr);
@@ -138,7 +139,7 @@ class HttpStoreTest : public testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = testing::TempDir() + "/tcsim_http_store_test";
+        dir_ = test::scratchPath("store");
         std::filesystem::remove_all(dir_);
         backing_ = std::make_unique<LocalDirStore>(dir_);
         server_ = std::make_unique<StoreServer>(*backing_);

@@ -16,6 +16,7 @@
 #include "bench/sweep.h"
 #include "obs/heartbeat.h"
 #include "sim/config.h"
+#include "test_paths.h"
 
 namespace
 {
@@ -185,7 +186,7 @@ class SweepMergeTest : public testing::Test
   protected:
     void SetUp() override
     {
-        dir_ = testing::TempDir() + "/tcsim_sweep_test_fragments";
+        dir_ = test::scratchPath("fragments");
         std::filesystem::remove_all(dir_);
         std::filesystem::create_directories(dir_);
     }

@@ -30,6 +30,7 @@
 #include "obs/heartbeat.h"
 #include "obs/regress.h"
 #include "obs/status_server.h"
+#include "test_paths.h"
 
 namespace
 {
@@ -120,8 +121,7 @@ TEST(Heartbeat, FilenameConventions)
 
 TEST(Heartbeat, EmitterWritesLifecyclePhases)
 {
-    const std::string dir =
-        testing::TempDir() + "/tcsim_heartbeat_emitter";
+    const std::string dir = test::scratchPath("heartbeats");
     std::filesystem::remove_all(dir);
     const std::string path = heartbeatPath(dir, "w0");
     const auto read_phase = [&]() {

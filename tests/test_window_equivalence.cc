@@ -8,8 +8,10 @@
  *
  *  1. A golden-stats fixture: cycle/branch/mispredict/fault/violation
  *     counts captured from the pre-indexing simulator (commit
- *     77a5ca7) across benchmarks, configs, and two ROB sizes. The
- *     current simulator must reproduce every number exactly.
+ *     77a5ca7) across benchmarks, configs, and two ROB sizes, plus a
+ *     perfect-disambiguation row captured before blocked loads were
+ *     parked on their stores. The current simulator must reproduce
+ *     every number exactly.
  *
  *  2. Verify mode: TCSIM_VERIFY_WINDOW_INDEX=1 makes the processor
  *     run the original reference scans beside every indexed lookup
@@ -40,6 +42,9 @@ configByName(const std::string &name, std::uint32_t rob_entries)
         config = sim::baselineConfig();
     } else if (name == "promo-pack") {
         config = sim::promotionPackingConfig(64);
+    } else if (name == "perfect") {
+        config = sim::promotionPackingConfig(64);
+        config.disambiguation = sim::Disambiguation::Perfect;
     } else {
         EXPECT_EQ(name, "speculative");
         config = sim::promotionPackingConfig(64);
@@ -82,6 +87,7 @@ constexpr GoldenRow kGolden[] = {
     {"m88ksim", "baseline", 512, 60000ull, 14316ull, 10887ull, 450ull, 0ull, 0ull},
     {"tex", "speculative", 512, 60000ull, 16434ull, 6527ull, 820ull, 5ull, 1ull},
     {"gnuchess", "promo-pack", 512, 60000ull, 15891ull, 16628ull, 1271ull, 44ull, 0ull},
+    {"go", "perfect", 512, 60000ull, 20162ull, 7378ull, 605ull, 13ull, 0ull},
 };
 
 TEST(WindowEquivalence, GoldenStatsBitIdentical)
@@ -131,6 +137,10 @@ TEST(WindowEquivalence, VerifyModeCrossChecksEveryEvent)
         {"compress", "speculative", 512},
         {"gnuchess", "promo-pack", 512},
         {"vortex", "baseline", 256},
+        // The DynInst ring starts at 128 slots for rob 64 and must
+        // grow; Perfect parks loads on stores that stay unresolved.
+        {"go", "perfect", 64},
+        {"go", "perfect", 512},
     };
     constexpr std::uint64_t kInsts = 40000;
     for (const Combo &combo : kCombos) {
