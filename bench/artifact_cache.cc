@@ -1,6 +1,5 @@
 #include "bench/artifact_cache.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -64,19 +63,6 @@ wrap(std::string_view key, std::string_view payload)
 
 } // namespace
 
-ArtifactCache::ArtifactCache(std::string dir) : dir_(std::move(dir))
-{
-    if (!dir_.empty())
-        store_ = std::make_unique<LocalDirStore>(dir_);
-}
-
-ArtifactCache::ArtifactCache(std::unique_ptr<FragmentStore> store)
-    : store_(std::move(store))
-{
-    if (auto *local = dynamic_cast<LocalDirStore *>(store_.get()))
-        dir_ = local->dir();
-}
-
 std::string
 ArtifactCache::objectName(std::string_view kind, std::string_view key)
 {
@@ -91,7 +77,7 @@ ArtifactCache::objectName(std::string_view kind, std::string_view key)
 std::string
 ArtifactCache::pathFor(std::string_view kind, std::string_view key) const
 {
-    return dir_ + "/" + objectName(kind, key);
+    return dir() + "/" + objectName(kind, key);
 }
 
 std::optional<std::string>
@@ -103,13 +89,13 @@ ArtifactCache::load(std::string_view kind, std::string_view key)
 
     std::optional<std::string> payload;
     bool rejected = false;
-    if (std::optional<std::string> bytes = store_->get(name)) {
+    if (std::optional<std::string> bytes = store_.get(name)) {
         payload = unwrap(*bytes, key);
         if (!payload) {
             // Corrupt wrapper: evict it so the regenerated artifact
             // replaces it instead of being rejected again next run.
             rejected = true;
-            store_->remove(name);
+            store_.remove(name);
         }
     }
 
@@ -130,9 +116,9 @@ ArtifactCache::store(std::string_view kind, std::string_view key,
     if (!enabled())
         return false;
     // First-wins put: concurrent stores of the same content-addressed
-    // key race benignly (identical bytes), and the backend guarantees
+    // key race benignly (identical bytes), and the store guarantees
     // readers never observe a torn object.
-    if (!store_->put(objectName(kind, key), wrap(key, payload)))
+    if (!store_.put(objectName(kind, key), wrap(key, payload)))
         return false;
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.stores;
@@ -164,16 +150,6 @@ ArtifactCache &
 ArtifactCache::process()
 {
     static ArtifactCache cache = [] {
-        const char *spec = std::getenv("TCSIM_CACHE_STORE");
-        if (spec != nullptr && spec[0] != '\0') {
-            if (auto store = openStore(spec))
-                return ArtifactCache(std::move(store));
-            std::fprintf(stderr,
-                         "artifact cache: TCSIM_CACHE_STORE '%s' "
-                         "unusable, cache disabled\n",
-                         spec);
-            return ArtifactCache();
-        }
         const char *dir = std::getenv("TCSIM_CACHE_DIR");
         return ArtifactCache(dir != nullptr ? dir : "");
     }();

@@ -16,18 +16,12 @@
  *    treated as a miss (and rejected), never handed to a payload
  *    parser that may abort on malformed input.
  *
- * Stores are atomic (write to a temp file, then rename), so a worker
- * killed mid-store leaves no partial artifact behind. Cache hits only
- * ever substitute for re-running a deterministic producer, so they
- * can change wall-clock time but never simulation results.
- *
- * Storage is pluggable: artifacts flow through the FragmentStore
- * interface (bench/store.h), so the same cache works against the
- * historical local directory (TCSIM_CACHE_DIR — byte-for-byte the old
- * layout, "<kind>/<keyhash>.art") or the shared HTTP object store
- * (TCSIM_CACHE_STORE=http://host:port) that a multi-host farm mounts.
- * The integrity wrapper travels with the payload, so a corrupt object
- * from ANY backend is rejected (and evicted) instead of parsed.
+ * Artifacts live in a LocalDirStore (bench/store.h) rooted at the
+ * cache directory, as "<kind>/<keyhash>.art". Stores are atomic (write
+ * to a temp file, then rename), so a worker killed mid-store leaves no
+ * partial artifact behind. Cache hits only ever substitute for
+ * re-running a deterministic producer, so they can change wall-clock
+ * time but never simulation results.
  *
  * Wrapper layout (little-endian):
  *   magic "TCARTFC1", u32 key length, key bytes,
@@ -39,7 +33,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -64,15 +57,12 @@ struct ArtifactCacheStats
 class ArtifactCache
 {
   public:
-    /** @param dir local cache root; empty disables the cache. */
-    explicit ArtifactCache(std::string dir = {});
+    /** @param dir cache root; empty disables the cache. */
+    explicit ArtifactCache(std::string dir = {}) : store_(std::move(dir)) {}
 
-    /** Route through an explicit backend (null disables). */
-    explicit ArtifactCache(std::unique_ptr<FragmentStore> store);
-
-    bool enabled() const { return store_ != nullptr; }
-    /** The local root; empty when disabled or on a remote backend. */
-    const std::string &dir() const { return dir_; }
+    bool enabled() const { return !store_.dir().empty(); }
+    /** The cache root; empty when disabled. */
+    const std::string &dir() const { return store_.dir(); }
 
     /**
      * Look up the artifact for @p key under @p kind.
@@ -101,22 +91,17 @@ class ArtifactCache
     static std::string objectName(std::string_view kind,
                                   std::string_view key);
 
-    /** @return the local file an artifact would live at (for tests;
-     * meaningful only for directory-backed caches). */
+    /** @return the file an artifact would live at (for tests). */
     std::string pathFor(std::string_view kind, std::string_view key) const;
 
     ArtifactCacheStats stats() const;
 
-    /**
-     * @return the process-wide cache: TCSIM_CACHE_STORE (a store spec,
-     * e.g. http://host:port) wins over TCSIM_CACHE_DIR (a local
-     * directory); disabled when neither is set.
-     */
+    /** @return the process-wide cache rooted at TCSIM_CACHE_DIR;
+     * disabled when it is unset or empty. */
     static ArtifactCache &process();
 
   private:
-    std::string dir_;
-    std::unique_ptr<FragmentStore> store_;
+    LocalDirStore store_;
     mutable std::mutex mutex_;
     ArtifactCacheStats stats_;
 };

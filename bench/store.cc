@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include <unistd.h>
-
-#include "common/json.h"
-#include "obs/http.h"
 
 namespace tcsim::bench
 {
@@ -54,10 +48,6 @@ isValidStoreName(std::string_view name)
     }
     return true;
 }
-
-// ---------------------------------------------------------------------
-// LocalDirStore
-// ---------------------------------------------------------------------
 
 std::string
 LocalDirStore::pathFor(const std::string &name) const
@@ -105,7 +95,7 @@ LocalDirStore::put(const std::string &name, std::string_view bytes,
 }
 
 std::optional<std::string>
-LocalDirStore::get(const std::string &name)
+LocalDirStore::get(const std::string &name) const
 {
     if (!isValidStoreName(name))
         return std::nullopt;
@@ -120,7 +110,7 @@ LocalDirStore::get(const std::string &name)
 }
 
 bool
-LocalDirStore::exists(const std::string &name)
+LocalDirStore::exists(const std::string &name) const
 {
     if (!isValidStoreName(name))
         return false;
@@ -139,17 +129,17 @@ LocalDirStore::remove(const std::string &name)
 }
 
 std::vector<StoreObject>
-LocalDirStore::list(const std::string &prefix)
+LocalDirStore::list(const std::string &prefix) const
 {
     std::vector<StoreObject> objects;
-    // The prefix's directory part picks the scan root; in-flight .tmp
-    // files are invisible (their names never validate).
+    // The prefix's directory part picks the scan root. In-flight temp
+    // files ("<name>.tmp.<pid>.<n>") are listed like any other name;
+    // readers pick their objects by suffix.
     const std::size_t slash = prefix.find('/');
     const std::string subdir =
         slash == std::string::npos ? "" : prefix.substr(0, slash);
     const std::string root = subdir.empty() ? dir_ : dir_ + "/" + subdir;
 
-    const auto now_fs = fs::file_time_type::clock::now();
     std::error_code ec;
     for (fs::directory_iterator it(root, ec), end; !ec && it != end;
          it.increment(ec)) {
@@ -163,12 +153,6 @@ LocalDirStore::list(const std::string &prefix)
         StoreObject object;
         object.name = std::move(name);
         object.size = static_cast<std::uint64_t>(it->file_size(ec));
-        const auto mtime = fs::last_write_time(it->path(), ec);
-        if (!ec) {
-            object.ageSeconds = std::max(
-                0.0,
-                std::chrono::duration<double>(now_fs - mtime).count());
-        }
         objects.push_back(std::move(object));
     }
     std::sort(objects.begin(), objects.end(),
@@ -176,140 +160,6 @@ LocalDirStore::list(const std::string &prefix)
                   return a.name < b.name;
               });
     return objects;
-}
-
-// ---------------------------------------------------------------------
-// HttpStore
-// ---------------------------------------------------------------------
-
-std::string
-HttpStore::describe() const
-{
-    return "http://" + host_ + ":" + std::to_string(port_);
-}
-
-bool
-HttpStore::put(const std::string &name, std::string_view bytes,
-               bool overwrite)
-{
-    if (!isValidStoreName(name))
-        return false;
-    std::string path = "/obj/" + name;
-    if (overwrite)
-        path += "?overwrite=1";
-    const auto result =
-        obs::httpRequest(host_, port_, "PUT", path, token_, bytes);
-    return result && (result->status == 200 || result->status == 201);
-}
-
-std::optional<std::string>
-HttpStore::get(const std::string &name)
-{
-    if (!isValidStoreName(name))
-        return std::nullopt;
-    const auto result =
-        obs::httpRequest(host_, port_, "GET", "/obj/" + name, token_);
-    if (!result || result->status != 200)
-        return std::nullopt;
-    return result->body;
-}
-
-bool
-HttpStore::exists(const std::string &name)
-{
-    if (!isValidStoreName(name))
-        return false;
-    const auto result =
-        obs::httpRequest(host_, port_, "HEAD", "/obj/" + name, token_);
-    return result && result->status == 200;
-}
-
-bool
-HttpStore::remove(const std::string &name)
-{
-    if (!isValidStoreName(name))
-        return false;
-    const auto result =
-        obs::httpRequest(host_, port_, "DELETE", "/obj/" + name, token_);
-    return result && (result->status == 200 || result->status == 404);
-}
-
-std::vector<StoreObject>
-HttpStore::list(const std::string &prefix)
-{
-    std::vector<StoreObject> objects;
-    const auto result = obs::httpRequest(
-        host_, port_, "GET", "/manifest?prefix=" + prefix, token_);
-    if (!result || result->status != 200)
-        return objects;
-    const std::optional<json::Value> doc = json::parse(result->body);
-    if (!doc || !doc->isObject() ||
-        doc->getString("schema") != "tcsim-store-manifest-v1") {
-        return objects;
-    }
-    const json::Value *rows = doc->find("objects");
-    if (rows == nullptr || !rows->isArray())
-        return objects;
-    for (const json::Value &row : rows->items()) {
-        if (!row.isObject())
-            continue;
-        StoreObject object;
-        object.name = row.getString("name");
-        object.size = row.getUint64("size");
-        object.ageSeconds = row.getDouble("age_seconds");
-        if (isValidStoreName(object.name))
-            objects.push_back(std::move(object));
-    }
-    std::sort(objects.begin(), objects.end(),
-              [](const StoreObject &a, const StoreObject &b) {
-                  return a.name < b.name;
-              });
-    return objects;
-}
-
-// ---------------------------------------------------------------------
-// openStore
-// ---------------------------------------------------------------------
-
-std::string
-farmToken()
-{
-    for (const char *var : {"TCSIM_FARM_TOKEN", "TCSIM_STATUS_TOKEN"}) {
-        const char *value = std::getenv(var);
-        if (value != nullptr && value[0] != '\0')
-            return value;
-    }
-    return "";
-}
-
-std::unique_ptr<FragmentStore>
-openStore(const std::string &spec)
-{
-    if (spec.rfind("http://", 0) == 0) {
-        std::string host;
-        std::uint16_t port = 0;
-        if (!obs::parseHttpUrl(spec, host, port)) {
-            std::fprintf(stderr,
-                         "store: malformed spec '%s' (want "
-                         "http://host:port)\n",
-                         spec.c_str());
-            return nullptr;
-        }
-        const std::string token = farmToken();
-        if (token.empty()) {
-            std::fprintf(stderr,
-                         "store: %s needs a bearer token (set "
-                         "TCSIM_FARM_TOKEN or TCSIM_STATUS_TOKEN)\n",
-                         spec.c_str());
-            return nullptr;
-        }
-        return std::make_unique<HttpStore>(host, port, token);
-    }
-    if (spec.empty()) {
-        std::fprintf(stderr, "store: empty spec\n");
-        return nullptr;
-    }
-    return std::make_unique<LocalDirStore>(spec);
 }
 
 } // namespace tcsim::bench

@@ -14,6 +14,7 @@
 
 #include "bench/artifact_cache.h"
 #include "bench/harness.h"
+#include "bench/store.h"
 #include "common/fnv.h"
 #include "common/json.h"
 #include "common/log.h"
@@ -454,19 +455,6 @@ enumerateUnits(const SweepOptions &options)
             unit.config = config;
             unit.insts = options.insts != 0 ? options.insts
                                             : profile.defaultMaxInsts;
-            // Per-unit override: "benchmark@config" beats "benchmark".
-            {
-                const std::string cell = benchmark + "@" + config.name;
-                bool exact = false;
-                for (const auto &[selector, insts] : options.instsFor) {
-                    if (selector == cell) {
-                        unit.insts = insts;
-                        exact = true;
-                    } else if (selector == benchmark && !exact) {
-                        unit.insts = insts;
-                    }
-                }
-            }
             unit.warmup = options.warmup;
             unit.sampled = options.sampled;
             unit.replay = options.replay;
@@ -1079,35 +1067,6 @@ renderResultsDoc(const std::vector<WorkUnit> &units,
 }
 
 std::string
-renderPartialDoc(const std::vector<WorkUnit> &units,
-                 const std::vector<ResultIntegers> &integers,
-                 const std::vector<bool> &filled)
-{
-    TCSIM_ASSERT(units.size() == integers.size() &&
-                 units.size() == filled.size());
-    std::size_t completed = 0;
-    for (const bool f : filled)
-        completed += f ? 1 : 0;
-    std::string out = "{\n";
-    out += "  \"schema\": \"tcsim-bench-partial-v1\",\n";
-    out += "  \"matrix_hash\": \"" + matrixHash(units) + "\",\n";
-    out += "  \"units\": " + std::to_string(units.size()) + ",\n";
-    out += "  \"completed\": " + std::to_string(completed) + ",\n";
-    out += "  \"results\": [\n";
-    std::size_t emitted = 0;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        if (!filled[i])
-            continue;
-        out += "    ";
-        appendResultRecord(out, units[i], integers[i], "    ");
-        out += ++emitted < completed ? ",\n" : "\n";
-    }
-    out += "  ]\n";
-    out += "}\n";
-    return out;
-}
-
-std::string
 fragmentPath(const std::string &dir, const WorkUnit &unit)
 {
     return dir + "/" + unit.hash + ".json";
@@ -1117,72 +1076,14 @@ bool
 writeFragment(const std::string &dir, const WorkUnit &unit,
               const ResultIntegers &integers, const UnitTiming &timing)
 {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec)
-        return false;
-    const std::string path = fragmentPath(dir, unit);
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        const std::string doc = renderFragment(unit, integers, timing);
-        out.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-        if (!out) {
-            std::filesystem::remove(tmp, ec);
-            return false;
-        }
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return false;
-    }
-    return true;
+    LocalDirStore store(dir);
+    return store.put(unit.hash + ".json",
+                     renderFragment(unit, integers, timing),
+                     /*overwrite=*/true);
 }
-
-bool
-parseFragmentBytes(const std::string &bytes, FragmentData &out)
-{
-    const std::optional<json::Value> doc = json::parse(bytes);
-    if (!doc || !doc->isObject() ||
-        doc->getString("schema") != "tcsim-bench-fragment-v1") {
-        return false;
-    }
-    const json::Value *unit_obj = doc->find("unit");
-    const json::Value *result_obj = doc->find("result");
-    if (unit_obj == nullptr || !unit_obj->isObject() ||
-        result_obj == nullptr || !result_obj->isObject()) {
-        return false;
-    }
-    out.id = unit_obj->getString("id");
-    out.hash = unit_obj->getString("hash");
-    if (out.hash.size() != 16 || !parseResultRecord(*result_obj, out.integers))
-        return false;
-    out.timing = UnitTiming{};
-    const json::Value *timing = doc->find("timing");
-    if (timing != nullptr && timing->isObject()) {
-        out.timing.wallSeconds = timing->getDouble("wall_seconds");
-        out.timing.cacheHits = timing->getUint64("cache_hits");
-        out.timing.cacheMisses = timing->getUint64("cache_misses");
-    }
-    return true;
-}
-
-namespace
-{
-
-/** @return whether a store object name is "<something>.json". */
-bool
-isJsonName(const std::string &name)
-{
-    return name.size() > 5 &&
-           name.compare(name.size() - 5, 5, ".json") == 0;
-}
-
-} // namespace
 
 std::optional<std::string>
-mergeFragments(const SweepOptions &options, FragmentStore &store,
+mergeFragments(const SweepOptions &options, const std::string &fragments_dir,
                MergeReport &report)
 {
     const std::vector<WorkUnit> units = enumerateUnits(options);
@@ -1192,16 +1093,13 @@ mergeFragments(const SweepOptions &options, FragmentStore &store,
 
     std::vector<ResultIntegers> integers(units.size());
     std::vector<bool> filled(units.size(), false);
-    // list() is sorted by name — the same deterministic order as the
-    // historical sorted directory scan, so reports are stable run to
-    // run. Heartbeat objects are telemetry, not results: skipping
-    // them is what keeps merges byte-identical with a monitor
-    // attached.
+    // list() is sorted by name, so reports are stable run to run.
+    const LocalDirStore store(fragments_dir);
     for (const StoreObject &object : store.list("")) {
         const std::string &name = object.name;
-        if (!isJsonName(name) || obs::isHeartbeatFilename(name))
+        if (name.size() <= 5 || !name.ends_with(".json"))
             continue;
-        const std::string shown = store.describe() + "/" + name;
+        const std::string shown = fragments_dir + "/" + name;
         const std::optional<std::string> bytes = store.get(name);
         const std::optional<json::Value> doc =
             bytes ? json::parse(*bytes) : std::nullopt;
@@ -1250,74 +1148,6 @@ mergeFragments(const SweepOptions &options, FragmentStore &store,
     if (!report.complete())
         return std::nullopt;
     return renderResultsDoc(units, integers);
-}
-
-std::optional<std::string>
-mergeFragments(const SweepOptions &options,
-               const std::string &fragments_dir, MergeReport &report)
-{
-    LocalDirStore store(fragments_dir);
-    return mergeFragments(options, store, report);
-}
-
-FarmScan
-scanFarm(const SweepOptions &options, FragmentStore &store)
-{
-    FarmScan scan;
-    const std::vector<WorkUnit> units = enumerateUnits(options);
-    scan.unitsTotal = units.size();
-    std::map<std::string, const WorkUnit *> by_hash;
-    for (const WorkUnit &unit : units)
-        by_hash.emplace(unit.hash, &unit);
-
-    for (const StoreObject &object : store.list("")) {
-        const std::string &name = object.name;
-        if (!isJsonName(name))
-            continue;
-        const std::optional<std::string> bytes = store.get(name);
-        if (!bytes)
-            continue;
-        if (obs::isHeartbeatFilename(name)) {
-            // A torn or half-renamed heartbeat is simply skipped; the
-            // next beat replaces it within one interval.
-            const std::optional<obs::Heartbeat> hb =
-                obs::parseHeartbeat(*bytes);
-            if (!hb)
-                continue;
-            obs::WorkerObservation observed;
-            observed.hb = *hb;
-            observed.ageSeconds = object.ageSeconds;
-            scan.workers.push_back(std::move(observed));
-            continue;
-        }
-        // Fragment: apply the SAME strict validity predicate the
-        // merge layer uses (schema, unit object, full result record,
-        // name stem == claimed hash). A truncated-mid-record fragment
-        // can still be valid JSON; counting it completed here while
-        // --check/--merge reject it would wedge a resumed scheduler
-        // on a unit no worker is ever re-dispatched for.
-        FragmentData data;
-        if (!parseFragmentBytes(*bytes, data))
-            continue;
-        const auto wanted = by_hash.find(data.hash);
-        if (wanted == by_hash.end() ||
-            name.substr(0, name.size() - 5) != data.hash) {
-            continue;
-        }
-        CompletedUnit completed;
-        completed.id = wanted->second->id;
-        completed.hash = data.hash;
-        completed.wallSeconds = data.timing.wallSeconds;
-        scan.completed.push_back(std::move(completed));
-    }
-    return scan;
-}
-
-FarmScan
-scanFarm(const SweepOptions &options, const std::string &fragments_dir)
-{
-    LocalDirStore store(fragments_dir);
-    return scanFarm(options, store);
 }
 
 } // namespace tcsim::bench

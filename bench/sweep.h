@@ -38,8 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/store.h"
-#include "obs/farm.h"
 #include "sim/accounting.h"
 #include "sim/config.h"
 
@@ -113,15 +111,6 @@ struct SweepOptions
      * exclusive with warmup and sampled execution.
      */
     bool replay = false;
-    /**
-     * Per-unit instruction-budget overrides: selector -> insts, where
-     * a selector is "benchmark" (every config of that benchmark) or
-     * "benchmark@config" (one cell; beats the benchmark-wide form).
-     * Overrides feed the unit id, so hashes — and therefore fragment
-     * validity — track them automatically. Used to build deliberately
-     * skewed matrices for scheduler stress tests.
-     */
-    std::vector<std::pair<std::string, std::uint64_t>> instsFor;
 };
 
 /** The paper's headline configurations, used when none are named. */
@@ -256,43 +245,17 @@ std::string renderFragment(const WorkUnit &unit,
 std::string renderResultsDoc(const std::vector<WorkUnit> &units,
                              const std::vector<ResultIntegers> &integers);
 
-/**
- * Render the rolling partial document ("tcsim-bench-partial-v1") for
- * a matrix that is still filling in: the units of @p units whose
- * @p filled flag is set, in enumeration order. Each included record
- * is rendered by the same shared renderer as the canonical document,
- * so a partial row is byte-identical to the corresponding row of the
- * final document.
- */
-std::string renderPartialDoc(const std::vector<WorkUnit> &units,
-                             const std::vector<ResultIntegers> &integers,
-                             const std::vector<bool> &filled);
-
 /** @return "<dir>/<hash>.json", the fragment path for @p unit. */
 std::string fragmentPath(const std::string &dir, const WorkUnit &unit);
 
-/** Write @p unit's fragment atomically. @return false on I/O error. */
+/**
+ * Write @p unit's fragment atomically, replacing any fragment already
+ * there (a retried unit overwrites a torn one). @return false on I/O
+ * error.
+ */
 bool writeFragment(const std::string &dir, const WorkUnit &unit,
                    const ResultIntegers &integers,
                    const UnitTiming &timing);
-
-/** Everything parsed out of one fragment document. */
-struct FragmentData
-{
-    std::string id;
-    std::string hash;
-    ResultIntegers integers;
-    UnitTiming timing; ///< zeros when the timing section is absent
-};
-
-/**
- * Strictly parse one fragment document: schema, unit identity and the
- * full canonical integer record must all be present and well-formed.
- * This is the scheduler's streaming-merge entry point — a fragment
- * rejected here is treated as never delivered (the unit stays
- * dispatchable), which is what makes a torn or corrupted upload safe.
- */
-bool parseFragmentBytes(const std::string &bytes, FragmentData &out);
 
 /** What the merge (or check) pass found in a fragments directory. */
 struct MergeReport
@@ -311,9 +274,7 @@ struct MergeReport
 
 /**
  * Scan @p fragments_dir and assemble the canonical results document
- * for @p options' matrix. Worker heartbeat files ("heartbeat-*",
- * telemetry only) are ignored, so a monitored sweep merges to exactly
- * the same bytes as an unmonitored one.
+ * for @p options' matrix.
  * @return the document when every unit was found (report still lists
  * stale/duplicate files); empty optional otherwise, with the holes in
  * @p report.
@@ -321,48 +282,6 @@ struct MergeReport
 std::optional<std::string> mergeFragments(const SweepOptions &options,
                                           const std::string &fragments_dir,
                                           MergeReport &report);
-
-/**
- * Same merge over any FragmentStore backend. For a LocalDirStore this
- * is byte-for-byte the directory merge above (same scan order, same
- * report strings); for an HttpStore it merges what workers uploaded
- * to the shim without needing filesystem access to the backing dir.
- */
-std::optional<std::string> mergeFragments(const SweepOptions &options,
-                                          FragmentStore &store,
-                                          MergeReport &report);
-
-/** One completed unit as observed in a fragments directory. */
-struct CompletedUnit
-{
-    std::string id;
-    std::string hash;
-    double wallSeconds = 0.0;
-};
-
-/** What one telemetry poll of a fragments directory found. */
-struct FarmScan
-{
-    /** Parsed worker heartbeats with their file-mtime ages. */
-    std::vector<obs::WorkerObservation> workers;
-    /** Valid fragments whose hash is in @p options' matrix. */
-    std::vector<CompletedUnit> completed;
-    std::uint64_t unitsTotal = 0;
-};
-
-/**
- * Scan @p fragments_dir for the monitor: parse every heartbeat file
- * (measuring staleness from its mtime) and every fragment belonging
- * to @p options' matrix (unit id, hash, wall-clock from the timing
- * section). Read-only, tolerant of torn in-flight files — this runs
- * concurrently with live workers by design.
- */
-FarmScan scanFarm(const SweepOptions &options,
-                  const std::string &fragments_dir);
-
-/** Same telemetry poll over any FragmentStore backend (heartbeat
- * staleness comes from the store's per-object age metadata). */
-FarmScan scanFarm(const SweepOptions &options, FragmentStore &store);
 
 } // namespace tcsim::bench
 

@@ -23,31 +23,13 @@
 # workers and runs via the content-addressed cache in TCSIM_CACHE_DIR
 # (default .tcsim_cache).
 #
-# Scheduler mode (--sched N): runs a deliberately skewed matrix (one
-# cell gets ~10x the instruction budget via --insts-for) twice at
-# equal worker count — once as N static --shard workers, once as N
-# `tcsim_sweep --pull` workers against a tools/tcsim_sched instance
-# (work-stealing dispatch + straggler re-dispatch) — asserts the two
-# documents are byte-identical, and records both wall-clocks plus the
-# scheduler counters in BENCH_results.json (section "sched"). The
-# point of the exercise: static sharding strands the small units that
-# share a shard with the skewed one, the work-stealing pool does not.
-#
-# Usage: run_benches.sh [--long] [--sweep N] [--sched N]
+# Usage: run_benches.sh [--long] [--sweep N]
 #                       [--inject-kill] [--warm-compare]
-#                       [--sampled-errors] [--monitor]
-#                       [--regress-against FILE]
+#                       [--sampled-errors] [--regress-against FILE]
 #   --long          raise the default instruction budget to 1M per run
 #                   (statistically meaningful sweeps; an explicit
 #                   TCSIM_INSTS still wins).
 #   --sweep N       sweep mode with N worker processes.
-#   --sched N       scheduler-vs-static comparison with N workers
-#                   each. Environment: TCSIM_SCHED_SKEW selects the
-#                   skewed cell ("benchmark@config", default
-#                   li@baseline — must name a cell of the matrix),
-#                   TCSIM_SCHED_SKEW_FACTOR its budget multiplier
-#                   (default 10), TCSIM_FARM_TOKEN the farm secret
-#                   (generated if unset).
 #   --inject-kill   (sweep mode) worker 0 SIGKILLs itself after one
 #                   unit, exercising the crash-retry path (CI).
 #   --warm-compare  (sweep mode) after the merge, re-run the matrix
@@ -61,12 +43,6 @@
 #                   its mispredict-rate error exceeds
 #                   TCSIM_MISPREDICT_TOLERANCE), and embed the report
 #                   in BENCH_results.json.
-#   --monitor       (sweep mode) attach tools/tcsim_monitor to the
-#                   farm for the duration of the sweep: live dashboard
-#                   in .sweep.tmp/monitor.log, rolling
-#                   tcsim-farm-status-v1 snapshots in FARM_status.json.
-#                   Purely observational — the merged document is
-#                   byte-identical with or without it.
 #   --regress-against FILE
 #                   (sweep mode) after the merge, gate
 #                   SWEEP_results.json against the baseline results
@@ -75,11 +51,24 @@
 #                   embedded in BENCH_results.json. A regression
 #                   (tcsim_regress exit 5) fails the run.
 #
+# TCSIM_WARMUP means two different things in the two modes:
+#   exhibit mode         each run simulates n instructions on the
+#                        detailed model, resets the statistics and
+#                        measures [n, n + budget) — a detailed warm-up
+#                        (bench/harness.cc, executeRequest).
+#   sweep mode           passed as `tcsim_sweep --warmup n`: a separate
+#                        processor runs n instructions, only its
+#                        predictor state is imported into a fresh one,
+#                        and that one measures [0, budget) from
+#                        instruction 0 (bench/sweep.cc, executeUnit).
+# The same value therefore gives different numbers in the two modes.
+#
 # Sweep-mode environment:
 #   TCSIM_SWEEP_ARGS     extra tcsim_sweep matrix args, word-split
 #                        (e.g. "--benchmarks compress,li --configs
 #                        baseline,promotion-t64")
-#   TCSIM_WARMUP         per-unit predictor warm-up instructions
+#   TCSIM_WARMUP         per-unit predictor warm-up instructions (see
+#                        above)
 #   TCSIM_SAMPLED_INTERVAL / TCSIM_SAMPLED_K
 #                        enable SimPoint-style sampled execution: BBV
 #                        interval length and max cluster count (both
@@ -96,14 +85,12 @@
 #                        .tcsim_cache; empty string disables)
 #   TCSIM_UNIT_TIMEOUT   per-unit timeout seconds (default 600)
 #   TCSIM_SWEEP_RETRIES  retry passes after the first (default 2)
-cd /root/repo || exit 1
+cd "$(dirname "$0")" || exit 1
 
 sweep_shards=0
-sched_workers=0
 inject_kill=0
 warm_compare=0
 sampled_errors=0
-monitor=0
 regress_baseline=""
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -114,10 +101,6 @@ while [ $# -gt 0 ]; do
             shift
             sweep_shards="$1"
             ;;
-        --sched)
-            shift
-            sched_workers="$1"
-            ;;
         --inject-kill)
             inject_kill=1
             ;;
@@ -126,9 +109,6 @@ while [ $# -gt 0 ]; do
             ;;
         --sampled-errors)
             sampled_errors=1
-            ;;
-        --monitor)
-            monitor=1
             ;;
         --regress-against)
             shift
@@ -141,145 +121,6 @@ while [ $# -gt 0 ]; do
     esac
     shift
 done
-
-# ----------------------------------------------------------------------
-# Scheduler mode: work-stealing dispatch vs static sharding on a
-# deliberately skewed matrix.
-# ----------------------------------------------------------------------
-if [ "$sched_workers" -gt 0 ]; then
-    sweep_bin=build/tools/tcsim_sweep
-    sched_bin=build/tools/tcsim_sched
-    for bin in "$sweep_bin" "$sched_bin"; do
-        [ -x "$bin" ] || { echo "$bin not built" >&2; exit 1; }
-    done
-    if [ "$sched_workers" -lt 2 ]; then
-        echo "--sched needs at least 2 workers" >&2
-        exit 1
-    fi
-
-    insts="${TCSIM_INSTS:-200000}"
-    skew_cell="${TCSIM_SCHED_SKEW:-li@baseline}"
-    skew_factor="${TCSIM_SCHED_SKEW_FACTOR:-10}"
-    cache_dir="${TCSIM_CACHE_DIR-.tcsim_cache}"
-    export TCSIM_FARM_TOKEN="${TCSIM_FARM_TOKEN:-sched-$$-$(date +%s)}"
-
-    # The skewed matrix: one cell gets skew_factor x the budget, so a
-    # static partition strands whatever shares its shard. The matrix
-    # is wide enough (16 units by default) that the skewed unit is
-    # close to — not above — one worker's ideal share; that is the
-    # regime where dispatch policy, not the critical path, decides
-    # the makespan.
-    # shellcheck disable=SC2206
-    matrix_args=(${TCSIM_SWEEP_ARGS:---benchmarks
-                  compress,li,go,gcc,ijpeg,m88ksim,perl,vortex
-                  --configs baseline,promotion-t64})
-    matrix_args+=(--insts "$insts"
-                  --insts-for "$skew_cell=$((insts * skew_factor))")
-    [ -n "${TCSIM_WARMUP:-}" ] && matrix_args+=(--warmup "$TCSIM_WARMUP")
-    run_args=("${matrix_args[@]}")
-    [ -n "$cache_dir" ] && run_args+=(--cache-dir "$cache_dir")
-
-    sched_dir=.sched.tmp
-    rm -rf "$sched_dir"
-    mkdir -p "$sched_dir/static.frags" "$sched_dir/sched.frags"
-
-    n_units=$("$sweep_bin" --list "${matrix_args[@]}" \
-                  | sed -n 's/^matrix [0-9a-f]* (\([0-9]*\) units)$/\1/p')
-    [ -n "$n_units" ] || { echo "cannot enumerate matrix" >&2; exit 1; }
-    echo "sched: $n_units units, $sched_workers workers," \
-         "cell $skew_cell skewed ${skew_factor}x"
-
-    # Reference run: byte-identity oracle AND cache warm-up, so the
-    # timed runs below compare dispatch policy, not artifact
-    # generation luck.
-    "$sweep_bin" "${run_args[@]}" --out "$sched_dir/reference.json" \
-        > "$sched_dir/reference.log" 2>&1 || {
-        echo "sched: reference run failed" >&2; exit 1; }
-
-    echo "sched: static --shard $sched_workers baseline..."
-    static_start=$(date +%s.%N)
-    pids=()
-    for i in $(seq 0 $((sched_workers - 1))); do
-        "$sweep_bin" "${run_args[@]}" --shard "$i/$sched_workers" \
-            --fragments-dir "$sched_dir/static.frags" \
-            > "$sched_dir/static.$i.log" 2>&1 &
-        pids+=($!)
-    done
-    for pid in "${pids[@]}"; do
-        wait "$pid" || { echo "sched: static worker failed" >&2; exit 1; }
-    done
-    static_wall=$(date +%s.%N | awk -v s="$static_start" '{print $1 - s}')
-    "$sweep_bin" "${run_args[@]}" --merge \
-        --fragments-dir "$sched_dir/static.frags" \
-        --out "$sched_dir/static.json" || exit 1
-    cmp "$sched_dir/reference.json" "$sched_dir/static.json" || {
-        echo "sched: static merge not byte-identical" >&2; exit 1; }
-
-    echo "sched: work-stealing scheduler with $sched_workers workers..."
-    sched_start=$(date +%s.%N)
-    "$sched_bin" "${matrix_args[@]}" \
-        --fragments-dir "$sched_dir/sched.frags" \
-        --out "$sched_dir/sched.json" --port 0 \
-        --port-file "$sched_dir/port" \
-        --status-out "$sched_dir/status.json" \
-        --max-seconds "${TCSIM_UNIT_TIMEOUT:-600}" \
-        > "$sched_dir/sched.log" 2>&1 &
-    sched_pid=$!
-    for _ in $(seq 200); do
-        [ -s "$sched_dir/port" ] && break
-        kill -0 "$sched_pid" 2>/dev/null || {
-            echo "sched: scheduler died before binding" >&2; exit 1; }
-        sleep 0.05
-    done
-    url="http://127.0.0.1:$(cat "$sched_dir/port")"
-    pids=()
-    for i in $(seq 0 $((sched_workers - 1))); do
-        "$sweep_bin" "${run_args[@]}" --pull "$url" --worker "pull$i" \
-            > "$sched_dir/pull.$i.log" 2>&1 &
-        pids+=($!)
-    done
-    wait "$sched_pid" || {
-        echo "sched: scheduler failed (log: $sched_dir/sched.log)" >&2
-        exit 1; }
-    sched_wall=$(date +%s.%N | awk -v s="$sched_start" '{print $1 - s}')
-    for pid in "${pids[@]}"; do wait "$pid" || true; done
-    cmp "$sched_dir/reference.json" "$sched_dir/sched.json" || {
-        echo "sched: scheduled merge not byte-identical" >&2; exit 1; }
-
-    speedup=$(awk -v a="$static_wall" -v b="$sched_wall" \
-                  'BEGIN {printf "%.3f", a / b}')
-    counters=$(python3 - "$sched_dir/status.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-print(doc["redispatches"], doc["leases_expired"], doc["duplicates"])
-EOF
-    )
-    read -r redispatches leases_expired duplicates <<< "$counters"
-    {
-        printf '{"schema":"tcsim-bench-exhibits-v1",'
-        printf '"sched":{"workers":%d,"units":%d,' \
-            "$sched_workers" "$n_units"
-        printf '"skew_cell":"%s","skew_factor":%d,' \
-            "$skew_cell" "$skew_factor"
-        printf '"static_wall_seconds":%.3f,"sched_wall_seconds":%.3f,' \
-            "$static_wall" "$sched_wall"
-        printf '"speedup":%s,' "$speedup"
-        printf '"redispatches":%d,"leases_expired":%d,"duplicates":%d,' \
-            "$redispatches" "$leases_expired" "$duplicates"
-        printf '"byte_identical":true},"exhibits":[]}\n'
-    } > BENCH_results.json
-    echo "sched: static ${static_wall}s vs scheduled ${sched_wall}s" \
-         "(speedup ${speedup}x, results: BENCH_results.json)"
-    rm -rf "$sched_dir"
-    if ! awk -v s="$speedup" 'BEGIN {exit !(s > 1.0)}'; then
-        echo "SCHED FAILED: work stealing did not beat static" \
-             "sharding on the skewed matrix" >&2
-        exit 3
-    fi
-    echo "SCHED COMPLETE: work stealing beats static sharding" \
-         "${speedup}x on the skewed matrix"
-    exit 0
-fi
 
 # ----------------------------------------------------------------------
 # Sweep mode.
@@ -310,29 +151,12 @@ if [ "$sweep_shards" -gt 0 ]; then
         matrix_args+=(--sampled-interval "$TCSIM_SAMPLED_INTERVAL"
                       --sampled-max-k "$TCSIM_SAMPLED_K")
     fi
-    # The monitor needs the matrix (to know the denominator and which
-    # fragments belong to this sweep) but not the cache arguments.
-    monitor_args=("${matrix_args[@]}")
     [ -n "$cache_dir" ] && matrix_args+=(--cache-dir "$cache_dir")
 
     sweep_dir=.sweep.tmp
     frags="$sweep_dir/fragments"
     rm -rf "$sweep_dir"
     mkdir -p "$frags"
-
-    monitor_pid=""
-    if [ "$monitor" -eq 1 ]; then
-        monitor_bin=build/tools/tcsim_monitor
-        [ -x "$monitor_bin" ] || {
-            echo "$monitor_bin not built" >&2; exit 1; }
-        "$monitor_bin" --fragments-dir "$frags" "${monitor_args[@]}" \
-            --interval 1 --status-out FARM_status.json \
-            > "$sweep_dir/monitor.log" 2>&1 &
-        monitor_pid=$!
-        echo "sweep: monitor attached (pid $monitor_pid," \
-             "dashboard: $sweep_dir/monitor.log," \
-             "snapshots: FARM_status.json)"
-    fi
 
     n_units=$("$sweep_bin" --list "${matrix_args[@]}" \
                   | sed -n 's/^matrix [0-9a-f]* (\([0-9]*\) units)$/\1/p')
@@ -437,19 +261,6 @@ if [ "$sweep_shards" -gt 0 ]; then
         --out SWEEP_results.json || exit 1
     total=$(( $(date +%s) - total_start ))
 
-    if [ -n "$monitor_pid" ]; then
-        kill "$monitor_pid" 2> /dev/null || true
-        wait "$monitor_pid" 2> /dev/null || true
-        # A fast sweep can finish between monitor polls; refresh the
-        # snapshot once post-merge so FARM_status.json always records
-        # the final state instead of whatever the last poll caught.
-        "$sweep_bin" --status --fragments-dir "$frags" \
-            "${monitor_args[@]}" --status-out FARM_status.json \
-            > "$sweep_dir/final_status.txt" 2>&1 || true
-        echo "sweep: final farm view:"
-        sed 's/^/  /' "$sweep_dir/final_status.txt"
-    fi
-
     # Optional perf-regression gate against a prior merged document.
     regress_json=""
     if [ -n "$regress_baseline" ]; then
@@ -540,8 +351,6 @@ if [ "$sweep_shards" -gt 0 ]; then
             "$total" "$retries_used"
         printf '"crashed_workers":%d,' "$crashed"
         printf '"timeout_killed_workers":%d,' "$timeout_killed_workers"
-        printf '"monitored":%s,' \
-            "$([ "$monitor" -eq 1 ] && echo true || echo false)"
         # Per-unit retry counts (hash -> times it landed on a retry
         # worklist) and units whose retry was cut down by the per-unit
         # timeout. Empty when pass 0 covered everything.

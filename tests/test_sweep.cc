@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "bench/sweep.h"
-#include "obs/heartbeat.h"
 #include "sim/config.h"
 #include "test_paths.h"
 
@@ -253,7 +252,7 @@ TEST_F(SweepMergeTest, ServerProfileShardedMergeIsByteIdentical)
 {
     // Server-class profiles must hold the same determinism contract
     // as the legacy suite: any shard layout (TCSIM_JOBS, --shard i/n,
-    // pulled workers) reproduces the single-process document byte for
+    // worklists) reproduces the single-process document byte for
     // byte. Each unit is executed twice — as two independent workers
     // would — and both the integers and the merged bytes must agree.
     SweepOptions options;
@@ -411,56 +410,24 @@ TEST_F(SweepMergeTest, CorruptFragmentsBlockTheMerge)
     EXPECT_TRUE(report.missing.empty());
 }
 
-TEST_F(SweepMergeTest, HeartbeatsInvisibleToMergeVisibleToScan)
+TEST_F(SweepMergeTest, RetryReplacesTornFragment)
 {
-    // A monitored sweep leaves heartbeat files (and possibly a torn
-    // in-flight one) in the fragments directory. The merge must treat
-    // them as if they were not there — same bytes, nothing classified
-    // corrupt — while scanFarm picks up both the workers and the
-    // completed units.
+    // A retried unit must replace whatever sits under its name; a
+    // first-wins write would keep the torn bytes and block the merge.
     const SweepOptions options = smallMatrix();
     const std::vector<WorkUnit> units = enumerateUnits(options);
-
-    std::vector<ResultIntegers> integers;
-    for (const WorkUnit &unit : units)
-        integers.push_back(integersOf(executeUnit(unit)));
-    const std::string single = renderResultsDoc(units, integers);
-
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        UnitTiming timing;
-        timing.wallSeconds = 0.25;
-        ASSERT_TRUE(writeFragment(dir_, units[i], integers[i], timing));
-    }
-    obs::Heartbeat hb;
-    hb.worker = "shard0";
-    hb.phase = "run";
-    hb.unitId = units[0].id;
-    hb.unitsTotal = units.size();
-    ASSERT_TRUE(obs::writeHeartbeat(dir_, hb));
     {
-        // A torn heartbeat mid-write: garbage to every reader, but
-        // still not the merge's problem.
-        std::ofstream out(dir_ + "/heartbeat-shard1.json");
-        out << "{\n  \"schema\": \"tcsim-heart";
+        std::ofstream out(fragmentPath(dir_, units[0]));
+        out << "{\n  \"schema\": \"tcsim-bench-frag";
     }
+    for (const WorkUnit &unit : units)
+        ASSERT_TRUE(writeFragment(dir_, unit,
+                                  integersOf(executeUnit(unit)),
+                                  UnitTiming{}));
 
     MergeReport report;
-    const auto merged = mergeFragments(options, dir_, report);
-    ASSERT_TRUE(merged.has_value());
-    EXPECT_TRUE(report.complete());
+    EXPECT_TRUE(mergeFragments(options, dir_, report).has_value());
     EXPECT_TRUE(report.corrupt.empty());
-    EXPECT_TRUE(report.stale.empty());
-    EXPECT_EQ(*merged, single);
-
-    const FarmScan scan = scanFarm(options, dir_);
-    EXPECT_EQ(scan.unitsTotal, units.size());
-    EXPECT_EQ(scan.completed.size(), units.size());
-    // Only the intact heartbeat parses; the torn one is skipped.
-    ASSERT_EQ(scan.workers.size(), 1u);
-    EXPECT_EQ(scan.workers[0].hb.worker, "shard0");
-    EXPECT_GE(scan.workers[0].ageSeconds, 0.0);
-    for (const CompletedUnit &unit : scan.completed)
-        EXPECT_DOUBLE_EQ(unit.wallSeconds, 0.25);
 }
 
 TEST_F(SweepMergeTest, RenamedFragmentIsCorruptNotTrusted)

@@ -2,7 +2,7 @@
  * @file
  * tcsim_sweep: the sharded sweep driver.
  *
- * One binary, four modes over the same deterministically enumerated
+ * One binary, five modes over the same deterministically enumerated
  * (benchmark, configuration) work-unit matrix:
  *
  *   tcsim_sweep --list
@@ -31,32 +31,12 @@
  *       --missing-out additionally writes those hashes to a file
  *       atomically — a ready-to-use retry worklist.
  *
- *   tcsim_sweep --pull <url>
- *       Pulled worker mode: lease units from a tcsim_sched at
- *       http://host:port (matrix flags must match the scheduler's —
- *       the lease handshake verifies the matrix hash), execute each
- *       under a renewed lease, and POST the fragment back. Fragments,
- *       heartbeats and (with TCSIM_CACHE_STORE) artifacts all flow
- *       through the scheduler's combined endpoint, so a pulled worker
- *       needs no shared filesystem. Requires TCSIM_FARM_TOKEN (or
- *       TCSIM_STATUS_TOKEN).
- *
- *   tcsim_sweep --status --fragments-dir <dir>
- *       One-shot farm snapshot: scan worker heartbeats and fragments,
- *       print the monitor dashboard to stdout and (with --status-out)
- *       write a tcsim-farm-status-v1 document. For a continuously
- *       refreshing view use tcsim_monitor.
- *
- * Matrix options (must match between workers and the merger; parsed
- * by the shared tools/matrix_args.h, so tcsim_sweep and tcsim_sched
- * cannot drift):
+ * Matrix options (must match between workers and the merger):
  *   --benchmarks a,b,c   subset of the suite (default: all)
  *   --configs x,y        preset names (default: icache, baseline,
  *                        promotion-t64, packing-unregulated,
  *                        promo-pack-unregulated)
  *   --insts <n>          per-unit budget (default: profile default)
- *   --insts-for sel=n    per-unit budget overrides ("bench" or
- *                        "bench@config"); skews the matrix
  *   --warmup <n>         predictor warm-up instructions; warmed
  *                        predictor state is cached and imported into a
  *                        fresh processor (0 = cold start)
@@ -90,65 +70,30 @@
  *                        the base rate, so a relative bound diverges
  *                        at long budgets where the rate is smallest)
  *
- * Telemetry:
- *   --heartbeat <sec>    heartbeat interval for worker modes (default
- *                        2 seconds; 0 disables). Workers write an
- *                        atomic "heartbeat-<worker>.json" next to
- *                        their fragments; the merge layer ignores it.
- *   --status-out <file>  with --status: also write the
- *                        tcsim-farm-status-v1 snapshot JSON
- *
  * Artifact cache:
  *   --cache-dir <dir>    content-addressed cache for program images
  *                        and warmed predictor checkpoints (also via
  *                        TCSIM_CACHE_DIR)
  *   --no-cache           disable the cache even if the env var is set
  *
- * Storage:
- *   --store <spec>       route --merge/--check/--status through a
- *                        FragmentStore spec instead of a local
- *                        directory: "http://host:port" reads the
- *                        object-store shim (requires the farm token),
- *                        anything else is a directory. --fragments-dir
- *                        remains the local-directory shorthand.
- *
  * Diagnostics / testing:
  *   --timing-out <file>  non-canonical timing+cache-stats JSON
  *                        (tcsim-bench-timing-v1)
  *   --die-after <k>      worker raises SIGKILL after k units complete
  *                        (crash-recovery testing)
- *   --die-mid-unit <k>   pulled worker raises SIGKILL right after
- *                        acquiring its k-th lease, BEFORE executing —
- *                        the lease is left dangling, exercising lease
- *                        expiry and re-dispatch
- *   --inject-slow-ms <n> pulled worker sleeps n ms after executing
- *                        each unit (lease kept renewed) — makes it a
- *                        straggler, exercising speculative re-dispatch
  */
 
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <ctime>
 #include <fstream>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "bench/artifact_cache.h"
-#include "bench/store.h"
 #include "bench/sweep.h"
-#include "common/json.h"
-#include "obs/heartbeat.h"
-#include "obs/http.h"
-#include "tools/matrix_args.h"
 
 namespace
 {
@@ -160,20 +105,35 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--list | --shard i/N | --worklist f | "
-                 "--pull url | --merge | --check | --status]\n"
-                 "  [--fragments-dir d] [--store spec] [--out f] "
+                 "--merge | --check]\n"
+                 "  [--fragments-dir d] [--out f] "
                  "[--benchmarks a,b] [--configs x,y]\n"
-                 "  [--insts n] [--insts-for sel=n] [--warmup n] "
+                 "  [--insts n] [--warmup n] "
                  "[--cache-dir d] [--no-cache]\n"
                  "  [--sampled-interval n --sampled-max-k k] [--replay]\n"
                  "  [--error-out f] [--error-tolerance f] "
                  "[--mispredict-tolerance f]\n"
-                 "  [--heartbeat sec] [--status-out f] "
-                 "[--missing-out f] [--worker name]\n"
-                 "  [--timing-out f] [--die-after k] "
-                 "[--die-mid-unit k] [--inject-slow-ms n]\n",
+                 "  [--missing-out f] [--timing-out f] [--die-after k]\n",
                  argv0);
     std::exit(1);
+}
+
+std::vector<std::string>
+splitCommas(const std::string &text)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= text.size()) {
+        const std::size_t comma = text.find(',', start);
+        const std::size_t end =
+            comma == std::string::npos ? text.size() : comma;
+        if (end > start)
+            out.push_back(text.substr(start, end - start));
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    return out;
 }
 
 bool
@@ -246,231 +206,21 @@ writeTimingDoc(const std::string &path,
         std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
 }
 
-/**
- * One scheduler round trip with transport retries: the scheduler may
- * briefly be unreachable (starting up, momentary accept backlog)
- * without that costing the worker its whole run.
- */
-std::optional<obs::HttpResult>
-schedRequest(const std::string &host, std::uint16_t port,
-             const std::string &path, const std::string &token,
-             std::string_view body = {})
-{
-    for (int attempt = 0; attempt < 50; ++attempt) {
-        if (auto result =
-                obs::httpRequest(host, port, "POST", path, token, body))
-            return result;
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-    return std::nullopt;
-}
-
-/**
- * Pulled worker: lease units from a tcsim_sched until it says done.
- * Everything flows over the scheduler's combined endpoint — leases,
- * fragments (POST /complete) and heartbeats (PUT through the store
- * shim with overwrite, since heartbeats are rewritten by design).
- */
-int
-runPullWorker(const std::string &url,
-              const std::vector<bench::WorkUnit> &units,
-              const std::string &worker, double heartbeat_seconds,
-              long die_mid_unit, long inject_slow_ms)
-{
-    std::string host;
-    std::uint16_t port = 0;
-    if (!obs::parseHttpUrl(url, host, port)) {
-        std::fprintf(stderr, "--pull: bad url '%s'\n", url.c_str());
-        return 1;
-    }
-    const std::string token = bench::farmToken();
-    if (token.empty()) {
-        std::fprintf(stderr, "--pull needs TCSIM_FARM_TOKEN (or "
-                             "TCSIM_STATUS_TOKEN)\n");
-        return 1;
-    }
-    const std::string matrix_hash = bench::matrixHash(units);
-
-    bench::HttpStore store(host, port, token);
-    obs::HeartbeatEmitter heart(
-        [&store, worker](const obs::Heartbeat &hb) {
-            store.put("heartbeat-" + worker + ".json",
-                      obs::renderHeartbeat(hb), /*overwrite=*/true);
-        },
-        worker, heartbeat_seconds, units.size());
-
-    using Clock = std::chrono::steady_clock;
-    long leased = 0;
-    bool contacted = false;
-    // The scheduler exits the moment the last unit lands, so a worker
-    // that loses a straggler race can find it gone mid-conversation.
-    // Once we have spoken to it successfully, "unreachable" means the
-    // sweep is over, not that we failed.
-    const auto schedulerGone = [&]() -> int {
-        if (!contacted) {
-            std::fprintf(stderr, "worker %s: scheduler unreachable\n",
-                         worker.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "worker %s: scheduler gone; sweep "
-                             "finished without us\n",
-                     worker.c_str());
-        return 0;
-    };
-    for (;;) {
-        const auto lease = schedRequest(
-            host, port, "/lease?worker=" + worker, token);
-        if (!lease)
-            return schedulerGone();
-        if (lease->status != 200) {
-            std::fprintf(stderr, "worker %s: lease refused (%d)\n",
-                         worker.c_str(), lease->status);
-            return 1;
-        }
-        contacted = true;
-        const std::optional<json::Value> doc = json::parse(lease->body);
-        if (!doc || !doc->isObject() ||
-            doc->getString("schema") != "tcsim-sched-lease-v1") {
-            std::fprintf(stderr, "worker %s: bad lease response\n",
-                         worker.c_str());
-            return 1;
-        }
-        if (doc->getString("matrix_hash") != matrix_hash) {
-            // The scheduler enumerates a different matrix than our
-            // flags do — completing anything would poison the merge.
-            std::fprintf(stderr,
-                         "worker %s: matrix mismatch (ours %s, "
-                         "scheduler %s)\n",
-                         worker.c_str(), matrix_hash.c_str(),
-                         doc->getString("matrix_hash").c_str());
-            return 1;
-        }
-        const std::string status = doc->getString("status");
-        if (status == "done")
-            break;
-        if (status == "wait") {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(200));
-            continue;
-        }
-        const std::string hash = doc->getString("hash");
-        const double renew_seconds =
-            std::max(0.05, doc->getDouble("renew_seconds"));
-        const bench::WorkUnit *unit = nullptr;
-        for (const bench::WorkUnit &candidate : units) {
-            if (candidate.hash == hash) {
-                unit = &candidate;
-                break;
-            }
-        }
-        if (unit == nullptr) {
-            std::fprintf(stderr, "worker %s: leased unknown hash %s\n",
-                         worker.c_str(), hash.c_str());
-            return 1;
-        }
-
-        ++leased;
-        if (die_mid_unit >= 0 && leased >= die_mid_unit) {
-            // Chaos injection: die holding the lease, before any work
-            // lands — the scheduler must expire and re-dispatch it.
-            std::fprintf(stderr,
-                         "worker %s: --die-mid-unit %ld: raising "
-                         "SIGKILL holding %s\n",
-                         worker.c_str(), die_mid_unit, hash.c_str());
-            raise(SIGKILL);
-        }
-
-        std::fprintf(stderr, "worker %s: leased %s\n", worker.c_str(),
-                     unit->id.c_str());
-        heart.beginUnit(unit->id, unit->hash);
-
-        // Renew from a side thread for the whole execution, so a slow
-        // (or deliberately slowed) unit keeps its lease and becomes a
-        // straggler rather than an expiry.
-        std::mutex renew_mutex;
-        std::condition_variable renew_wake;
-        bool renew_stop = false;
-        std::thread renewer([&] {
-            std::unique_lock<std::mutex> lock(renew_mutex);
-            const auto interval =
-                std::chrono::duration<double>(renew_seconds);
-            while (!renew_wake.wait_for(lock, interval,
-                                        [&] { return renew_stop; })) {
-                lock.unlock();
-                schedRequest(host, port,
-                             "/renew?worker=" + worker + "&hash=" + hash,
-                             token);
-                lock.lock();
-            }
-        });
-
-        const bench::ArtifactCacheStats before =
-            bench::ArtifactCache::process().stats();
-        const Clock::time_point start = Clock::now();
-        const bench::ResultIntegers n =
-            bench::executeUnitIntegers(*unit);
-        if (inject_slow_ms > 0) {
-            // Chaos injection: stay leased but slow, so the scheduler
-            // classifies this unit a straggler and re-dispatches it.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(inject_slow_ms));
-        }
-        const double seconds =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        const bench::ArtifactCacheStats after =
-            bench::ArtifactCache::process().stats();
-
-        bench::UnitTiming timing;
-        timing.wallSeconds = seconds;
-        timing.cacheHits = after.hits - before.hits;
-        timing.cacheMisses = after.misses - before.misses;
-        const std::string fragment =
-            bench::renderFragment(*unit, n, timing);
-
-        {
-            std::lock_guard<std::mutex> lock(renew_mutex);
-            renew_stop = true;
-        }
-        renew_wake.notify_all();
-        renewer.join();
-
-        const auto delivered = schedRequest(
-            host, port, "/complete?worker=" + worker + "&hash=" + hash,
-            token, fragment);
-        if (!delivered)
-            return schedulerGone();
-        if (delivered->status != 200) {
-            std::fprintf(stderr,
-                         "worker %s: could not deliver %s (%d)\n",
-                         worker.c_str(), unit->id.c_str(),
-                         delivered->status);
-            return 1;
-        }
-        heart.completeUnit(n.instructions, after.hits - before.hits,
-                           after.misses - before.misses);
-    }
-    heart.finish();
-    std::fprintf(stderr, "worker %s: scheduler reports done\n",
-                 worker.c_str());
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool list = false, merge = false, check = false, status = false;
+    bool list = false, merge = false, check = false;
     int shard_index = -1, shard_count = 0;
     std::string worklist_path, fragments_dir, out_path, timing_out;
-    std::string error_out, status_out, missing_out, store_spec;
-    std::string pull_url, worker_name;
+    std::string error_out, missing_out;
     double error_tolerance = 0.05;
     double mispredict_tolerance = 0.08;
-    double heartbeat_seconds = 2.0;
-    long die_after = -1, die_mid_unit = -1, inject_slow_ms = 0;
+    long die_after = -1;
     bool no_cache = false;
-    tools::MatrixArgs matrix;
+    bench::SweepOptions options;
+    std::vector<std::string> config_names;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -479,22 +229,31 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        if (matrix.consume(arg, next)) {
-            continue;
+        if (arg == "--benchmarks") {
+            options.benchmarks = splitCommas(next());
+        } else if (arg == "--configs") {
+            config_names = splitCommas(next());
+        } else if (arg == "--insts") {
+            options.insts = std::strtoull(next(), nullptr, 10);
+        } else if (arg == "--warmup") {
+            options.warmup = std::strtoull(next(), nullptr, 10);
+        } else if (arg == "--sampled-interval") {
+            options.sampled.enabled = true;
+            options.sampled.interval = std::strtoull(next(), nullptr, 10);
+        } else if (arg == "--sampled-max-k") {
+            options.sampled.enabled = true;
+            options.sampled.maxK = static_cast<std::uint32_t>(
+                std::strtoul(next(), nullptr, 10));
+        } else if (arg == "--replay") {
+            options.replay = true;
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--merge") {
             merge = true;
         } else if (arg == "--check") {
             check = true;
-        } else if (arg == "--status") {
-            status = true;
-        } else if (arg == "--status-out") {
-            status_out = next();
         } else if (arg == "--missing-out") {
             missing_out = next();
-        } else if (arg == "--heartbeat") {
-            heartbeat_seconds = std::strtod(next(), nullptr);
         } else if (arg == "--shard") {
             if (std::sscanf(next(), "%d/%d", &shard_index,
                             &shard_count) != 2 ||
@@ -505,14 +264,8 @@ main(int argc, char **argv)
             }
         } else if (arg == "--worklist") {
             worklist_path = next();
-        } else if (arg == "--pull") {
-            pull_url = next();
-        } else if (arg == "--worker") {
-            worker_name = next();
         } else if (arg == "--fragments-dir") {
             fragments_dir = next();
-        } else if (arg == "--store") {
-            store_spec = next();
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--error-out") {
@@ -529,21 +282,32 @@ main(int argc, char **argv)
             timing_out = next();
         } else if (arg == "--die-after") {
             die_after = std::strtol(next(), nullptr, 10);
-        } else if (arg == "--die-mid-unit") {
-            die_mid_unit = std::strtol(next(), nullptr, 10);
-        } else if (arg == "--inject-slow-ms") {
-            inject_slow_ms = std::strtol(next(), nullptr, 10);
         } else {
             usage(argv[0]);
         }
     }
-    if (no_cache) {
+    if (no_cache)
         unsetenv("TCSIM_CACHE_DIR");
-        unsetenv("TCSIM_CACHE_STORE");
-    }
-    if (!matrix.finalize())
+    if (options.sampled.enabled &&
+        (options.sampled.interval == 0 || options.sampled.maxK == 0)) {
+        std::fprintf(stderr, "--sampled-interval and --sampled-max-k must "
+                             "be given together\n");
         return 1;
-    bench::SweepOptions &options = matrix.options;
+    }
+    if (options.replay && (options.sampled.enabled || options.warmup != 0)) {
+        std::fprintf(stderr, "--replay cannot combine with --warmup or "
+                             "sampled execution\n");
+        return 1;
+    }
+    for (const std::string &name : config_names) {
+        std::optional<sim::ProcessorConfig> config =
+            bench::configByName(name);
+        if (!config) {
+            std::fprintf(stderr, "unknown config '%s'\n", name.c_str());
+            return 1;
+        }
+        options.configs.push_back(std::move(*config));
+    }
 
     if (!error_out.empty() && !options.sampled.enabled) {
         std::fprintf(stderr, "--error-out needs --sampled-interval / "
@@ -554,14 +318,6 @@ main(int argc, char **argv)
     const std::vector<bench::WorkUnit> units =
         bench::enumerateUnits(options);
 
-    if (!pull_url.empty()) {
-        if (worker_name.empty())
-            worker_name = "pid" + std::to_string(getpid());
-        return runPullWorker(pull_url, units, worker_name,
-                             heartbeat_seconds, die_mid_unit,
-                             inject_slow_ms);
-    }
-
     if (list) {
         std::printf("matrix %s (%zu units)\n",
                     bench::matrixHash(units).c_str(), units.size());
@@ -571,57 +327,15 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Reader modes (--merge/--check/--status) accept either a local
-    // --fragments-dir or any --store spec (http://host:port reads the
-    // object-store shim).
-    std::unique_ptr<bench::FragmentStore> read_store;
-    const auto openReadStore = [&](const char *mode) -> bool {
-        if (!store_spec.empty())
-            read_store = bench::openStore(store_spec);
-        else if (!fragments_dir.empty())
-            read_store =
-                std::make_unique<bench::LocalDirStore>(fragments_dir);
-        else
-            std::fprintf(stderr,
-                         "--%s needs --fragments-dir or --store\n",
-                         mode);
-        return read_store != nullptr;
-    };
-
-    if (status) {
-        if (!openReadStore("status"))
-            return 1;
-        const bench::FarmScan scan =
-            bench::scanFarm(options, *read_store);
-        std::vector<double> walls;
-        for (const bench::CompletedUnit &unit : scan.completed)
-            walls.push_back(unit.wallSeconds);
-        const double now_mono = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now()
-                                        .time_since_epoch())
-                                    .count();
-        const obs::FarmStatus farm = obs::aggregateFarm(
-            scan.workers, walls, scan.unitsTotal, scan.completed.size(),
-            obs::FarmParams{}, nullptr, now_mono);
-        std::fputs(obs::renderFarmDashboard(farm).c_str(), stdout);
-        if (!status_out.empty()) {
-            const std::string doc = obs::renderFarmStatus(
-                farm, static_cast<std::int64_t>(std::time(nullptr)));
-            if (!writeFileAtomic(status_out, doc)) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             status_out.c_str());
-                return 3;
-            }
-        }
-        return 0;
-    }
-
     if (merge || check) {
-        if (!openReadStore(merge ? "merge" : "check"))
+        if (fragments_dir.empty()) {
+            std::fprintf(stderr, "--%s needs --fragments-dir\n",
+                         merge ? "merge" : "check");
             return 1;
+        }
         bench::MergeReport report;
         const std::optional<std::string> doc =
-            bench::mergeFragments(options, *read_store, report);
+            bench::mergeFragments(options, fragments_dir, report);
         printReport(report);
         if (check) {
             // Missing hashes: the launcher's retry worklist, on
@@ -724,16 +438,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Heartbeats go next to the fragments, so they exist exactly when
-    // another process could be watching the directory.
-    std::string worker_label;
-    if (shard_count > 0)
-        worker_label = "shard" + std::to_string(shard_index);
-    else
-        worker_label = "pid" + std::to_string(getpid());
-    obs::HeartbeatEmitter heart(fragments_dir, worker_label,
-                                heartbeat_seconds, selected.size());
-
     using Clock = std::chrono::steady_clock;
     const Clock::time_point run_start = Clock::now();
     std::vector<bench::ResultIntegers> integers;
@@ -742,7 +446,6 @@ main(int argc, char **argv)
     for (const bench::WorkUnit *unit : selected) {
         std::fprintf(stderr, "[%ld/%zu] %s\n", completed + 1,
                      selected.size(), unit->id.c_str());
-        heart.beginUnit(unit->id, unit->hash);
         const bench::ArtifactCacheStats before =
             bench::ArtifactCache::process().stats();
         const Clock::time_point start = Clock::now();
@@ -766,8 +469,6 @@ main(int argc, char **argv)
         integers.push_back(n);
         timed.push_back({unit, seconds});
         ++completed;
-        heart.completeUnit(n.instructions, after.hits - before.hits,
-                           after.misses - before.misses);
         if (die_after >= 0 && completed >= die_after) {
             // Crash-recovery testing: die the hard way, mid-sweep,
             // with no destructors or atexit handlers.
@@ -776,7 +477,6 @@ main(int argc, char **argv)
             raise(SIGKILL);
         }
     }
-    heart.finish();
     const double total_seconds =
         std::chrono::duration<double>(Clock::now() - run_start).count();
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Validate tcsim observability outputs (stdlib only; used by CI).
 
-Checks any combination of:
+Checks any combination of (each flag takes one or more paths and may
+repeat, so a shell glob can follow it):
   --trace-jsonl PATH   one JSON object per line with keys
                        t (int), cat (known category), ev, detail
   --chrome PATH        Chrome trace_event JSON: {"traceEvents": [...]}
@@ -11,8 +12,6 @@ Checks any combination of:
   --bbv PATH           tcsim-bbv-v1 basic-block-vector profile
   --simpoints PATH     tcsim-simpoints-v1 representative-region plan
   --error-report PATH  tcsim-sampling-error-v1 sampled-vs-full report
-  --heartbeat PATH     tcsim-heartbeat-v1 sweep-worker heartbeat
-  --farm-status PATH   tcsim-farm-status-v1 monitor snapshot
   --regression PATH    tcsim-regression-v1 perf-gate verdict
   --btrace PATH        tcsim-btrace-v1 binary branch/fetch trace
 
@@ -242,6 +241,10 @@ def validate_fragment(path):
     if "sampled_interval" in unit:
         expected_id += (f"@sampled-i{unit['sampled_interval']}"
                         f"-k{unit['sampled_max_k']}-w{unit['warmup']}")
+    elif unit["warmup"] == 0 and unit["id"] == expected_id + "@replay":
+        # tcsim_sweep refuses --replay with --warmup or sampled
+        # execution, so only a cold, unsampled unit can be a replay.
+        expected_id += "@replay"
     if unit["id"] != expected_id:
         return fail(path, f"unit id {unit['id']!r} != {expected_id!r}")
     if not check_result_record(path, "result", doc.get("result")):
@@ -421,202 +424,6 @@ def validate_error_report(path):
     return True
 
 
-HEARTBEAT_KEYS = {
-    "schema": str, "worker": str, "pid": int, "seq": int, "phase": str,
-    "unit_id": str, "unit_hash": str, "start_mono": (int, float),
-    "now_mono": (int, float), "unit_start_mono": (int, float),
-    "units_done": int, "units_total": int, "retired_insts": int,
-    "cache_hits": int, "cache_misses": int,
-}
-
-
-def validate_heartbeat(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-heartbeat-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    if set(doc) != set(HEARTBEAT_KEYS):
-        diff = set(HEARTBEAT_KEYS).symmetric_difference(doc)
-        return fail(path, f"keys differ: {sorted(diff)}")
-    for key, kind in HEARTBEAT_KEYS.items():
-        if not isinstance(doc[key], kind):
-            return fail(path, f"{key}={doc[key]!r} not {kind}")
-    if doc["phase"] not in ("idle", "run", "done"):
-        return fail(path, f"bad phase {doc['phase']!r}")
-    if doc["phase"] == "run" and not doc["unit_id"]:
-        return fail(path, "phase run with empty unit_id")
-    if doc["phase"] != "run" and doc["unit_id"]:
-        return fail(path, f"phase {doc['phase']} with a unit_id")
-    if doc["units_done"] > doc["units_total"]:
-        return fail(path, "units_done > units_total")
-    if doc["now_mono"] < doc["start_mono"]:
-        return fail(path, "now_mono before start_mono")
-    print(f"validate_obs: {path}: OK (worker {doc['worker']}, "
-          f"phase {doc['phase']})")
-    return True
-
-
-FARM_WORKER_KEYS = {
-    "worker": str, "pid": int, "phase": str, "unit_id": str,
-    "units_done": int, "units_total": int, "retired_insts": int,
-    "cache_hits": int, "cache_misses": int, "sim_mips": (int, float),
-    "age_seconds": (int, float), "current_unit_seconds": (int, float),
-    "stale": bool, "straggler": bool,
-}
-
-
-def validate_farm_status(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-farm-status-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    for key in ("generated_unix", "units_total", "units_done",
-                "units_running", "workers_stale",
-                "throughput_units_per_sec", "eta_seconds",
-                "median_unit_seconds", "straggler_threshold_seconds",
-                "stragglers", "workers"):
-        if key not in doc:
-            return fail(path, f"missing {key}")
-    if doc["units_done"] > doc["units_total"]:
-        return fail(path, "units_done > units_total")
-    if not isinstance(doc["stragglers"], list):
-        return fail(path, "stragglers not an array")
-    workers = doc["workers"]
-    if not isinstance(workers, list):
-        return fail(path, "workers not an array")
-    stale = 0
-    for i, worker in enumerate(workers):
-        if set(worker) != set(FARM_WORKER_KEYS):
-            diff = set(FARM_WORKER_KEYS).symmetric_difference(worker)
-            return fail(path, f"worker {i}: keys differ: {sorted(diff)}")
-        for key, kind in FARM_WORKER_KEYS.items():
-            if not isinstance(worker[key], kind):
-                return fail(path, f"worker {i}: {key}={worker[key]!r}")
-        stale += worker["stale"]
-    if stale != doc["workers_stale"]:
-        return fail(path, f"workers_stale {doc['workers_stale']} != "
-                          f"{stale} stale workers")
-    print(f"validate_obs: {path}: OK ({doc['units_done']}/"
-          f"{doc['units_total']} units, {len(workers)} workers)")
-    return True
-
-
-SCHED_WORKER_KEYS = {"worker": str, "active_leases": int,
-                     "completed": int}
-
-
-def validate_sched_status(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-sched-status-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    matrix_hash = doc.get("matrix_hash")
-    if not isinstance(matrix_hash, str) or len(matrix_hash) != 16:
-        return fail(path, f"bad matrix_hash {matrix_hash!r}")
-    for key in ("units", "completed", "in_flight", "pending",
-                "leases_issued", "leases_expired", "redispatches",
-                "duplicates"):
-        if not isinstance(doc.get(key), int) or doc[key] < 0:
-            return fail(path, f"{key}={doc.get(key)!r} not a count")
-    for key in ("median_unit_seconds", "longest_in_flight_seconds"):
-        if not isinstance(doc.get(key), (int, float)):
-            return fail(path, f"{key}={doc.get(key)!r} not a number")
-    if doc["completed"] + doc["in_flight"] + doc["pending"] != doc["units"]:
-        return fail(path, "completed + in_flight + pending != units")
-    if doc["leases_issued"] < doc["redispatches"]:
-        return fail(path, "more redispatches than leases")
-    workers = doc.get("workers")
-    if not isinstance(workers, list):
-        return fail(path, "workers not an array")
-    for i, worker in enumerate(workers):
-        if set(worker) != set(SCHED_WORKER_KEYS):
-            diff = set(SCHED_WORKER_KEYS).symmetric_difference(worker)
-            return fail(path, f"worker {i}: keys differ: {sorted(diff)}")
-        for key, kind in SCHED_WORKER_KEYS.items():
-            if not isinstance(worker[key], kind):
-                return fail(path, f"worker {i}: {key}={worker[key]!r}")
-    done = sum(w["completed"] for w in workers)
-    if done > doc["completed"]:
-        return fail(path, f"workers completed {done} > {doc['completed']}")
-    print(f"validate_obs: {path}: OK ({doc['completed']}/{doc['units']} "
-          f"units, {doc['redispatches']} redispatches, "
-          f"{len(workers)} workers)")
-    return True
-
-
-def validate_store_manifest(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-store-manifest-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    for key in ("store", "prefix"):
-        if not isinstance(doc.get(key), str):
-            return fail(path, f"{key}={doc.get(key)!r} not a string")
-    objects = doc.get("objects")
-    if not isinstance(objects, list):
-        return fail(path, "objects not an array")
-    names = []
-    for i, obj in enumerate(objects):
-        if set(obj) != {"name", "size", "age_seconds"}:
-            return fail(path, f"object {i}: keys {sorted(obj)}")
-        if not isinstance(obj["name"], str) or not obj["name"]:
-            return fail(path, f"object {i}: bad name {obj['name']!r}")
-        if not isinstance(obj["size"], int) or obj["size"] < 0:
-            return fail(path, f"object {i}: bad size {obj['size']!r}")
-        if not isinstance(obj["age_seconds"], (int, float)):
-            return fail(path, f"object {i}: bad age")
-        names.append(obj["name"])
-    if names != sorted(names):
-        return fail(path, "objects not sorted by name")
-    print(f"validate_obs: {path}: OK ({len(objects)} objects in "
-          f"{doc['store']})")
-    return True
-
-
-def validate_partial(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-bench-partial-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    matrix_hash = doc.get("matrix_hash")
-    if not isinstance(matrix_hash, str) or len(matrix_hash) != 16:
-        return fail(path, f"bad matrix_hash {matrix_hash!r}")
-    results = doc.get("results")
-    if not isinstance(results, list):
-        return fail(path, "missing results array")
-    if doc.get("completed") != len(results):
-        return fail(path,
-                    f"completed {doc.get('completed')!r} != {len(results)}")
-    if not isinstance(doc.get("units"), int) or \
-            doc["completed"] > doc["units"]:
-        return fail(path, "completed > units")
-    seen = set()
-    for i, record in enumerate(results):
-        if not check_result_record(path, f"result {i}", record):
-            return False
-        if record["hash"] in seen:
-            return fail(path, f"result {i}: duplicate unit {record['hash']}")
-        seen.add(record["hash"])
-    print(f"validate_obs: {path}: OK (partial {doc['completed']}/"
-          f"{doc['units']})")
-    return True
-
-
 def check_metric_delta(path, where, metric):
     if not isinstance(metric, dict) or set(metric) != {
             "name", "baseline", "current", "rel_delta", "regressed"}:
@@ -727,60 +534,30 @@ def validate_btrace(path):
 
 
 def main():
+    validators = {
+        "trace-jsonl": validate_trace_jsonl,
+        "chrome": validate_chrome,
+        "intervals": validate_intervals,
+        "fragment": validate_fragment,
+        "results": validate_results,
+        "bbv": validate_bbv,
+        "simpoints": validate_simpoints,
+        "error-report": validate_error_report,
+        "regression": validate_regression,
+        "btrace": validate_btrace,
+    }
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trace-jsonl", action="append", default=[])
-    parser.add_argument("--chrome", action="append", default=[])
-    parser.add_argument("--intervals", action="append", default=[])
-    parser.add_argument("--fragment", action="append", default=[])
-    parser.add_argument("--results", action="append", default=[])
-    parser.add_argument("--bbv", action="append", default=[])
-    parser.add_argument("--simpoints", action="append", default=[])
-    parser.add_argument("--error-report", action="append", default=[])
-    parser.add_argument("--heartbeat", action="append", default=[])
-    parser.add_argument("--farm-status", action="append", default=[])
-    parser.add_argument("--regression", action="append", default=[])
-    parser.add_argument("--sched-status", action="append", default=[])
-    parser.add_argument("--store-manifest", action="append", default=[])
-    parser.add_argument("--partial", action="append", default=[])
-    parser.add_argument("--btrace", action="append", default=[])
+    for flag in validators:
+        parser.add_argument(f"--{flag}", nargs="+", action="extend",
+                            default=[], metavar="PATH")
     args = parser.parse_args()
-    if not (args.trace_jsonl or args.chrome or args.intervals
-            or args.fragment or args.results or args.bbv
-            or args.simpoints or args.error_report or args.heartbeat
-            or args.farm_status or args.regression or args.sched_status
-            or args.store_manifest or args.partial or args.btrace):
+    jobs = [(validate, path) for flag, validate in validators.items()
+            for path in getattr(args, flag.replace("-", "_"))]
+    if not jobs:
         parser.error("nothing to validate")
     ok = True
-    for path in args.trace_jsonl:
-        ok &= validate_trace_jsonl(path)
-    for path in args.chrome:
-        ok &= validate_chrome(path)
-    for path in args.intervals:
-        ok &= validate_intervals(path)
-    for path in args.fragment:
-        ok &= validate_fragment(path)
-    for path in args.results:
-        ok &= validate_results(path)
-    for path in args.bbv:
-        ok &= validate_bbv(path)
-    for path in args.simpoints:
-        ok &= validate_simpoints(path)
-    for path in args.error_report:
-        ok &= validate_error_report(path)
-    for path in args.heartbeat:
-        ok &= validate_heartbeat(path)
-    for path in args.farm_status:
-        ok &= validate_farm_status(path)
-    for path in args.regression:
-        ok &= validate_regression(path)
-    for path in args.sched_status:
-        ok &= validate_sched_status(path)
-    for path in args.store_manifest:
-        ok &= validate_store_manifest(path)
-    for path in args.partial:
-        ok &= validate_partial(path)
-    for path in args.btrace:
-        ok &= validate_btrace(path)
+    for validate, path in jobs:
+        ok &= validate(path)
     return 0 if ok else 1
 
 
