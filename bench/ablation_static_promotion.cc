@@ -27,7 +27,7 @@ main()
                 "avgEffFetch", "mispred%", "faults", "promotedRet");
 
     // Per-benchmark configs (static promotion sets depend on the
-    // benchmark's profile), so build the request list by hand and fan
+    // benchmark's profile), so build the unit list by hand and fan
     // out every run at once.
     using MakeConfig =
         std::function<sim::ProcessorConfig(const std::string &)>;
@@ -64,11 +64,11 @@ main()
          }},
     };
 
-    std::vector<RunRequest> requests;
+    std::vector<WorkUnit> units;
     for (const Variant &variant : variants)
         for (const std::string &bench : benchmarks)
-            requests.push_back(RunRequest{bench, variant.make(bench), 0});
-    const std::vector<sim::SimResult> results = runAll(requests);
+            units.push_back(exhibitUnits({bench}, {variant.make(bench)})[0]);
+    const std::vector<sim::SimResult> results = runExhibit(units);
 
     for (std::size_t v = 0; v < variants.size(); ++v) {
         double rate = 0, mispred = 0, faults = 0, promoted = 0;

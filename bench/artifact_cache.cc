@@ -14,6 +14,8 @@ namespace
 
 constexpr char kWrapperMagic[8] = {'T', 'C', 'A', 'R', 'T', 'F', 'C', '1'};
 
+thread_local ArtifactCacheStats t_threadStats;
+
 /**
  * Parse a wrapper file's bytes; @return the payload when the magic,
  * embedded key and payload checksum all verify.
@@ -99,11 +101,9 @@ ArtifactCache::load(std::string_view kind, std::string_view key)
         }
     }
 
+    ++(payload ? t_threadStats.hits : t_threadStats.misses);
     std::lock_guard<std::mutex> lock(mutex_);
-    if (payload)
-        ++stats_.hits;
-    else
-        ++stats_.misses;
+    ++(payload ? stats_.hits : stats_.misses);
     if (rejected)
         ++stats_.rejected;
     return payload;
@@ -144,6 +144,12 @@ ArtifactCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
+}
+
+ArtifactCacheStats
+ArtifactCache::threadStats()
+{
+    return t_threadStats;
 }
 
 ArtifactCache &

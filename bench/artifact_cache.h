@@ -1,12 +1,13 @@
 /**
  * @file
  * Content-addressed artifact cache for expensive deterministic
- * byproducts of a benchmark run: generated workload::Program images
- * and warmed predictor-state checkpoints.
+ * byproducts of a benchmark run: generated workload::Program images,
+ * and the sampled and replay units' BBV profiles, architectural
+ * checkpoints, functional-warming checkpoints and recorded btraces.
  *
  * Every artifact is addressed by a canonical key string that encodes
  * everything its bytes depend on (generator version, profile
- * fingerprint, config fingerprint, warm-up length). The cache file
+ * fingerprint, config fingerprint, budget, position). The cache file
  * name is the FNV-1a hash of the key; the key itself plus a payload
  * checksum are embedded in a wrapper header, so
  *
@@ -95,6 +96,11 @@ class ArtifactCache
     std::string pathFor(std::string_view kind, std::string_view key) const;
 
     ArtifactCacheStats stats() const;
+
+    /** @return the hits and misses of this thread on any cache. A
+     * unit runs on one thread, so runUnits' difference around it is
+     * the unit's own count while other units run beside it. */
+    static ArtifactCacheStats threadStats();
 
     /** @return the process-wide cache rooted at TCSIM_CACHE_DIR;
      * disabled when it is unset or empty. */

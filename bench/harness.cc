@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -13,7 +12,9 @@
 #include "bench/artifact_cache.h"
 #include "bench/thread_pool.h"
 #include "common/fnv.h"
-#include "obs/profiler.h"
+#include "common/json.h"
+#include "common/log.h"
+#include "common/parse.h"
 #include "workload/serialize.h"
 
 namespace tcsim::bench
@@ -24,200 +25,78 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-double
-secondsSince(Clock::time_point start)
-{
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/** Serializes the per-run progress lines from all worker threads. */
-std::mutex &
-progressMutex()
-{
-    static std::mutex mutex;
-    return mutex;
-}
-
-void
-reportProgress(const std::string &benchmark, const std::string &config)
-{
-    std::lock_guard<std::mutex> lock(progressMutex());
-    std::fprintf(stderr, "  running %-14s %s...\n", benchmark.c_str(),
-                 config.c_str());
-}
-
 // ----------------------------------------------------------------------
 // Machine-readable results (BENCH_results.json fragments).
 // ----------------------------------------------------------------------
 
-/** One completed simulation, summarized for the JSON trajectory log. */
-struct RecordedRun
-{
-    std::string benchmark;
-    std::string config;
-    std::uint64_t instructions;
-    std::uint64_t cycles;
-    double ipc;
-    double effectiveFetchRate;
-    double condMispredictRate;
-    double wallSeconds;
-    double simMips; ///< simulated instructions per wall microsecond
-    std::string profileJson; ///< obs::SelfProfiler JSON; empty if off
-};
-
 std::string
-jsonEscape(const std::string &text)
+exhibitName()
 {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out.push_back(c);
-    }
-    return out;
+#ifdef __GLIBC__
+    return program_invocation_short_name;
+#else
+    return "exhibit";
+#endif
 }
 
-/** Collects every run of this process; written once at exit. */
-class ResultsRecorder
-{
-  public:
-    static ResultsRecorder &
-    instance()
-    {
-        static ResultsRecorder recorder;
-        return recorder;
-    }
+/** A run's result and wall-clock seconds. */
+using RecordedRun = std::pair<sim::SimResult, double>;
 
-    void
-    record(const sim::SimResult &result, double wall_seconds,
-           std::string profile_json = {})
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
+/**
+ * Write @p runs as this exhibit's JSON summary to TCSIM_RESULTS_JSON,
+ * or "<TCSIM_RESULTS_DIR>/<exhibit>.json"; no-op when neither is set.
+ */
+void
+writeResultsJson(const std::vector<RecordedRun> &runs, double wall_seconds)
+{
+    std::string path;
+    if (const char *json_path = std::getenv("TCSIM_RESULTS_JSON"))
+        path = json_path;
+    else if (const char *dir = std::getenv("TCSIM_RESULTS_DIR"))
+        path = std::string(dir) + "/" + exhibitName() + ".json";
+    if (path.empty())
+        return;
+    std::FILE *out = std::fopen(path.c_str(), "w");
+    if (out == nullptr) {
+        std::fprintf(stderr, "warn: cannot write %s\n", path.c_str());
+        return;
+    }
+    std::fprintf(out,
+                 "{\"exhibit\":\"%s\",\"wall_seconds\":%.3f,"
+                 "\"jobs\":%u,\"runs\":[",
+                 json::escape(exhibitName()).c_str(), wall_seconds,
+                 defaultJobCount());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const auto &[run, wall] = runs[i];
+        // Simulated instructions per wall microsecond.
         const double sim_mips =
-            wall_seconds > 0.0
-                ? static_cast<double>(result.instructions) /
-                      (wall_seconds * 1e6)
-                : 0.0;
-        runs_.push_back(RecordedRun{result.benchmark, result.config,
-                                    result.instructions, result.cycles,
-                                    result.ipc, result.effectiveFetchRate,
-                                    result.condMispredictRate,
-                                    wall_seconds, sim_mips,
-                                    std::move(profile_json)});
-        if (!atexitRegistered_) {
-            atexitRegistered_ = true;
-            std::atexit([] { ResultsRecorder::instance().write(); });
-        }
+            wall > 0.0 ? static_cast<double>(run.instructions) / (wall * 1e6)
+                       : 0.0;
+        std::fprintf(
+            out,
+            "%s{\"benchmark\":\"%s\",\"config\":\"%s\","
+            "\"instructions\":%llu,\"cycles\":%llu,\"ipc\":%.6f,"
+            "\"effective_fetch_rate\":%.6f,"
+            "\"cond_mispredict_rate\":%.6f,\"wall_seconds\":%.3f,"
+            "\"sim_mips\":%.3f}",
+            i == 0 ? "" : ",", json::escape(run.benchmark).c_str(),
+            json::escape(run.config).c_str(),
+            static_cast<unsigned long long>(run.instructions),
+            static_cast<unsigned long long>(run.cycles), run.ipc,
+            run.effectiveFetchRate, run.condMispredictRate, wall, sim_mips);
     }
+    std::fprintf(out, "]}\n");
+    std::fclose(out);
+}
 
-    void
-    write()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const std::string path = outputPath();
-        if (path.empty() || runs_.empty())
-            return;
-        std::FILE *out = std::fopen(path.c_str(), "w");
-        if (out == nullptr) {
-            std::fprintf(stderr, "warn: cannot write %s\n", path.c_str());
-            return;
-        }
-        std::fprintf(out,
-                     "{\"exhibit\":\"%s\",\"wall_seconds\":%.3f,"
-                     "\"jobs\":%u,\"runs\":[",
-                     jsonEscape(exhibitName()).c_str(),
-                     secondsSince(start_), defaultJobCount());
-        for (std::size_t i = 0; i < runs_.size(); ++i) {
-            const RecordedRun &run = runs_[i];
-            std::fprintf(
-                out,
-                "%s{\"benchmark\":\"%s\",\"config\":\"%s\","
-                "\"instructions\":%llu,\"cycles\":%llu,\"ipc\":%.6f,"
-                "\"effective_fetch_rate\":%.6f,"
-                "\"cond_mispredict_rate\":%.6f,\"wall_seconds\":%.3f,"
-                "\"sim_mips\":%.3f",
-                i == 0 ? "" : ",", jsonEscape(run.benchmark).c_str(),
-                jsonEscape(run.config).c_str(),
-                static_cast<unsigned long long>(run.instructions),
-                static_cast<unsigned long long>(run.cycles), run.ipc,
-                run.effectiveFetchRate, run.condMispredictRate,
-                run.wallSeconds, run.simMips);
-            if (!run.profileJson.empty())
-                std::fprintf(out, ",\"profile\":%s",
-                             run.profileJson.c_str());
-            std::fprintf(out, "}");
-        }
-        std::fprintf(out, "]}\n");
-        std::fclose(out);
-    }
-
-  private:
-    static std::string
-    exhibitName()
-    {
-#ifdef __GLIBC__
-        return program_invocation_short_name;
-#else
-        return "exhibit";
-#endif
-    }
-
-    static std::string
-    outputPath()
-    {
-        if (const char *path = std::getenv("TCSIM_RESULTS_JSON"))
-            return path;
-        if (const char *dir = std::getenv("TCSIM_RESULTS_DIR"))
-            return std::string(dir) + "/" + exhibitName() + ".json";
-        return {};
-    }
-
-    std::mutex mutex_;
-    std::vector<RecordedRun> runs_;
-    Clock::time_point start_ = Clock::now();
-    bool atexitRegistered_ = false;
-};
-
-/** Execute one request: progress line, simulate, time, record. */
-sim::SimResult
-executeRequest(const RunRequest &request)
+/** @return TCSIM_INSTS, which must be a positive integer when set. */
+std::optional<std::uint64_t>
+envBudget()
 {
-    reportProgress(request.benchmark, request.config.name);
-    const workload::BenchmarkProfile &profile =
-        workload::findProfile(request.benchmark);
-    const workload::Program &program = programFor(request.benchmark);
-
-    const Clock::time_point start = Clock::now();
-    sim::Processor proc(request.config, program);
-    std::uint64_t warmup = 0;
-    if (const char *env = std::getenv("TCSIM_WARMUP"))
-        warmup = std::strtoull(env, nullptr, 10);
-    if (warmup > 0) {
-        proc.run(warmup);
-        proc.resetStats();
-    }
-    const std::uint64_t budget =
-        request.maxInsts != 0 ? request.maxInsts : instBudget(profile);
-
-    std::unique_ptr<obs::SelfProfiler> profiler;
-    if (std::getenv("TCSIM_PROFILE") != nullptr) {
-        profiler = std::make_unique<obs::SelfProfiler>();
-        proc.attachProfiler(profiler.get());
-        profiler->beginRun();
-    }
-
-    sim::SimResult result = proc.run(warmup + budget);
-
-    std::string profile_json;
-    if (profiler != nullptr) {
-        profiler->endRun(proc.retiredInsts());
-        profiler->appendJson(profile_json);
-    }
-    ResultsRecorder::instance().record(result, secondsSince(start),
-                                       std::move(profile_json));
-    return result;
+    const std::optional<std::uint64_t> insts = envUint("TCSIM_INSTS");
+    if (insts == 0u)
+        fatal("TCSIM_INSTS: the budget must be positive");
+    return insts;
 }
 
 } // namespace
@@ -225,9 +104,7 @@ executeRequest(const RunRequest &request)
 std::uint64_t
 instBudget(const workload::BenchmarkProfile &profile)
 {
-    if (const char *env = std::getenv("TCSIM_INSTS"))
-        return std::strtoull(env, nullptr, 10);
-    return profile.defaultMaxInsts;
+    return envBudget().value_or(profile.defaultMaxInsts);
 }
 
 std::string
@@ -298,37 +175,33 @@ programFor(const std::string &name)
     return *entry->program;
 }
 
-std::vector<sim::SimResult>
-runAll(const std::vector<RunRequest> &requests, unsigned jobs)
+std::vector<WorkUnit>
+exhibitUnits(const std::vector<std::string> &benchmarks,
+             const std::vector<sim::ProcessorConfig> &configs)
 {
-    std::vector<sim::SimResult> results(requests.size());
-    if (requests.empty())
-        return results;
+    SweepOptions options;
+    options.benchmarks = benchmarks;
+    options.configs = configs;
+    // Unset, 0 makes enumerateUnits use each profile's default budget.
+    options.insts = envBudget().value_or(0);
+    options.warmup = envUint("TCSIM_WARMUP").value_or(0);
+    return enumerateUnits(options);
+}
 
-    // Deterministic collection: worker i writes only slot i, so suite
-    // order is preserved no matter how the pool schedules the jobs.
-    std::unique_ptr<ThreadPool> private_pool;
-    ThreadPool *pool;
-    if (jobs > 0) {
-        private_pool = std::make_unique<ThreadPool>(jobs);
-        pool = private_pool.get();
-    } else {
-        pool = &sharedPool();
-    }
-
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-    std::size_t done = 0;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        pool->submit([&, i] {
-            results[i] = executeRequest(requests[i]);
-            std::unique_lock<std::mutex> lock(done_mutex);
-            if (++done == requests.size())
-                done_cv.notify_all();
+std::vector<sim::SimResult>
+runExhibit(const std::vector<WorkUnit> &units)
+{
+    // Every run of this process so far; exhibits fan out from their
+    // main thread, and runUnits serializes the callbacks.
+    static std::vector<RecordedRun> runs;
+    static const Clock::time_point start = Clock::now();
+    std::vector<sim::SimResult> results = runUnits(
+        units, [](std::size_t, const sim::SimResult &result,
+                  const UnitTiming &timing) {
+            runs.emplace_back(result, timing.wallSeconds);
         });
-    }
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return done == requests.size(); });
+    writeResultsJson(
+        runs, std::chrono::duration<double>(Clock::now() - start).count());
     return results;
 }
 
@@ -336,14 +209,8 @@ std::vector<std::vector<sim::SimResult>>
 sweepMatrix(const std::vector<std::string> &benchmarks,
             const std::vector<sim::ProcessorConfig> &configs)
 {
-    std::vector<RunRequest> requests;
-    requests.reserve(benchmarks.size() * configs.size());
-    for (const sim::ProcessorConfig &config : configs)
-        for (const std::string &bench : benchmarks)
-            requests.push_back(RunRequest{bench, config, 0});
-
-    const std::vector<sim::SimResult> flat = runAll(requests);
-
+    const std::vector<sim::SimResult> flat =
+        runExhibit(exhibitUnits(benchmarks, configs));
     std::vector<std::vector<sim::SimResult>> results(configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
         results[c].assign(flat.begin() + c * benchmarks.size(),
@@ -372,7 +239,7 @@ metricsOf(const std::vector<sim::SimResult> &results,
 sim::SimResult
 runOne(const std::string &benchmark, const sim::ProcessorConfig &config)
 {
-    return executeRequest(RunRequest{benchmark, config, 0});
+    return sweepMatrix({benchmark}, {config}).front().front();
 }
 
 std::string

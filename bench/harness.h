@@ -1,17 +1,19 @@
 /**
  * @file
- * Shared harness for the experiment binaries: a parallel experiment
- * engine fanning independent (benchmark, configuration) simulations
- * across a shared thread pool, plus fixed-width table printing in the
- * paper's row/series shapes.
+ * Shared harness for the exhibit binaries: thin queries that build
+ * work units, run them through the sweep engine's one fan-out
+ * (runUnits, bench/sweep.h) and pick out results, plus fixed-width
+ * table printing in the paper's row/series shapes.
  *
  * Environment variables understood by every binary:
- *  - TCSIM_INSTS: per-benchmark instruction budget (default: each
+ *  - TCSIM_INSTS: per-unit instruction budget (default: each
  *    profile's defaultMaxInsts, 2M).
- *  - TCSIM_JOBS: worker threads for the experiment fan-out (default:
- *    hardware_concurrency). TCSIM_JOBS=1 reproduces the sequential
- *    engine; results are bit-identical at any job count because each
- *    simulation owns all of its mutable state.
+ *  - TCSIM_WARMUP: warm-up instructions per unit (default 0): measure
+ *    [n, n + budget) after simulating [0, n), as `tcsim_sweep
+ *    --warmup n` does. Both must be decimal integers.
+ *  - TCSIM_JOBS: worker threads for the fan-out (default:
+ *    hardware_concurrency); results are bit-identical at any count.
+ *  - TCSIM_CACHE_DIR: the artifact cache (bench/artifact_cache.h).
  *  - TCSIM_RESULTS_DIR / TCSIM_RESULTS_JSON: when set, the binary
  *    writes a machine-readable JSON summary of every run (per-run
  *    IPC/fetch-rate, wall-clock, and simulated MIPS — retired
@@ -19,10 +21,6 @@
  *    "<dir>/<exhibit>.json" or the explicit path respectively.
  *    `run_benches.sh --long` sets TCSIM_INSTS=1000000 for
  *    statistically meaningful sweeps.
- *  - TCSIM_PROFILE: when set, every simulation attaches an
- *    obs::SelfProfiler; the per-phase host-time breakdown and the
- *    sim-MIPS timeline are embedded in each run's JSON record (under
- *    "profile") when a results file is being written.
  *  - TCSIM_VERIFY_WINDOW_INDEX: when set, the simulator runs the
  *    original O(window) reference scans beside every indexed lookup
  *    (store-order violations, load forwarding/disambiguation,
@@ -37,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/sweep.h"
 #include "sim/processor.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -63,25 +62,15 @@ const workload::Program &programFor(const std::string &name);
  */
 std::string programArtifactKey(const workload::BenchmarkProfile &profile);
 
-/** One independent simulation job for the experiment engine. */
-struct RunRequest
-{
-    std::string benchmark;
-    sim::ProcessorConfig config;
-    /** Instruction budget override; 0 = instBudget(profile). */
-    std::uint64_t maxInsts = 0;
-};
+/** @return the units of @p configs x @p benchmarks (config-major),
+ * with TCSIM_INSTS and TCSIM_WARMUP applied. */
+std::vector<WorkUnit>
+exhibitUnits(const std::vector<std::string> &benchmarks,
+             const std::vector<sim::ProcessorConfig> &configs);
 
-/**
- * Run every request, fanning out across worker threads, and return the
- * results in request order (deterministic regardless of job count).
- *
- * @param jobs 0 = the shared pool (TCSIM_JOBS workers); otherwise a
- *        private pool of exactly @p jobs threads (used by tests to pin
- *        the parallelism level).
- */
-std::vector<sim::SimResult> runAll(const std::vector<RunRequest> &requests,
-                                   unsigned jobs = 0);
+/** runUnits(), recording each run in the results JSON
+ * (TCSIM_RESULTS_DIR / TCSIM_RESULTS_JSON). */
+std::vector<sim::SimResult> runExhibit(const std::vector<WorkUnit> &units);
 
 /**
  * Run @p configs x @p benchmarks in one parallel fan-out.

@@ -18,6 +18,7 @@
 #include <cstdlib>
 
 #include "bench/harness.h"
+#include "common/parse.h"
 
 int
 main()
@@ -29,10 +30,8 @@ main()
                 "IPC under the contended DRAM model (claims 8/10 addendum)");
 
     memory::DramParams dram;
-    dram.busBytesPerCycle = 4;
-    if (const char *env = std::getenv("TCSIM_MEM_BUS_BYTES"))
-        dram.busBytesPerCycle = static_cast<std::uint32_t>(
-            std::strtoul(env, nullptr, 10));
+    dram.busBytesPerCycle = static_cast<std::uint32_t>(
+        envUint("TCSIM_MEM_BUS_BYTES").value_or(4));
 
     const auto metric = [](const sim::SimResult &r) { return r.ipc; };
 

@@ -1,12 +1,11 @@
 #include "bench/store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include <unistd.h>
+#include "common/atomic_file.h"
 
 namespace tcsim::bench
 {
@@ -68,30 +67,7 @@ LocalDirStore::put(const std::string &name, std::string_view bytes,
         return false;
     if (!overwrite && fs::exists(path, ec))
         return true; // first-wins: the racing duplicate is dropped
-
-    // Unique temp name per process and store, then an atomic rename:
-    // concurrent writers race benignly and a writer killed mid-store
-    // leaves only a .tmp file that is never read back.
-    static std::atomic<std::uint64_t> counter{0};
-    std::string tmp = path;
-    tmp += ".tmp.";
-    tmp += std::to_string(::getpid());
-    tmp += '.';
-    tmp += std::to_string(counter.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        if (!out) {
-            fs::remove(tmp, ec);
-            return false;
-        }
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    return true;
+    return writeFileAtomic(path, bytes);
 }
 
 std::optional<std::string>

@@ -4,14 +4,14 @@
  * artifact cache.
  *
  * Everything the sweep persists — result fragments and cached
- * artifacts (program images, predictor checkpoints, BBV profiles,
+ * artifacts (program images, BBV profiles, architectural checkpoints,
  * warm states, btraces) — is a named blob under content-hashed names
  * in a directory. LocalDirStore is the one place that writes them:
  *
- *  - put() is atomic: it writes a temp file unique to the process and
- *    the call, then renames it into place, so a reader never observes
- *    a torn object and a writer killed mid-store leaves only a temp
- *    file that is never read back.
+ *  - put() is atomic (writeFileAtomic, common/atomic_file.h): it writes
+ *    a temp file unique to the process and the call, then renames it
+ *    into place, so a reader never observes a torn object and a writer
+ *    killed mid-store leaves only a temp file that is never read back.
  *  - By default put() is first-wins: storing over an existing object
  *    is a successful no-op (content-hashed names mean a racing
  *    duplicate carries the same canonical payload). Pass

@@ -7,14 +7,14 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string_view>
-
-#include <unistd.h>
 
 #include "bench/artifact_cache.h"
 #include "bench/harness.h"
 #include "bench/store.h"
+#include "common/atomic_file.h"
 #include "common/fnv.h"
 #include "common/json.h"
 #include "common/log.h"
@@ -38,47 +38,36 @@ constexpr unsigned kNumFetchReasons =
     static_cast<unsigned>(sim::FetchReason::NumReasons);
 constexpr unsigned kFetchHistWidth = sim::Accounting::kMaxFetchWidth + 1;
 
-/**
- * Version of the predictor-checkpoint artifact: the wrapper key layout
- * plus every component's serialization format. Bump when any of the
- * saveState formats change so stale warmed blobs regenerate.
- */
+/** The scalar integers of a canonical record, by key; with the three
+ * arrays they are everything a SimResult's ratios derive from. */
+constexpr std::pair<const char *, std::uint64_t sim::SimResult::*>
+    kScalars[] = {
+        {"instructions", &sim::SimResult::instructions},
+        {"cycles", &sim::SimResult::cycles},
+        {"useful_fetches", &sim::SimResult::usefulFetches},
+        {"fetched_insts", &sim::SimResult::fetchedInsts},
+        {"cond_branches", &sim::SimResult::condBranches},
+        {"cond_mispredicts", &sim::SimResult::condMispredicts},
+        {"promoted_faults", &sim::SimResult::promotedFaults},
+        {"indirect_mispredicts", &sim::SimResult::indirectMispredicts},
+        {"resolution_time_sum", &sim::SimResult::resolutionTimeSum},
+        {"resolution_time_count", &sim::SimResult::resolutionTimeCount},
+        {"tc_lookups", &sim::SimResult::tcLookups},
+        {"tc_hits", &sim::SimResult::tcHits},
+        {"icache_misses", &sim::SimResult::icacheMisses},
+        {"promoted_retired", &sim::SimResult::promotedRetired},
+};
+
+/** Version of every component's saveState format inside warm-state
+ * checkpoints; bump it so stale "warmstate" artifacts regenerate. */
 constexpr unsigned kPredStateVersion = 1;
 
-/**
- * Deterministic double rendering for the canonical documents: %.17g
- * round-trips every IEEE double exactly and formats identically in
- * every process (locale-independent digits for the C locale we run
- * under), which the byte-identical merge guarantee rests on.
- */
-std::string
-formatDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
+/** Hash input of full units with a warm-up: version 1 imported a
+ * separate run's predictor state and measured [0, insts); its
+ * fragments must be stale, not merged. */
+constexpr unsigned kFullWarmupVersion = 2;
 
-std::string
-jsonEscape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
+using json::formatDouble;
 
 void
 appendArray(std::string &out, const std::uint64_t *values, unsigned count)
@@ -92,24 +81,16 @@ appendArray(std::string &out, const std::uint64_t *values, unsigned count)
     out += ']';
 }
 
-double
-ratioOf(std::uint64_t numerator, std::uint64_t denominator)
-{
-    return denominator == 0
-               ? 0.0
-               : static_cast<double>(numerator) / denominator;
-}
-
 /**
  * The canonical per-unit record. Every byte of a merged results
- * document's result entries comes from here; derived doubles are
- * recomputed from the integers on the spot, so it does not matter
- * whether the integers arrived from an in-process simulation or were
- * parsed back out of a fragment.
+ * document's result entries comes from here. Its doubles are the
+ * result's ratios, which sim::deriveRatios computes from the integers
+ * whether they came from an in-process simulation or were parsed back
+ * out of a fragment.
  */
 void
 appendResultRecord(std::string &out, const WorkUnit &unit,
-                   const ResultIntegers &n, const char *indent)
+                   const sim::SimResult &n, const char *indent)
 {
     const std::string pad = std::string(indent) + "  ";
     out += "{\n";
@@ -131,8 +112,8 @@ appendResultRecord(std::string &out, const WorkUnit &unit,
         kv(key, formatDouble(value));
     };
 
-    kv("benchmark", "\"" + jsonEscape(unit.benchmark) + "\"");
-    kv("config", "\"" + jsonEscape(unit.config.name) + "\"");
+    kv("benchmark", "\"" + json::escape(unit.benchmark) + "\"");
+    kv("config", "\"" + json::escape(unit.config.name) + "\"");
     num("insts", unit.insts);
     num("warmup", unit.warmup);
     if (unit.sampled.enabled) {
@@ -142,31 +123,26 @@ appendResultRecord(std::string &out, const WorkUnit &unit,
     kv("hash", "\"" + unit.hash + "\"");
     num("instructions", n.instructions);
     num("cycles", n.cycles);
-    dbl("ipc", ratioOf(n.instructions, n.cycles));
+    dbl("ipc", n.ipc);
     num("useful_fetches", n.usefulFetches);
     num("fetched_insts", n.fetchedInsts);
-    dbl("effective_fetch_rate", ratioOf(n.fetchedInsts, n.usefulFetches));
+    dbl("effective_fetch_rate", n.effectiveFetchRate);
     num("cond_branches", n.condBranches);
     num("cond_mispredicts", n.condMispredicts);
     num("promoted_faults", n.promotedFaults);
     num("indirect_mispredicts", n.indirectMispredicts);
-    dbl("cond_mispredict_rate", ratioOf(n.condMispredicts, n.condBranches));
+    dbl("cond_mispredict_rate", n.condMispredictRate);
     num("resolution_time_sum", n.resolutionTimeSum);
     num("resolution_time_count", n.resolutionTimeCount);
-    dbl("mean_resolution_time",
-        ratioOf(n.resolutionTimeSum, n.resolutionTimeCount));
+    dbl("mean_resolution_time", n.meanResolutionTime);
     {
         std::string rendered;
         appendArray(rendered, n.fetchesNeedingPreds, 4);
         kv("fetches_needing_preds", rendered);
     }
-    dbl("fetches_needing_01",
-        ratioOf(n.fetchesNeedingPreds[0] + n.fetchesNeedingPreds[1],
-                n.usefulFetches));
-    dbl("fetches_needing_2",
-        ratioOf(n.fetchesNeedingPreds[2], n.usefulFetches));
-    dbl("fetches_needing_3",
-        ratioOf(n.fetchesNeedingPreds[3], n.usefulFetches));
+    dbl("fetches_needing_01", n.fetchesNeeding01);
+    dbl("fetches_needing_2", n.fetchesNeeding2);
+    dbl("fetches_needing_3", n.fetchesNeeding3);
     {
         std::string rendered;
         appendArray(rendered, n.cycleCat, kNumCycleCats);
@@ -184,7 +160,9 @@ appendResultRecord(std::string &out, const WorkUnit &unit,
     }
     num("tc_lookups", n.tcLookups);
     num("tc_hits", n.tcHits);
-    dbl("tc_hit_ratio", ratioOf(n.tcHits, n.tcLookups));
+    dbl("tc_hit_ratio",
+        n.tcLookups == 0 ? 0.0
+                         : static_cast<double>(n.tcHits) / n.tcLookups);
     num("icache_misses", n.icacheMisses);
     kv("promoted_retired", std::to_string(n.promotedRetired), true);
     out += indent;
@@ -211,36 +189,15 @@ parseArray(const json::Value &record, const char *key,
     return true;
 }
 
-/** Parse a fragment's canonical record back into integers. */
+/** Parse a fragment's canonical record back into @p n's integers. */
 bool
-parseResultRecord(const json::Value &record, ResultIntegers &n)
+parseResultRecord(const json::Value &record, sim::SimResult &n)
 {
-    const char *scalar_keys[] = {
-        "instructions",       "cycles",
-        "useful_fetches",     "fetched_insts",
-        "cond_branches",      "cond_mispredicts",
-        "promoted_faults",    "indirect_mispredicts",
-        "resolution_time_sum", "resolution_time_count",
-        "tc_lookups",         "tc_hits",
-        "icache_misses",      "promoted_retired",
-    };
-    std::uint64_t *scalar_slots[] = {
-        &n.instructions,       &n.cycles,
-        &n.usefulFetches,      &n.fetchedInsts,
-        &n.condBranches,       &n.condMispredicts,
-        &n.promotedFaults,     &n.indirectMispredicts,
-        &n.resolutionTimeSum,  &n.resolutionTimeCount,
-        &n.tcLookups,          &n.tcHits,
-        &n.icacheMisses,       &n.promotedRetired,
-    };
-    static_assert(sizeof(scalar_keys) / sizeof(scalar_keys[0]) ==
-                  sizeof(scalar_slots) / sizeof(scalar_slots[0]));
-    for (unsigned i = 0; i < sizeof(scalar_keys) / sizeof(scalar_keys[0]);
-         ++i) {
-        const json::Value *value = record.find(scalar_keys[i]);
+    for (const auto &[key, field] : kScalars) {
+        const json::Value *value = record.find(key);
         if (value == nullptr || !value->isNumber())
             return false;
-        *scalar_slots[i] = value->asUint64();
+        n.*field = value->asUint64();
     }
     if (!parseArray(record, "fetches_needing_preds", n.fetchesNeedingPreds,
                     4) ||
@@ -263,24 +220,6 @@ parseResultRecord(const json::Value &record, ResultIntegers &n)
         }
     }
     return true;
-}
-
-std::string
-predictorStateKey(const WorkUnit &unit)
-{
-    const workload::BenchmarkProfile &profile =
-        workload::findProfile(unit.benchmark);
-    std::string key = "predstate:v";
-    key += std::to_string(kPredStateVersion);
-    key += ":gen=v";
-    key += std::to_string(workload::kGeneratorVersion);
-    key += ":prog=";
-    key += hashHex(workload::profileFingerprint(profile));
-    key += ":cfg=";
-    key += hashHex(sim::configFingerprint(unit.config));
-    key += ":warmup=";
-    key += std::to_string(unit.warmup);
-    return key;
 }
 
 /**
@@ -334,14 +273,6 @@ archCkptKey(const std::string &benchmark, std::uint64_t pos)
     key += ":pos=";
     key += std::to_string(pos);
     return key;
-}
-
-double
-wallSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
 }
 
 } // namespace
@@ -489,6 +420,8 @@ enumerateUnits(const SweepOptions &options)
                 hash, workload::profileFingerprint(profile));
             hash = fnv1aAppendScalar(hash, config_fp);
             hash = fnv1aAppendScalar(hash, unit.warmup);
+            if (!unit.sampled.enabled && !unit.replay && unit.warmup > 0)
+                hash = fnv1aAppendScalar(hash, kFullWarmupVersion);
             if (unit.sampled.enabled) {
                 // The sampled result additionally depends on the BBV
                 // artifact format, the clustering algorithm and its
@@ -525,85 +458,27 @@ matrixHash(const std::vector<WorkUnit> &units)
     return hashHex(hash);
 }
 
-ResultIntegers
-integersOf(const sim::SimResult &result)
-{
-    ResultIntegers n;
-    n.instructions = result.instructions;
-    n.cycles = result.cycles;
-    n.condBranches = result.condBranches;
-    n.condMispredicts = result.condMispredicts;
-    n.promotedFaults = result.promotedFaults;
-    n.indirectMispredicts = result.indirectMispredicts;
-    n.usefulFetches = result.usefulFetches;
-    n.fetchedInsts = result.fetchedInsts;
-    n.resolutionTimeSum = result.resolutionTimeSum;
-    n.resolutionTimeCount = result.resolutionTimeCount;
-    for (unsigned i = 0; i < 4; ++i)
-        n.fetchesNeedingPreds[i] = result.fetchesNeedingPreds[i];
-    for (unsigned c = 0; c < kNumCycleCats; ++c)
-        n.cycleCat[c] = result.cycleCat[c];
-    for (unsigned r = 0; r < kNumFetchReasons; ++r)
-        for (unsigned w = 0; w < kFetchHistWidth; ++w)
-            n.fetchHist[r][w] = result.fetchHist[r][w];
-    n.tcLookups = result.tcLookups;
-    n.tcHits = result.tcHits;
-    n.icacheMisses = result.icacheMisses;
-    n.promotedRetired = result.promotedRetired;
-    return n;
-}
-
-sim::SimResult
-executeUnit(const WorkUnit &unit)
-{
-    const workload::Program &program = programFor(unit.benchmark);
-    sim::Processor proc(unit.config, program);
-
-    if (unit.warmup > 0) {
-        // The warmed predictor state is a pure function of
-        // (program, config, warmup length, format versions), so it is
-        // memoized through the artifact cache. The measurement run
-        // ALWAYS imports the blob into a fresh processor — also right
-        // after generating it — so a cache hit replays exactly the
-        // cold path and cannot change simulation results.
-        const std::string key = predictorStateKey(unit);
-        const std::string blob =
-            ArtifactCache::process().getOrCreate("predstate", key, [&] {
-                sim::Processor trainer(unit.config, program);
-                trainer.run(unit.warmup);
-                std::ostringstream os;
-                trainer.exportPredictorState(os);
-                return std::move(os).str();
-            });
-        std::istringstream is(blob);
-        if (!proc.importPredictorState(is)) {
-            fatal("predictor checkpoint for %s rejected by a processor "
-                  "with the same configuration (format bug)",
-                  unit.id.c_str());
-        }
-    }
-    return proc.run(unit.insts);
-}
-
 namespace
 {
 
-/** Accumulate @p region into @p total scaled by @p weight (exact
- * integer math; the canonical renderer derives rates later). */
+/** Name @p result after @p unit and derive its ratios. */
+sim::SimResult
+finishResult(const WorkUnit &unit, sim::SimResult result)
+{
+    result.benchmark = unit.benchmark;
+    result.config = unit.config.name;
+    sim::deriveRatios(result);
+    return result;
+}
+
+/** Accumulate @p region's integers into @p total scaled by @p weight
+ * (exact integer math; ratios are derived once at the end). */
 void
-accumulateWeighted(ResultIntegers &total, const ResultIntegers &region,
+accumulateWeighted(sim::SimResult &total, const sim::SimResult &region,
                    std::uint64_t weight)
 {
-    total.instructions += weight * region.instructions;
-    total.cycles += weight * region.cycles;
-    total.condBranches += weight * region.condBranches;
-    total.condMispredicts += weight * region.condMispredicts;
-    total.promotedFaults += weight * region.promotedFaults;
-    total.indirectMispredicts += weight * region.indirectMispredicts;
-    total.usefulFetches += weight * region.usefulFetches;
-    total.fetchedInsts += weight * region.fetchedInsts;
-    total.resolutionTimeSum += weight * region.resolutionTimeSum;
-    total.resolutionTimeCount += weight * region.resolutionTimeCount;
+    for (const auto &[key, field] : kScalars)
+        total.*field += weight * region.*field;
     for (unsigned i = 0; i < 4; ++i)
         total.fetchesNeedingPreds[i] +=
             weight * region.fetchesNeedingPreds[i];
@@ -612,10 +487,6 @@ accumulateWeighted(ResultIntegers &total, const ResultIntegers &region,
     for (unsigned r = 0; r < kNumFetchReasons; ++r)
         for (unsigned w = 0; w < kFetchHistWidth; ++w)
             total.fetchHist[r][w] += weight * region.fetchHist[r][w];
-    total.tcLookups += weight * region.tcLookups;
-    total.tcHits += weight * region.tcHits;
-    total.icacheMisses += weight * region.icacheMisses;
-    total.promotedRetired += weight * region.promotedRetired;
 }
 
 /**
@@ -623,7 +494,7 @@ accumulateWeighted(ResultIntegers &total, const ResultIntegers &region,
  * through the artifact cache and regenerated deterministically on a
  * miss, so results are identical hit or miss and across shards.
  */
-ResultIntegers
+sim::SimResult
 executeSampledUnit(const WorkUnit &unit)
 {
     TCSIM_ASSERT(unit.sampled.enabled);
@@ -759,7 +630,7 @@ executeSampledUnit(const WorkUnit &unit)
     //    for the region proper. This layered warm-up is what keeps
     //    per-region cold-start bias inside the error tolerance without
     //    paying detailed-simulation cost for it.
-    ResultIntegers combined;
+    sim::SimResult combined;
     for (const sample::Simpoint &pt : plan.points) {
         const std::uint64_t start = pt.startInsts;
         const std::uint64_t stop = start + plan.intervalInsts;
@@ -783,10 +654,9 @@ executeSampledUnit(const WorkUnit &unit)
         if (detail_start < start)
             proc.run(start);
         proc.resetStats();
-        accumulateWeighted(combined, integersOf(proc.run(stop)),
-                           pt.weightNum);
+        accumulateWeighted(combined, proc.run(stop), pt.weightNum);
     }
-    return combined;
+    return finishResult(unit, std::move(combined));
 }
 
 /**
@@ -805,11 +675,10 @@ recordBtraceBytes(const std::string &benchmark, std::uint64_t insts)
     const workload::Program &program = programFor(benchmark);
     const workload::BenchmarkProfile &profile =
         workload::findProfile(benchmark);
-    const std::string tmp =
-        (std::filesystem::temp_directory_path() /
-         ("tcsim-btrace-" + std::to_string(::getpid()) + "-" +
-          hashHex(fnv1a(btraceArtifactKey(benchmark, insts))) + ".tmp"))
-            .string();
+    // Two units of one benchmark may record at once (a cold or disabled
+    // cache), so each call gets its own temp file.
+    const std::string tmp = uniqueTempPath(
+        (std::filesystem::temp_directory_path() / "tcsim-btrace").string());
     {
         workload::BtraceWriter writer(tmp, workload::kGeneratorVersion,
                                       workload::profileFingerprint(profile),
@@ -834,7 +703,7 @@ recordBtraceBytes(const std::string &benchmark, std::uint64_t insts)
  * cycles and the fetch/timing stats stay zero (derived rates over a
  * zero denominator render as 0 in the canonical documents).
  */
-ResultIntegers
+sim::SimResult
 executeReplayUnit(const WorkUnit &unit)
 {
     TCSIM_ASSERT(unit.replay);
@@ -862,7 +731,7 @@ executeReplayUnit(const WorkUnit &unit)
     sim::Processor proc(unit.config, program);
     const sim::Processor::ControlFlowResult r = proc.replayTrace(reader);
 
-    ResultIntegers n;
+    sim::SimResult n;
     n.instructions = r.instructions;
     n.condBranches = r.condBranches;
     n.condMispredicts = r.condMispredicts;
@@ -870,19 +739,57 @@ executeReplayUnit(const WorkUnit &unit)
     n.tcLookups = r.tcLookups;
     n.tcHits = r.tcHits;
     n.icacheMisses = r.icacheMisses;
-    return n;
+    return finishResult(unit, std::move(n));
 }
 
 } // namespace
 
-ResultIntegers
-executeUnitIntegers(const WorkUnit &unit)
+sim::SimResult
+executeUnit(const WorkUnit &unit)
 {
     if (unit.replay)
         return executeReplayUnit(unit);
     if (unit.sampled.enabled)
         return executeSampledUnit(unit);
-    return integersOf(executeUnit(unit));
+    sim::Processor proc(unit.config, programFor(unit.benchmark));
+    if (unit.warmup > 0) {
+        proc.run(unit.warmup);
+        proc.resetStats();
+    }
+    return proc.run(unit.warmup + unit.insts);
+}
+
+std::vector<sim::SimResult>
+runUnits(const std::vector<WorkUnit> &units, const UnitDone &done,
+         ThreadPool &pool)
+{
+    std::vector<sim::SimResult> results(units.size());
+    std::mutex mutex;
+    std::size_t finished = 0;
+    // Worker i writes only slot i, so unit order is kept however the
+    // pool schedules the units.
+    parallelFor(
+        units.size(),
+        [&](std::size_t i) {
+            const ArtifactCacheStats before = ArtifactCache::threadStats();
+            const auto start = std::chrono::steady_clock::now();
+            results[i] = executeUnit(units[i]);
+            UnitTiming timing;
+            timing.wallSeconds = std::chrono::duration<double>(
+                                     std::chrono::steady_clock::now() - start)
+                                     .count();
+            const ArtifactCacheStats after = ArtifactCache::threadStats();
+            timing.cacheHits = after.hits - before.hits;
+            timing.cacheMisses = after.misses - before.misses;
+
+            std::lock_guard<std::mutex> lock(mutex);
+            std::fprintf(stderr, "[%zu/%zu] %s\n", ++finished,
+                         units.size(), units[i].id.c_str());
+            if (done)
+                done(i, results[i], timing);
+        },
+        pool);
+    return results;
 }
 
 std::string
@@ -892,6 +799,31 @@ samplingErrorReport(const SweepOptions &options, double tolerance,
     TCSIM_ASSERT(options.sampled.enabled,
                  "samplingErrorReport needs a sampled matrix");
     const std::vector<WorkUnit> units = enumerateUnits(options);
+    // The reference is the cold full run of the same window [0, insts).
+    SweepOptions full_options = options;
+    full_options.sampled = SampledParams{};
+    full_options.warmup = 0;
+    const std::vector<WorkUnit> full_units = enumerateUnits(full_options);
+
+    std::vector<double> sampled_walls(units.size());
+    std::vector<double> full_walls(units.size());
+    const std::vector<sim::SimResult> sampled_results = runUnits(
+        units, [&](std::size_t i, const sim::SimResult &,
+                   const UnitTiming &timing) {
+            sampled_walls[i] = timing.wallSeconds;
+        });
+    const std::vector<sim::SimResult> full_results = runUnits(
+        full_units, [&](std::size_t i, const sim::SimResult &,
+                        const UnitTiming &timing) {
+            full_walls[i] = timing.wallSeconds;
+        });
+    const auto stats = [](const sim::SimResult &r, double wall) {
+        return "{\"ipc\": " + formatDouble(r.ipc) + ", \"fetch_rate\": " +
+               formatDouble(r.effectiveFetchRate) +
+               ", \"mispredict_rate\": " +
+               formatDouble(r.condMispredictRate) +
+               ", \"wall_seconds\": " + formatDouble(wall) + "}";
+    };
 
     std::string out = "{\n";
     out += "  \"schema\": \"tcsim-sampling-error-v1\",\n";
@@ -909,44 +841,28 @@ samplingErrorReport(const SweepOptions &options, double tolerance,
     double max_err_mispredict = 0.0;
     for (std::size_t i = 0; i < units.size(); ++i) {
         const WorkUnit &unit = units[i];
-
-        auto t0 = std::chrono::steady_clock::now();
-        const ResultIntegers sampled = executeSampledUnit(unit);
-        const double sampled_wall = wallSince(t0);
-
-        WorkUnit full_unit = unit;
-        full_unit.sampled = SampledParams{};
-        t0 = std::chrono::steady_clock::now();
-        const ResultIntegers full = integersOf(executeUnit(full_unit));
-        const double full_wall = wallSince(t0);
+        const sim::SimResult &s = sampled_results[i];
+        const sim::SimResult &f = full_results[i];
+        const double sampled_wall = sampled_walls[i];
+        const double full_wall = full_walls[i];
 
         const auto rel_err = [](double estimate, double reference) {
             if (reference == 0.0)
                 return estimate == 0.0 ? 0.0 : 1.0;
             return std::abs(estimate - reference) / reference;
         };
-        const auto stats_of = [](const ResultIntegers &n) {
-            struct Derived
-            {
-                double ipc, fetchRate, mispredictRate;
-            };
-            return Derived{ratioOf(n.instructions, n.cycles),
-                           ratioOf(n.fetchedInsts, n.usefulFetches),
-                           ratioOf(n.condMispredicts, n.condBranches)};
-        };
-        const auto s = stats_of(sampled);
-        const auto f = stats_of(full);
         const double err_ipc = rel_err(s.ipc, f.ipc);
-        const double err_fetch = rel_err(s.fetchRate, f.fetchRate);
+        const double err_fetch =
+            rel_err(s.effectiveFetchRate, f.effectiveFetchRate);
         const double err_mispredict =
-            rel_err(s.mispredictRate, f.mispredictRate);
+            rel_err(s.condMispredictRate, f.condMispredictRate);
         // The mispredict gate is ABSOLUTE (the rate is already a
         // fraction): per-region predictor warm-up bias shifts the
         // sampled rate by a few points regardless of the base rate,
         // so relative error diverges exactly when the full run's
         // rate gets small — at long budgets where prediction is best.
         const double abs_err_mispredict =
-            std::abs(s.mispredictRate - f.mispredictRate);
+            std::abs(s.condMispredictRate - f.condMispredictRate);
         const bool within = err_ipc <= tolerance &&
                             err_fetch <= tolerance &&
                             abs_err_mispredict <= mispredict_tolerance;
@@ -959,16 +875,9 @@ samplingErrorReport(const SweepOptions &options, double tolerance,
         sampled_wall_total += sampled_wall;
 
         out += "    {\n";
-        out += "      \"id\": \"" + jsonEscape(unit.id) + "\",\n";
-        out += "      \"sampled\": {\"ipc\": " + formatDouble(s.ipc) +
-               ", \"fetch_rate\": " + formatDouble(s.fetchRate) +
-               ", \"mispredict_rate\": " + formatDouble(s.mispredictRate) +
-               ", \"wall_seconds\": " + formatDouble(sampled_wall) +
-               "},\n";
-        out += "      \"full\": {\"ipc\": " + formatDouble(f.ipc) +
-               ", \"fetch_rate\": " + formatDouble(f.fetchRate) +
-               ", \"mispredict_rate\": " + formatDouble(f.mispredictRate) +
-               ", \"wall_seconds\": " + formatDouble(full_wall) + "},\n";
+        out += "      \"id\": \"" + json::escape(unit.id) + "\",\n";
+        out += "      \"sampled\": " + stats(s, sampled_wall) + ",\n";
+        out += "      \"full\": " + stats(f, full_wall) + ",\n";
         out += "      \"rel_err\": {\"ipc\": " + formatDouble(err_ipc) +
                ", \"fetch_rate\": " + formatDouble(err_fetch) +
                ", \"mispredict_rate\": " + formatDouble(err_mispredict) +
@@ -1010,17 +919,17 @@ samplingErrorReport(const SweepOptions &options, double tolerance,
 }
 
 std::string
-renderFragment(const WorkUnit &unit, const ResultIntegers &integers,
+renderFragment(const WorkUnit &unit, const sim::SimResult &result,
                const UnitTiming &timing)
 {
     std::string out = "{\n";
     out += "  \"schema\": \"tcsim-bench-fragment-v1\",\n";
     out += "  \"unit\": {\n";
     out += "    \"index\": " + std::to_string(unit.index) + ",\n";
-    out += "    \"id\": \"" + jsonEscape(unit.id) + "\",\n";
+    out += "    \"id\": \"" + json::escape(unit.id) + "\",\n";
     out += "    \"hash\": \"" + unit.hash + "\",\n";
-    out += "    \"benchmark\": \"" + jsonEscape(unit.benchmark) + "\",\n";
-    out += "    \"config\": \"" + jsonEscape(unit.config.name) + "\",\n";
+    out += "    \"benchmark\": \"" + json::escape(unit.benchmark) + "\",\n";
+    out += "    \"config\": \"" + json::escape(unit.config.name) + "\",\n";
     out += "    \"insts\": " + std::to_string(unit.insts) + ",\n";
     out += "    \"warmup\": " + std::to_string(unit.warmup);
     if (unit.sampled.enabled) {
@@ -1031,7 +940,7 @@ renderFragment(const WorkUnit &unit, const ResultIntegers &integers,
     }
     out += "\n  },\n";
     out += "  \"result\": ";
-    appendResultRecord(out, unit, integers, "  ");
+    appendResultRecord(out, unit, result, "  ");
     out += ",\n";
     // Non-canonical section: never copied into the merged document.
     out += "  \"timing\": {\n";
@@ -1048,9 +957,9 @@ renderFragment(const WorkUnit &unit, const ResultIntegers &integers,
 
 std::string
 renderResultsDoc(const std::vector<WorkUnit> &units,
-                 const std::vector<ResultIntegers> &integers)
+                 const std::vector<sim::SimResult> &results)
 {
-    TCSIM_ASSERT(units.size() == integers.size());
+    TCSIM_ASSERT(units.size() == results.size());
     std::string out = "{\n";
     out += "  \"schema\": \"tcsim-bench-results-v1\",\n";
     out += "  \"matrix_hash\": \"" + matrixHash(units) + "\",\n";
@@ -1058,7 +967,7 @@ renderResultsDoc(const std::vector<WorkUnit> &units,
     out += "  \"results\": [\n";
     for (std::size_t i = 0; i < units.size(); ++i) {
         out += "    ";
-        appendResultRecord(out, units[i], integers[i], "    ");
+        appendResultRecord(out, units[i], results[i], "    ");
         out += i + 1 < units.size() ? ",\n" : "\n";
     }
     out += "  ]\n";
@@ -1074,11 +983,11 @@ fragmentPath(const std::string &dir, const WorkUnit &unit)
 
 bool
 writeFragment(const std::string &dir, const WorkUnit &unit,
-              const ResultIntegers &integers, const UnitTiming &timing)
+              const sim::SimResult &result, const UnitTiming &timing)
 {
     LocalDirStore store(dir);
     return store.put(unit.hash + ".json",
-                     renderFragment(unit, integers, timing),
+                     renderFragment(unit, result, timing),
                      /*overwrite=*/true);
 }
 
@@ -1091,7 +1000,7 @@ mergeFragments(const SweepOptions &options, const std::string &fragments_dir,
     for (std::size_t i = 0; i < units.size(); ++i)
         by_hash.emplace(units[i].hash, i);
 
-    std::vector<ResultIntegers> integers(units.size());
+    std::vector<sim::SimResult> results(units.size());
     std::vector<bool> filled(units.size(), false);
     // list() is sorted by name, so reports are stable run to run.
     const LocalDirStore store(fragments_dir);
@@ -1132,12 +1041,13 @@ mergeFragments(const SweepOptions &options, const std::string &fragments_dir,
             report.duplicates.push_back(shown);
             continue;
         }
-        ResultIntegers n;
+        sim::SimResult n;
         if (!parseResultRecord(*result_obj, n)) {
             report.corrupt.push_back(shown);
             continue;
         }
-        integers[wanted->second] = n;
+        results[wanted->second] =
+            finishResult(units[wanted->second], std::move(n));
         filled[wanted->second] = true;
     }
 
@@ -1147,7 +1057,7 @@ mergeFragments(const SweepOptions &options, const std::string &fragments_dir,
     }
     if (!report.complete())
         return std::nullopt;
-    return renderResultsDoc(units, integers);
+    return renderResultsDoc(units, results);
 }
 
 } // namespace tcsim::bench

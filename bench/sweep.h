@@ -1,9 +1,13 @@
 /**
  * @file
- * The sharded sweep engine: a deterministic work-unit protocol over
- * the (benchmark, configuration) matrix, process-parallel execution
- * via shards or explicit worklists, and a merge layer that combines
- * per-unit result fragments into one canonical results document.
+ * The one execution engine: a deterministic work-unit protocol over
+ * the (benchmark, configuration) matrix, one per-unit executor
+ * (executeUnit: full, sampled or replay), one fan-out that runs units
+ * on the in-process thread pool (runUnits), and a merge layer that
+ * combines per-unit result fragments into one canonical results
+ * document. The exhibits (bench/harness.h) are queries over unit
+ * results; tcsim_sweep renders them, writes them as fragments for
+ * --shard / --worklist, or merges fragments.
  *
  * Determinism contract:
  *
@@ -15,18 +19,18 @@
  *    the hash, so stale fragments are detected instead of merged.
  *
  *  - The canonical results document ("tcsim-bench-results-v1") stores
- *    only deterministic integers plus doubles *derived from those
- *    integers at write time* by the single shared renderer. Both the
- *    single-process path (simulate everything, render) and the
- *    sharded path (render from integers parsed back out of
- *    fragments) call the same renderer on the same integers, so the
- *    two documents are byte-identical. Wall-clock and cache-stat
- *    timing lives in fragments and the separate timing document,
- *    never in the canonical document.
+ *    each unit's SimResult integers and the ratios sim::deriveRatios
+ *    computes from them. Both the single-process path (simulate
+ *    everything, render) and the sharded path (render from integers
+ *    parsed back out of fragments) call the one renderer on the same
+ *    integers, so the two documents are byte-identical, at any
+ *    TCSIM_JOBS. Wall-clock and cache-stat timing lives in fragments
+ *    and the separate timing document, never in the canonical
+ *    document.
  *
  *  - Fragments ("tcsim-bench-fragment-v1") are one file per unit,
  *    named "<hash>.json" and written atomically (temp file + rename),
- *    so a killed worker loses at most its in-flight unit and a rerun
+ *    so a killed worker loses at most its in-flight units and a rerun
  *    only needs the units check() reports missing.
  */
 
@@ -34,10 +38,12 @@
 #define TCSIM_BENCH_SWEEP_H
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/thread_pool.h"
 #include "sim/accounting.h"
 #include "sim/config.h"
 
@@ -50,14 +56,13 @@ namespace tcsim::bench
  * a cached functional BBV profile of the benchmark is clustered
  * (deterministic seeded k-means, k swept in [1, maxK]) and only the
  * representative region of each cluster runs on the detailed model,
- * warm-started from cached architectural checkpoints plus predictor
- * state exported by one shared functional-warming pass over the
- * region's whole prefix; when the unit has a warmup budget, a
- * detailed warm-up pass over the `warmup` instructions preceding the
- * region additionally re-warms what a predictor checkpoint cannot
- * carry (cache tags, trace-cache contents) before the stats window
- * opens. Region stats combine as exact integers weighted by cluster
- * population.
+ * warm-started from cached architectural checkpoints plus the warm
+ * microarchitectural state exported by one shared functional-warming
+ * pass over the region's whole prefix; when the unit has a warmup
+ * budget, a detailed warm-up pass over the `warmup` instructions
+ * preceding the region smooths the rest of the gap to a real
+ * pipeline before the stats window opens. Region stats combine as
+ * exact integers weighted by cluster population.
  */
 struct SampledParams
 {
@@ -76,7 +81,10 @@ struct WorkUnit
     std::string benchmark;
     sim::ProcessorConfig config;
     std::uint64_t insts = 0;  ///< resolved measurement budget
-    std::uint64_t warmup = 0; ///< predictor warm-up instructions
+    /** Full units simulate [0, warmup), reset their statistics and
+     * measure [warmup, warmup + insts), as `tcsim_run --warmup` does;
+     * sampled units run `warmup` detailed instructions per region. */
+    std::uint64_t warmup = 0;
     SampledParams sampled;    ///< sampled-execution dimension
     /** Replay the front end from a cached tcsim-btrace-v1 artifact
      * instead of cycle-simulating (timing stats stay zero). */
@@ -97,7 +105,7 @@ struct SweepOptions
     std::vector<sim::ProcessorConfig> configs;
     /** Per-unit instruction budget; 0 = each profile's default. */
     std::uint64_t insts = 0;
-    /** Predictor warm-up instructions per unit (0 = cold start). */
+    /** Warm-up instructions per unit (0 = cold start). */
     std::uint64_t warmup = 0;
     /** Sampled-execution dimension applied to every unit. */
     SampledParams sampled;
@@ -130,54 +138,43 @@ std::vector<WorkUnit> enumerateUnits(const SweepOptions &options);
 /** FNV-1a over all unit hashes in order, rendered as 16-hex. */
 std::string matrixHash(const std::vector<WorkUnit> &units);
 
-/**
- * The deterministic integer payload of one simulated unit — exactly
- * the fields a fragment carries and the canonical renderer consumes.
- */
-struct ResultIntegers
-{
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t condBranches = 0;
-    std::uint64_t condMispredicts = 0;
-    std::uint64_t promotedFaults = 0;
-    std::uint64_t indirectMispredicts = 0;
-    std::uint64_t usefulFetches = 0;
-    std::uint64_t fetchedInsts = 0;
-    std::uint64_t resolutionTimeSum = 0;
-    std::uint64_t resolutionTimeCount = 0;
-    std::uint64_t fetchesNeedingPreds[4] = {};
-    std::uint64_t cycleCat[static_cast<unsigned>(
-        sim::CycleCategory::NumCategories)] = {};
-    std::uint64_t fetchHist[static_cast<unsigned>(
-        sim::FetchReason::NumReasons)]
-                           [sim::Accounting::kMaxFetchWidth + 1] = {};
-    std::uint64_t tcLookups = 0;
-    std::uint64_t tcHits = 0;
-    std::uint64_t icacheMisses = 0;
-    std::uint64_t promotedRetired = 0;
-};
-
-/** Extract the integer payload of @p result. */
-ResultIntegers integersOf(const sim::SimResult &result);
-
 /** Non-canonical per-unit timing, carried by fragments only. */
 struct UnitTiming
 {
     double wallSeconds = 0.0;
-    /** Program image / predictor checkpoint cache hits this unit. */
+    /** Artifact cache hits and misses of this unit alone. */
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
 };
 
 /**
- * Simulate one unit: program image via the artifact cache, then —
- * when unit.warmup > 0 — a predictor-state checkpoint (generated
- * once, cached, and imported into a fresh processor) followed by the
- * measurement run. Cache hits substitute only for re-running
- * deterministic producers, so results are identical hit or miss.
+ * Simulate one unit: the detailed model after the warm-up (full
+ * units); the BBV -> k-means -> warm-started representative-region
+ * pipeline, combining region integers as sum(weight_num * stat)
+ * (sampled units; "bbv" profiles and "archckpt" checkpoints are
+ * shared by every config, "warmstate" checkpoints are per-config); or
+ * the front end driven from the benchmark's cached btrace (replay
+ * units). Every stage is a deterministic pure function and cache hits
+ * only skip a producer, so results are identical hit or miss, at any
+ * job count and across shards. Safe to call concurrently.
  */
 sim::SimResult executeUnit(const WorkUnit &unit);
+
+/** Called by runUnits() once per finished unit, under one lock, in
+ * completion order, with the unit's position. */
+using UnitDone = std::function<void(std::size_t index,
+                                    const sim::SimResult &result,
+                                    const UnitTiming &timing)>;
+
+/**
+ * The one fan-out: run @p units through executeUnit() on @p pool,
+ * print "[k/n] <id>" to stderr and call @p done (when set) as each
+ * finishes, and return the results in unit order — bit-identical at
+ * any pool size. Must not be called from a worker of @p pool.
+ */
+std::vector<sim::SimResult> runUnits(const std::vector<WorkUnit> &units,
+                                     const UnitDone &done = {},
+                                     ThreadPool &pool = sharedPool());
 
 /**
  * @return the content key a benchmark's BBV profile artifact is
@@ -199,24 +196,11 @@ std::string btraceArtifactKey(const std::string &benchmark,
                               std::uint64_t insts);
 
 /**
- * Simulate one unit — full or sampled — and return the canonical
- * integer payload. Full units delegate to executeUnit(). Sampled
- * units run the BBV -> k-means -> warm-started representative-region
- * pipeline (the intermediate artifacts flow through the artifact
- * cache: "bbv" profiles and "archckpt" architectural checkpoints are
- * configuration-independent and shared by every config in the
- * matrix; "warmstate" functional-warming checkpoints are per-config)
- * and combine region integers as sum(weight_num * stat).
- * Every stage is a deterministic pure function, so sampled results
- * keep the byte-identical merge guarantee.
- */
-ResultIntegers executeUnitIntegers(const WorkUnit &unit);
-
-/**
- * Run @p options' matrix both sampled and full, compare derived
- * stats, and render the `tcsim-sampling-error-v1` report (per-unit
- * and aggregate relative error for IPC / effective fetch rate /
- * mispredict rate, wall-clock for both paths, and the speedup).
+ * Run @p options' matrix sampled, and each unit's window [0, insts)
+ * cold on the full detailed model, compare derived stats, and render
+ * the `tcsim-sampling-error-v1` report (per-unit and aggregate
+ * relative error for IPC / effective fetch rate / mispredict rate,
+ * wall-clock for both paths, and the speedup).
  * options.sampled must be enabled. When @p all_within_out is
  * non-null it receives whether every unit passed the gate: IPC and
  * fetch-rate relative errors <= @p tolerance AND mispredict-rate
@@ -231,19 +215,19 @@ std::string samplingErrorReport(const SweepOptions &options,
                                 double mispredict_tolerance,
                                 bool *all_within_out);
 
-/** Render one fragment document (canonical integers + timing). */
+/** Render one fragment document (canonical record + timing). */
 std::string renderFragment(const WorkUnit &unit,
-                           const ResultIntegers &integers,
+                           const sim::SimResult &result,
                            const UnitTiming &timing);
 
 /**
  * Render the canonical results document for the full matrix. @p
- * integers must parallel @p units. This is the ONLY producer of
+ * results must parallel @p units. This is the ONLY producer of
  * "tcsim-bench-results-v1" bytes; byte-identity of the sharded and
  * single-process paths rests on both funneling through it.
  */
 std::string renderResultsDoc(const std::vector<WorkUnit> &units,
-                             const std::vector<ResultIntegers> &integers);
+                             const std::vector<sim::SimResult> &results);
 
 /** @return "<dir>/<hash>.json", the fragment path for @p unit. */
 std::string fragmentPath(const std::string &dir, const WorkUnit &unit);
@@ -254,8 +238,7 @@ std::string fragmentPath(const std::string &dir, const WorkUnit &unit);
  * error.
  */
 bool writeFragment(const std::string &dir, const WorkUnit &unit,
-                   const ResultIntegers &integers,
-                   const UnitTiming &timing);
+                   const sim::SimResult &result, const UnitTiming &timing);
 
 /** What the merge (or check) pass found in a fragments directory. */
 struct MergeReport

@@ -22,12 +22,12 @@ main()
                 "static", "simulated", "condBr%", "blkSize", "biased%",
                 "longrun%");
     const std::vector<std::string> names = allBenchmarks();
+    std::vector<std::uint64_t> budgets;
+    for (const std::string &name : names)
+        budgets.push_back(instBudget(workload::findProfile(name)));
     std::vector<workload::WorkloadStats> stats(names.size());
     parallelFor(names.size(), [&](std::size_t i) {
-        const workload::Program &program = programFor(names[i]);
-        const std::uint64_t budget =
-            instBudget(workload::findProfile(names[i]));
-        stats[i] = workload::characterize(program, budget);
+        stats[i] = workload::characterize(programFor(names[i]), budgets[i]);
     });
     for (std::size_t i = 0; i < names.size(); ++i) {
         const workload::WorkloadStats &ws = stats[i];

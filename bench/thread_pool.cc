@@ -89,7 +89,8 @@ sharedPool()
 }
 
 void
-parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
+parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
+            ThreadPool &pool)
 {
     if (n == 0)
         return;
@@ -100,7 +101,6 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
     std::mutex done_mutex;
     std::condition_variable done_cv;
     std::size_t done = 0;
-    ThreadPool &pool = sharedPool();
     for (std::size_t i = 0; i < n; ++i) {
         pool.submit([&, i] {
             fn(i);

@@ -73,10 +73,12 @@ unsigned defaultJobCount();
 ThreadPool &sharedPool();
 
 /**
- * Run fn(0) .. fn(n-1) on the shared pool and block until all are done.
- * @p fn must be safe to call concurrently for distinct indices.
+ * Run fn(0) .. fn(n-1) on @p pool and block until all are done.
+ * @p fn must be safe to call concurrently for distinct indices. Must
+ * not be called from a worker of @p pool.
  */
-void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn);
+void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn,
+                 ThreadPool &pool = sharedPool());
 
 } // namespace tcsim::bench
 

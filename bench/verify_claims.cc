@@ -178,9 +178,11 @@ main()
             options.sampled.enabled = true;
             options.sampled.interval = 100'000;
             options.sampled.maxK = 4;
+            const std::vector<WorkUnit> units = enumerateUnits(options);
+            const std::vector<sim::SimResult> sampled = runUnits(units);
             std::vector<double> base01, promo01;
-            for (const WorkUnit &unit : enumerateUnits(options)) {
-                const ResultIntegers n = executeUnitIntegers(unit);
+            for (std::size_t i = 0; i < units.size(); ++i) {
+                const sim::SimResult &n = sampled[i];
                 std::uint64_t total = 0;
                 for (const std::uint64_t count : n.fetchesNeedingPreds)
                     total += count;
@@ -190,7 +192,7 @@ main()
                                      n.fetchesNeedingPreds[0] +
                                      n.fetchesNeedingPreds[1]) /
                                      static_cast<double>(total);
-                (unit.config.name == "baseline" ? base01 : promo01)
+                (units[i].config.name == "baseline" ? base01 : promo01)
                     .push_back(frac01);
             }
             const double sampled_shift =

@@ -4,7 +4,8 @@
 # processes through tools/tcsim_sweep with crash detection, bounded
 # retry, and a byte-deterministic merge.
 #
-# Exhibit mode: each exhibit fans its (benchmark, config) jobs across
+# Both modes run the same work units through the same executor
+# (bench/sweep.h). Exhibit mode: each exhibit fans its units across
 # TCSIM_JOBS worker threads (default: all cores); results are
 # identical at any job count. Per-exhibit wall-clock and per-run
 # metrics (including simulated MIPS) are merged into
@@ -18,10 +19,11 @@
 # TCSIM_UNIT_TIMEOUT seconds), merges the fragments into
 # SWEEP_results.json (schema tcsim-bench-results-v1 — byte-identical
 # to a single-process run of the same matrix), and records sweep
-# timing + artifact-cache statistics in BENCH_results.json. Generated
-# program images and warmed predictor checkpoints are reused across
-# workers and runs via the content-addressed cache in TCSIM_CACHE_DIR
-# (default .tcsim_cache).
+# timing + artifact-cache statistics in BENCH_results.json. The
+# processes are the parallelism, so each runs with TCSIM_JOBS=1.
+# Generated program images and the sampled and replay artifacts are
+# reused across workers and runs via the content-addressed cache in
+# TCSIM_CACHE_DIR (default .tcsim_cache).
 #
 # Usage: run_benches.sh [--long] [--sweep N]
 #                       [--inject-kill] [--warm-compare]
@@ -51,24 +53,16 @@
 #                   embedded in BENCH_results.json. A regression
 #                   (tcsim_regress exit 5) fails the run.
 #
-# TCSIM_WARMUP means two different things in the two modes:
-#   exhibit mode         each run simulates n instructions on the
-#                        detailed model, resets the statistics and
-#                        measures [n, n + budget) — a detailed warm-up
-#                        (bench/harness.cc, executeRequest).
-#   sweep mode           passed as `tcsim_sweep --warmup n`: a separate
-#                        processor runs n instructions, only its
-#                        predictor state is imported into a fresh one,
-#                        and that one measures [0, budget) from
-#                        instruction 0 (bench/sweep.cc, executeUnit).
-# The same value therefore gives different numbers in the two modes.
+# TCSIM_WARMUP=n means the same in both modes (in sweep mode it is
+# passed as `tcsim_sweep --warmup n`): each unit simulates [0, n) on
+# the measuring processor, resets its statistics and measures
+# [n, n + budget), as `tcsim_run --warmup n` does.
 #
 # Sweep-mode environment:
 #   TCSIM_SWEEP_ARGS     extra tcsim_sweep matrix args, word-split
 #                        (e.g. "--benchmarks compress,li --configs
 #                        baseline,promotion-t64")
-#   TCSIM_WARMUP         per-unit predictor warm-up instructions (see
-#                        above)
+#   TCSIM_WARMUP         per-unit warm-up instructions (see above)
 #   TCSIM_SAMPLED_INTERVAL / TCSIM_SAMPLED_K
 #                        enable SimPoint-style sampled execution: BBV
 #                        interval length and max cluster count (both
@@ -176,7 +170,7 @@ if [ "$sweep_shards" -gt 0 ]; then
         if [ "$inject_kill" -eq 1 ] && [ "$i" -eq 0 ]; then
             worker_args+=(--die-after 1)
         fi
-        timeout $((unit_timeout * units_per_shard)) \
+        TCSIM_JOBS=1 timeout $((unit_timeout * units_per_shard)) \
             "$sweep_bin" "${matrix_args[@]}" "${worker_args[@]}" \
             > "$sweep_dir/worker.$i.log" 2>&1 &
         pids+=($!)
@@ -234,7 +228,7 @@ if [ "$sweep_shards" -gt 0 ]; then
                     [ -n "$h" ] || continue
                     echo "$h" > "$sweep_dir/retry.$i.one"
                     rc=0
-                    timeout "$unit_timeout" "$sweep_bin" \
+                    TCSIM_JOBS=1 timeout "$unit_timeout" "$sweep_bin" \
                         "${matrix_args[@]}" \
                         --worklist "$sweep_dir/retry.$i.one" \
                         --fragments-dir "$frags" \
@@ -289,9 +283,9 @@ if [ "$sweep_shards" -gt 0 ]; then
         fi
     fi
 
-    # Optional warm rerun: with every program image and predictor
-    # checkpoint now cached, a single-process pass must be faster AND
-    # byte-identical — cache hits may only ever change wall-clock.
+    # Optional warm rerun: with every artifact now cached, a
+    # single-process pass must be faster AND byte-identical — cache
+    # hits may only ever change wall-clock.
     warm_json=""
     if [ "$warm_compare" -eq 1 ] && [ -n "$cache_dir" ]; then
         warm_start=$(date +%s.%N)

@@ -423,4 +423,41 @@ parseFile(const std::string &path, std::string *error)
     return parse(text, error);
 }
 
+void
+appendEscaped(std::string &out, std::string_view text)
+{
+    for (const char c : text) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (c == '\n' || c == '\t' || c == '\r') {
+            out += c == '\n' ? "\\n" : c == '\t' ? "\\t" : "\\r";
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char hex[8];
+            std::snprintf(hex, sizeof(hex), "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += hex;
+        } else {
+            out += c;
+        }
+    }
+}
+
+std::string
+escape(std::string_view text)
+{
+    std::string out;
+    out.reserve(text.size());
+    appendEscaped(out, text);
+    return out;
+}
+
+std::string
+formatDouble(double value)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
+
 } // namespace tcsim::json

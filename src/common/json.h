@@ -1,7 +1,9 @@
 /**
  * @file
  * A minimal JSON reader for the machine-readable artifacts the
- * simulator itself writes (bench fragments, results documents).
+ * simulator itself writes (bench fragments, results documents), plus
+ * the one string escaper and the one double formatter every JSON
+ * writer in tcsim uses.
  *
  * Scope: strict-enough recursive-descent parsing of the full JSON
  * grammar into an owning tree. Numbers keep their source lexeme so
@@ -101,6 +103,17 @@ std::optional<Value> parse(std::string_view text,
 /** Parse the entire file at @p path; empty optional on I/O failure. */
 std::optional<Value> parseFile(const std::string &path,
                                std::string *error = nullptr);
+
+/** Append @p text to @p out as the contents of a JSON string, with
+ * \n \t \r and \u00XX for the control characters. */
+void appendEscaped(std::string &out, std::string_view text);
+
+/** @return appendEscaped() of @p text. */
+std::string escape(std::string_view text);
+
+/** Render @p value with "%.17g", which round-trips every double and
+ * formats alike in every process (the byte-identical documents). */
+std::string formatDouble(double value);
 
 } // namespace tcsim::json
 

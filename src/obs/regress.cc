@@ -13,35 +13,6 @@ namespace tcsim::obs
 namespace
 {
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
-std::string
-formatDouble(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
 double
 relDeltaOf(double baseline, double current)
 {
@@ -159,9 +130,9 @@ appendMetric(std::string &out, const MetricDelta &metric,
 {
     out += indent;
     out += "{\"name\": \"" + metric.name + "\", ";
-    out += "\"baseline\": " + formatDouble(metric.baseline) + ", ";
-    out += "\"current\": " + formatDouble(metric.current) + ", ";
-    out += "\"rel_delta\": " + formatDouble(metric.relDelta) + ", ";
+    out += "\"baseline\": " + json::formatDouble(metric.baseline) + ", ";
+    out += "\"current\": " + json::formatDouble(metric.current) + ", ";
+    out += "\"rel_delta\": " + json::formatDouble(metric.relDelta) + ", ";
     out += std::string("\"regressed\": ") +
            (metric.regressed ? "true" : "false") + "}";
 }
@@ -292,14 +263,14 @@ renderRegressionReport(const RegressionReport &report,
 {
     std::string out = "{\n";
     out += "  \"schema\": \"tcsim-regression-v1\",\n";
-    out += "  \"rel_threshold\": " + formatDouble(options.relThreshold) +
-           ",\n";
+    out += "  \"rel_threshold\": " +
+           json::formatDouble(options.relThreshold) + ",\n";
     out += "  \"wall_threshold\": " +
-           formatDouble(options.wallThreshold) + ",\n";
-    out += "  \"noise_k\": " + formatDouble(options.noiseK) + ",\n";
+           json::formatDouble(options.wallThreshold) + ",\n";
+    out += "  \"noise_k\": " + json::formatDouble(options.noiseK) + ",\n";
     out += "  \"wall_noise_sigma\": " +
-           formatDouble(report.wallNoiseSigma) + ",\n";
-    out += "  \"wall_band\": " + formatDouble(report.wallBand) + ",\n";
+           json::formatDouble(report.wallNoiseSigma) + ",\n";
+    out += "  \"wall_band\": " + json::formatDouble(report.wallBand) + ",\n";
     out += std::string("  \"regressed\": ") +
            (report.regressed ? "true" : "false") + ",\n";
     const auto appendIdArray = [&](const char *key,
@@ -311,7 +282,7 @@ renderRegressionReport(const RegressionReport &report,
         for (std::size_t i = 0; i < ids.size(); ++i) {
             if (i > 0)
                 out += ", ";
-            out += "\"" + jsonEscape(ids[i]) + "\"";
+            out += "\"" + json::escape(ids[i]) + "\"";
         }
         out += last ? "]\n" : "],\n";
     };
@@ -322,10 +293,10 @@ renderRegressionReport(const RegressionReport &report,
     for (std::size_t i = 0; i < report.units.size(); ++i) {
         const UnitComparison &unit = report.units[i];
         out += "    {\n";
-        out += "      \"id\": \"" + jsonEscape(unit.id) + "\",\n";
-        out += "      \"benchmark\": \"" + jsonEscape(unit.benchmark) +
+        out += "      \"id\": \"" + json::escape(unit.id) + "\",\n";
+        out += "      \"benchmark\": \"" + json::escape(unit.benchmark) +
                "\",\n";
-        out += "      \"config\": \"" + jsonEscape(unit.config) +
+        out += "      \"config\": \"" + json::escape(unit.config) +
                "\",\n";
         out += std::string("      \"regressed\": ") +
                (unit.regressed ? "true" : "false") + ",\n";

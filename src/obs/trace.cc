@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstring>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace tcsim::obs
@@ -14,40 +15,6 @@ namespace
 constexpr const char *kCategoryNames[kNumCategories] = {
     "fetch", "tc", "fill", "promote", "bpred", "mem", "core",
 };
-
-/** Append @p s to @p out with JSON string escaping. */
-void
-appendJsonEscaped(std::string &out, const char *s)
-{
-    for (const char *p = s; *p != '\0'; ++p) {
-        const unsigned char c = static_cast<unsigned char>(*p);
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (c < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-                out += hex;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
-}
 
 /**
  * Base for file-writing sinks: owns the FILE* when opened from a path,
@@ -118,9 +85,9 @@ class JsonlSink : public FileSink
         line_ += ",\"cat\":\"";
         line_ += categoryName(rec.cat);
         line_ += "\",\"ev\":\"";
-        appendJsonEscaped(line_, rec.event);
+        json::appendEscaped(line_, rec.event);
         line_ += "\",\"detail\":\"";
-        appendJsonEscaped(line_, rec.detail);
+        json::appendEscaped(line_, rec.detail);
         line_ += "\"}\n";
         logLineAtomic(file_, line_.c_str(), line_.size());
     }
@@ -152,13 +119,13 @@ class ChromeSink : public FileSink
         if (anyRecord_)
             line_ += ",\n";
         line_ += "{\"name\":\"";
-        appendJsonEscaped(line_, rec.event);
+        json::appendEscaped(line_, rec.event);
         line_ += "\",\"cat\":\"";
         line_ += categoryName(rec.cat);
         line_ += "\",\"ph\":\"i\",\"s\":\"g\",\"ts\":";
         line_ += std::to_string(rec.cycle);
         line_ += ",\"pid\":1,\"tid\":1,\"args\":{\"detail\":\"";
-        appendJsonEscaped(line_, rec.detail);
+        json::appendEscaped(line_, rec.detail);
         line_ += "\"}}";
         std::fwrite(line_.data(), 1, line_.size(), file_);
         anyRecord_ = true;

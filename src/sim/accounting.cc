@@ -35,6 +35,31 @@ fetchReasonName(FetchReason reason)
 }
 
 void
+deriveRatios(SimResult &result)
+{
+    const auto ratioOf = [](std::uint64_t numerator,
+                            std::uint64_t denominator) {
+        return denominator == 0
+                   ? 0.0
+                   : static_cast<double>(numerator) / denominator;
+    };
+    result.ipc = ratioOf(result.instructions, result.cycles);
+    result.effectiveFetchRate =
+        ratioOf(result.fetchedInsts, result.usefulFetches);
+    result.condMispredictRate =
+        ratioOf(result.condMispredicts, result.condBranches);
+    result.meanResolutionTime =
+        ratioOf(result.resolutionTimeSum, result.resolutionTimeCount);
+    result.fetchesNeeding01 =
+        ratioOf(result.fetchesNeedingPreds[0] + result.fetchesNeedingPreds[1],
+                result.usefulFetches);
+    result.fetchesNeeding2 =
+        ratioOf(result.fetchesNeedingPreds[2], result.usefulFetches);
+    result.fetchesNeeding3 =
+        ratioOf(result.fetchesNeedingPreds[3], result.usefulFetches);
+}
+
+void
 printStatsWithDerivedRatios(const StatDump &dump, std::ostream &os)
 {
     const auto emit = [&os](const std::string &name, double value) {

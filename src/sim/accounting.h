@@ -108,16 +108,6 @@ class Accounting
         fetchedInsts_ = 0;
     }
 
-    /** The effective fetch rate: correct-path instructions per
-     * instruction-delivering fetch. */
-    double
-    effectiveFetchRate() const
-    {
-        return usefulFetches_ == 0
-                   ? 0.0
-                   : static_cast<double>(fetchedInsts_) / usefulFetches_;
-    }
-
   private:
     std::array<std::uint64_t,
                static_cast<unsigned>(CycleCategory::NumCategories)>
@@ -141,10 +131,10 @@ struct SimResult
     double ipc = 0.0;
     double effectiveFetchRate = 0.0;
 
-    // Integer sources of the derived doubles above and below. The
-    // sweep merge layer re-derives every ratio from these at write
-    // time, so merged result documents are byte-identical no matter
-    // which process computed each entry.
+    // Integer sources of the derived doubles above and below:
+    // deriveRatios() computes every ratio from these, so merged result
+    // documents are byte-identical no matter which process computed
+    // each entry.
     std::uint64_t usefulFetches = 0;
     std::uint64_t fetchedInsts = 0;
     std::uint64_t resolutionTimeSum = 0;
@@ -178,6 +168,14 @@ struct SimResult
     /** Full stat dump for detailed inspection. */
     StatDump stats;
 };
+
+/**
+ * Set @p result's ratios (IPC, effective fetch rate, mispredict rate,
+ * mean resolution time, prediction classes) from its integer fields;
+ * a zero denominator gives 0. Processor::makeResult and the sweep's
+ * sampled, replay and merged results all derive them here.
+ */
+void deriveRatios(SimResult &result);
 
 /**
  * Render @p dump as "name value" lines in StatDump::print format,

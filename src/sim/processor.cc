@@ -2397,47 +2397,18 @@ Processor::makeResult() const
     result.benchmark = program_.name();
     result.config = config_.name;
     result.instructions = retiredInsts_ - statBaseInsts_;
-    const Cycle window_cycles = cycle_ - statBaseCycle_;
-    result.cycles = window_cycles;
-    result.ipc = window_cycles == 0
-                     ? 0.0
-                     : static_cast<double>(result.instructions) /
-                           window_cycles;
-    result.effectiveFetchRate = accounting_.effectiveFetchRate();
+    result.cycles = cycle_ - statBaseCycle_;
+    result.usefulFetches = accounting_.usefulFetches();
+    result.fetchedInsts = accounting_.fetchedInsts();
 
     result.condBranches = retiredCondBranches_;
     result.condMispredicts = condMispredicts_ + promotedFaults_;
     result.promotedFaults = promotedFaults_;
     result.indirectMispredicts = indirectMispredicts_;
-    result.condMispredictRate =
-        retiredCondBranches_ == 0
-            ? 0.0
-            : static_cast<double>(result.condMispredicts) /
-                  retiredCondBranches_;
-    result.meanResolutionTime =
-        resolutionTimeCount_ == 0
-            ? 0.0
-            : static_cast<double>(resolutionTimeSum_) /
-                  resolutionTimeCount_;
-
-    result.usefulFetches = accounting_.usefulFetches();
-    result.fetchedInsts = accounting_.fetchedInsts();
     result.resolutionTimeSum = resolutionTimeSum_;
     result.resolutionTimeCount = resolutionTimeCount_;
     for (unsigned n = 0; n < 4; ++n)
         result.fetchesNeedingPreds[n] = fetchesNeedingPreds_[n];
-
-    const std::uint64_t useful = accounting_.usefulFetches();
-    if (useful > 0) {
-        result.fetchesNeeding01 =
-            static_cast<double>(fetchesNeedingPreds_[0] +
-                                fetchesNeedingPreds_[1]) /
-            useful;
-        result.fetchesNeeding2 =
-            static_cast<double>(fetchesNeedingPreds_[2]) / useful;
-        result.fetchesNeeding3 =
-            static_cast<double>(fetchesNeedingPreds_[3]) / useful;
-    }
 
     for (unsigned c = 0;
          c < static_cast<unsigned>(CycleCategory::NumCategories); ++c) {
@@ -2458,6 +2429,7 @@ Processor::makeResult() const
     }
     result.icacheMisses = hierarchy_.icache().misses();
     result.promotedRetired = promotedRetired_;
+    deriveRatios(result);
 
     StatDump &dump = result.stats;
     dump.add("sim.cycles", static_cast<double>(cycle_));

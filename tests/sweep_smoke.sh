@@ -1,7 +1,8 @@
 #!/bin/bash
 # End-to-end smoke test for the tcsim_sweep binary, driven by ctest:
 #
-#  1. cold single-process run (populates the artifact cache),
+#  1. cold single-process run (populates the artifact cache), and the
+#     same at TCSIM_JOBS=4, which must be byte-identical,
 #  2. warm rerun — must be byte-identical with every cache lookup a
 #     hit (hits change wall-clock only, never results),
 #  3. 2-shard run with worker 0 SIGKILLed after one unit, --check
@@ -28,8 +29,10 @@ trap 'rm -rf "$scratch"' EXIT
 margs=(--benchmarks compress,li --configs baseline,promotion-t64
        --insts 20000 --warmup 5000 --cache-dir "$scratch/cache")
 
-echo "== cold single-process reference =="
-"$bin" "${margs[@]}" --out "$scratch/single.json"
+echo "== cold single-process reference, one job against four =="
+TCSIM_JOBS=1 "$bin" "${margs[@]}" --out "$scratch/single.json"
+TCSIM_JOBS=4 "$bin" "${margs[@]}" --out "$scratch/jobs4.json"
+cmp "$scratch/single.json" "$scratch/jobs4.json"
 
 echo "== warm rerun: byte-identical, all hits =="
 "$bin" "${margs[@]}" --out "$scratch/warm.json" \

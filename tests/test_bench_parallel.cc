@@ -1,19 +1,22 @@
 /**
  * @file
- * Tests for the parallel experiment engine: the thread pool itself and
- * the tier-1 determinism guarantee — a parallel sweep must be
- * bit-identical to the sequential sweep because simulations share no
- * mutable state.
+ * Tests for the one execution engine's fan-out: the thread pool itself
+ * and the tier-1 determinism guarantee — runUnits on many workers must
+ * be bit-identical to one worker because units share no mutable state.
  */
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
+#include "bench/artifact_cache.h"
 #include "bench/harness.h"
+#include "bench/sweep.h"
 #include "bench/thread_pool.h"
 #include "sim/processor.h"
+#include "test_paths.h"
 
 namespace
 {
@@ -94,43 +97,72 @@ expectIdentical(const sim::SimResult &a, const sim::SimResult &b)
 
 TEST(BenchParallel, SweepIsBitIdenticalAcrossJobCounts)
 {
-    // The tier-1 determinism guarantee: fanning the suite across four
-    // workers must reproduce the sequential results exactly, for the
+    // The tier-1 determinism guarantee: fanning units across four
+    // workers must reproduce one worker's results exactly, for the
     // paper's headline configurations (trace cache + fill unit + bias
-    // table, and the icache/hybrid-predictor front end).
-    constexpr std::uint64_t kBudget = 15000;
-    const std::vector<sim::ProcessorConfig> configs = {
+    // table, and the icache/hybrid-predictor front end) and for
+    // warmed-up, sampled and replay units, whose artifacts go through
+    // a cache that starts cold, so units of one benchmark produce and
+    // store them side by side.
+    const std::string cache_dir = test::scratchPath("cache");
+    std::filesystem::remove_all(cache_dir);
+    ::setenv("TCSIM_CACHE_DIR", cache_dir.c_str(), 1);
+    ASSERT_TRUE(ArtifactCache::process().enabled())
+        << "run one test per process, as ctest does";
+
+    SweepOptions options;
+    options.configs = {
         sim::baselineConfig(),
         sim::promotionPackingConfig(64,
                                     trace::PackingPolicy::CostRegulated),
         sim::icacheConfig(),
     };
+    options.insts = 15000;
+    std::vector<WorkUnit> units = enumerateUnits(options);
+    const auto add = [&] {
+        for (const WorkUnit &unit : enumerateUnits(options))
+            units.push_back(unit);
+    };
+    options.benchmarks = {"compress", "li"};
+    options.configs = {sim::baselineConfig(), sim::promotionConfig(64)};
+    options.insts = 8000;
+    options.warmup = 2000;
+    add();
+    options.insts = 40000;
+    options.sampled = SampledParams{true, 10000, 2};
+    add();
+    options.insts = 8000;
+    options.warmup = 0;
+    options.sampled = SampledParams{};
+    options.replay = true;
+    add();
 
-    std::vector<RunRequest> requests;
-    for (const sim::ProcessorConfig &config : configs)
-        for (const std::string &bench : allBenchmarks())
-            requests.push_back(RunRequest{bench, config, kBudget});
+    ThreadPool four(4);
+    ThreadPool one(1);
+    const std::vector<sim::SimResult> parallel = runUnits(units, {}, four);
+    const std::vector<sim::SimResult> sequential = runUnits(units, {}, one);
 
-    const std::vector<sim::SimResult> sequential = runAll(requests, 1);
-    const std::vector<sim::SimResult> parallel = runAll(requests, 4);
-
-    ASSERT_EQ(sequential.size(), requests.size());
-    ASSERT_EQ(parallel.size(), requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        SCOPED_TRACE(requests[i].benchmark + " / " +
-                     requests[i].config.name);
+    ASSERT_EQ(sequential.size(), units.size());
+    ASSERT_EQ(parallel.size(), units.size());
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        SCOPED_TRACE(units[i].id);
         expectIdentical(sequential[i], parallel[i]);
     }
+    EXPECT_EQ(renderResultsDoc(units, parallel),
+              renderResultsDoc(units, sequential));
+    std::filesystem::remove_all(cache_dir);
+    ::unsetenv("TCSIM_CACHE_DIR");
 }
 
 TEST(BenchParallel, SweepMatrixShapeMatchesInputs)
 {
-    const std::vector<std::string> benchmarks = {"compress", "li"};
-    std::vector<RunRequest> requests;
-    for (const std::string &bench : benchmarks)
-        requests.push_back(
-            RunRequest{bench, sim::baselineConfig(), 5000});
-    const std::vector<sim::SimResult> results = runAll(requests, 2);
+    SweepOptions options;
+    options.benchmarks = {"compress", "li"};
+    options.configs = {sim::baselineConfig()};
+    options.insts = 5000;
+    ThreadPool pool(2);
+    const std::vector<sim::SimResult> results =
+        runUnits(enumerateUnits(options), {}, pool);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].benchmark, "compress");
     EXPECT_EQ(results[1].benchmark, "li");

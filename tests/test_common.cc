@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common utility layer: bit manipulation, random
- * number generation, saturating counters, and statistics.
+ * number generation, saturating counters, statistics, and strict
+ * number parsing.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <sstream>
 
 #include "common/bitutils.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/saturating_counter.h"
 #include "common/stats.h"
@@ -340,6 +342,33 @@ namespace tcsim
 {
 namespace
 {
+
+// ----------------------------------------------------------------------
+// Strict number parsing.
+// ----------------------------------------------------------------------
+
+TEST(Parse, RejectsAnythingButAWholeNumber)
+{
+    EXPECT_EQ(parseUint("20000"), 20000u);
+    EXPECT_EQ(parseUint("18446744073709551615"), kNoLimit);
+    EXPECT_EQ(parseUint("7", 7), 7u);
+    for (const char *bad : {"", "4M", "abc", "1e6", "-1", "+1", " 1", "1 ",
+                            "0x10", "1.5", "18446744073709551616"})
+        EXPECT_FALSE(parseUint(bad).has_value()) << "'" << bad << "'";
+    EXPECT_FALSE(parseUint("8", 7).has_value());
+    EXPECT_EQ(parseDouble("0.05"), 0.05);
+    EXPECT_EQ(parseDouble("1e-3"), 1e-3);
+    for (const char *bad : {"", "0.05x", " 0.1", "0.1 ", "nan", "1e999"})
+        EXPECT_FALSE(parseDouble(bad).has_value()) << "'" << bad << "'";
+}
+
+// A "DeathTest" suite runs before the thread pool exists, so the forked
+// child's exit() has no pool to join.
+TEST(ParseDeathTest, RequireNamesTheFlag)
+{
+    EXPECT_EXIT(requireUint("--insts", "4M"), testing::ExitedWithCode(1),
+                "--insts: '4M'");
+}
 
 // ----------------------------------------------------------------------
 // Assertion contracts (death tests).

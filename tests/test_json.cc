@@ -104,4 +104,17 @@ TEST(Json, ParseFileReadsAndFails)
     EXPECT_FALSE(json::parseFile(path).has_value());
 }
 
+TEST(Json, EscapeAndFormatRoundTrip)
+{
+    const std::string text = "a\"b\\c\n\t\r\x01z";
+    EXPECT_EQ(json::escape(text), "a\\\"b\\\\c\\n\\t\\r\\u0001z");
+    const auto parsed = json::parse("\"" + json::escape(text) + "\"");
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->asString(), text);
+
+    const double value = 0.1 + 0.2;
+    EXPECT_EQ(json::formatDouble(value), "0.30000000000000004");
+    EXPECT_EQ(json::parse(json::formatDouble(value))->asDouble(), value);
+}
+
 } // namespace

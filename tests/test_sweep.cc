@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/harness.h"
 #include "bench/sweep.h"
 #include "sim/config.h"
+#include "sim/processor.h"
 #include "test_paths.h"
 
 namespace
@@ -79,6 +81,23 @@ TEST(SweepUnits, HashTracksEveryResultInput)
     EXPECT_NE(retuned_units[0].hash, units[0].hash);
     // Units of the untouched config keep their hashes.
     EXPECT_EQ(retuned_units[2].hash, units[2].hash);
+}
+
+TEST(SweepUnits, WarmupMeasuresTheWindowAfterIt)
+{
+    // TCSIM_WARMUP, `tcsim_sweep --warmup` and `tcsim_run --warmup`
+    // all mean: run(w), resetStats(), run(w + insts).
+    SweepOptions options = smallMatrix();
+    options.warmup = 3000;
+    for (const WorkUnit &unit : enumerateUnits(options)) {
+        sim::Processor proc(unit.config, programFor(unit.benchmark));
+        proc.run(unit.warmup);
+        proc.resetStats();
+        const sim::SimResult expected = proc.run(unit.warmup + unit.insts);
+        EXPECT_EQ(renderResultsDoc({unit}, {executeUnit(unit)}),
+                  renderResultsDoc({unit}, {expected}))
+            << unit.id;
+    }
 }
 
 TEST(SweepUnits, ConfigByNameResolvesPresets)
@@ -146,8 +165,8 @@ TEST(SweepSampled, DegenerateParametersReproduceFullIntegers)
     full.sampled = SampledParams{};
     const WorkUnit full_unit = enumerateUnits(full)[0];
 
-    const ResultIntegers s = executeUnitIntegers(sampled_unit);
-    const ResultIntegers f = executeUnitIntegers(full_unit);
+    const sim::SimResult s = executeUnit(sampled_unit);
+    const sim::SimResult f = executeUnit(full_unit);
     EXPECT_EQ(s.instructions, f.instructions);
     EXPECT_EQ(s.cycles, f.cycles);
     EXPECT_EQ(s.condBranches, f.condBranches);
@@ -163,14 +182,16 @@ TEST(SweepSampled, DegenerateParametersReproduceFullIntegers)
 
 TEST(SweepSampled, WeightedEstimateTracksFullRun)
 {
-    // The sampled weighted estimate must land near the full run even
-    // at test scale (tight calibration happens at 4M in the bench
-    // suite; this guards gross regressions in weighting or warm-up).
+    // The sampled weighted estimate must land near the full run of
+    // the same window [0, insts) even at test scale (tight calibration
+    // happens at 4M in the bench suite; this guards gross regressions
+    // in weighting or warm-up).
     for (const WorkUnit &unit : enumerateUnits(sampledMatrix())) {
         WorkUnit full_unit = unit;
         full_unit.sampled = SampledParams{};
-        const ResultIntegers s = executeUnitIntegers(unit);
-        const ResultIntegers f = executeUnitIntegers(full_unit);
+        full_unit.warmup = 0;
+        const sim::SimResult s = executeUnit(unit);
+        const sim::SimResult f = executeUnit(full_unit);
         const double sampled_ipc =
             static_cast<double>(s.instructions) /
             static_cast<double>(s.cycles);
@@ -203,9 +224,9 @@ TEST_F(SweepMergeTest, TwoShardMergeIsByteIdentical)
     const SweepOptions options = smallMatrix();
     const std::vector<WorkUnit> units = enumerateUnits(options);
 
-    std::vector<ResultIntegers> integers;
+    std::vector<sim::SimResult> integers;
     for (const WorkUnit &unit : units)
-        integers.push_back(integersOf(executeUnit(unit)));
+        integers.push_back(executeUnit(unit));
     const std::string single = renderResultsDoc(units, integers);
 
     // Shard round-robin, as `tcsim_sweep --shard i/2` does.
@@ -232,9 +253,9 @@ TEST_F(SweepMergeTest, SampledShardedMergeIsByteIdentical)
     const SweepOptions options = sampledMatrix();
     const std::vector<WorkUnit> units = enumerateUnits(options);
 
-    std::vector<ResultIntegers> integers;
+    std::vector<sim::SimResult> integers;
     for (const WorkUnit &unit : units)
-        integers.push_back(executeUnitIntegers(unit));
+        integers.push_back(executeUnit(unit));
     const std::string single = renderResultsDoc(units, integers);
     EXPECT_NE(single.find("\"sampled_interval\""), std::string::npos);
 
@@ -262,10 +283,10 @@ TEST_F(SweepMergeTest, ServerProfileShardedMergeIsByteIdentical)
     const std::vector<WorkUnit> units = enumerateUnits(options);
     ASSERT_EQ(units.size(), 4u);
 
-    std::vector<ResultIntegers> integers;
+    std::vector<sim::SimResult> integers;
     for (const WorkUnit &unit : units) {
-        const ResultIntegers first = integersOf(executeUnit(unit));
-        const ResultIntegers second = integersOf(executeUnit(unit));
+        const sim::SimResult first = executeUnit(unit);
+        const sim::SimResult second = executeUnit(unit);
         EXPECT_EQ(first.instructions, second.instructions) << unit.id;
         EXPECT_EQ(first.cycles, second.cycles) << unit.id;
         EXPECT_EQ(first.condMispredicts, second.condMispredicts)
@@ -310,10 +331,10 @@ TEST_F(SweepMergeTest, ReplayUnitsShardAndMergeByteIdentical)
     for (std::size_t i = 0; i < units.size(); ++i)
         EXPECT_NE(units[i].hash, cycle[i].hash);
 
-    std::vector<ResultIntegers> integers;
+    std::vector<sim::SimResult> integers;
     for (const WorkUnit &unit : units) {
-        const ResultIntegers first = executeUnitIntegers(unit);
-        const ResultIntegers second = executeUnitIntegers(unit);
+        const sim::SimResult first = executeUnit(unit);
+        const sim::SimResult second = executeUnit(unit);
         EXPECT_EQ(first.instructions, second.instructions) << unit.id;
         EXPECT_EQ(first.condMispredicts, second.condMispredicts)
             << unit.id;
@@ -340,8 +361,8 @@ TEST_F(SweepMergeTest, ReplayUnitsShardAndMergeByteIdentical)
 TEST_F(SweepMergeTest, ExecuteUnitIsDeterministic)
 {
     const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
-    const ResultIntegers a = integersOf(executeUnit(units[0]));
-    const ResultIntegers b = integersOf(executeUnit(units[0]));
+    const sim::SimResult a = executeUnit(units[0]);
+    const sim::SimResult b = executeUnit(units[0]);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.condMispredicts, b.condMispredicts);
@@ -353,7 +374,7 @@ TEST_F(SweepMergeTest, MissingFragmentsReported)
 {
     const SweepOptions options = smallMatrix();
     const std::vector<WorkUnit> units = enumerateUnits(options);
-    const ResultIntegers integers = integersOf(executeUnit(units[0]));
+    const sim::SimResult integers = executeUnit(units[0]);
     ASSERT_TRUE(writeFragment(dir_, units[0], integers, UnitTiming{}));
 
     MergeReport report;
@@ -371,15 +392,13 @@ TEST_F(SweepMergeTest, StaleFragmentsSkippedButMergeCompletes)
     SweepOptions stale_options = options;
     stale_options.warmup = 2000;
     const WorkUnit stale_unit = enumerateUnits(stale_options)[0];
-    ASSERT_TRUE(writeFragment(dir_, stale_unit,
-                              integersOf(executeUnit(stale_unit)),
+    ASSERT_TRUE(writeFragment(dir_, stale_unit, executeUnit(stale_unit),
                               UnitTiming{}));
 
     const std::vector<WorkUnit> units = enumerateUnits(options);
     for (const WorkUnit &unit : units)
-        ASSERT_TRUE(writeFragment(dir_, unit,
-                                  integersOf(executeUnit(unit)),
-                                  UnitTiming{}));
+        ASSERT_TRUE(
+            writeFragment(dir_, unit, executeUnit(unit), UnitTiming{}));
 
     MergeReport report;
     const auto merged = mergeFragments(options, dir_, report);
@@ -393,9 +412,8 @@ TEST_F(SweepMergeTest, CorruptFragmentsBlockTheMerge)
     const SweepOptions options = smallMatrix();
     const std::vector<WorkUnit> units = enumerateUnits(options);
     for (const WorkUnit &unit : units)
-        ASSERT_TRUE(writeFragment(dir_, unit,
-                                  integersOf(executeUnit(unit)),
-                                  UnitTiming{}));
+        ASSERT_TRUE(
+            writeFragment(dir_, unit, executeUnit(unit), UnitTiming{}));
 
     // Garbage that still ends in .json: classified corrupt, and a
     // corrupt file makes the merge refuse rather than guess.
@@ -421,9 +439,8 @@ TEST_F(SweepMergeTest, RetryReplacesTornFragment)
         out << "{\n  \"schema\": \"tcsim-bench-frag";
     }
     for (const WorkUnit &unit : units)
-        ASSERT_TRUE(writeFragment(dir_, unit,
-                                  integersOf(executeUnit(unit)),
-                                  UnitTiming{}));
+        ASSERT_TRUE(
+            writeFragment(dir_, unit, executeUnit(unit), UnitTiming{}));
 
     MergeReport report;
     EXPECT_TRUE(mergeFragments(options, dir_, report).has_value());
@@ -436,8 +453,7 @@ TEST_F(SweepMergeTest, RenamedFragmentIsCorruptNotTrusted)
     // cannot claim another unit's slot.
     const SweepOptions options = smallMatrix();
     const std::vector<WorkUnit> units = enumerateUnits(options);
-    ASSERT_TRUE(writeFragment(dir_, units[0],
-                              integersOf(executeUnit(units[0])),
+    ASSERT_TRUE(writeFragment(dir_, units[0], executeUnit(units[0]),
                               UnitTiming{}));
     std::filesystem::rename(fragmentPath(dir_, units[0]),
                             fragmentPath(dir_, units[1]));

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/parse.h"
 #include "workload/characterize.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -44,10 +45,9 @@ main(int argc, char **argv)
         else if (arg == "--save")
             save_path = value();
         else if (arg == "--limit")
-            limit = std::strtoull(value().c_str(), nullptr, 10);
+            limit = requireUint("--limit", value());
         else if (arg == "--characterize")
-            characterize_insts =
-                std::strtoull(value().c_str(), nullptr, 10);
+            characterize_insts = requireUint("--characterize", value());
         else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             return 2;

@@ -26,11 +26,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 
+#include "common/atomic_file.h"
 #include "common/json.h"
+#include "common/parse.h"
 #include "obs/regress.h"
 
 namespace
@@ -58,24 +59,6 @@ loadDoc(const std::string &path, const char *what)
         std::fprintf(stderr, "cannot read or parse %s '%s'\n", what,
                      path.c_str());
     return doc;
-}
-
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    if (path == "-") {
-        std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-        return true;
-    }
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out)
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 } // namespace
@@ -106,11 +89,12 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--rel-threshold") {
-            options.relThreshold = std::strtod(next(), nullptr);
+            options.relThreshold = requireDouble("--rel-threshold", next());
         } else if (arg == "--wall-threshold") {
-            options.wallThreshold = std::strtod(next(), nullptr);
+            options.wallThreshold =
+                requireDouble("--wall-threshold", next());
         } else if (arg == "--noise-k") {
-            options.noiseK = std::strtod(next(), nullptr);
+            options.noiseK = requireDouble("--noise-k", next());
         } else {
             usage(argv[0]);
         }

@@ -57,16 +57,19 @@
  *                           (default tcsim-intervals.json)
  *     --profile             print per-phase host-time accounting and
  *                           sim MIPS after the run
+ *   Numeric flags take decimal integers only; "4M" is an error.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/fnv.h"
+#include "common/parse.h"
 #include "obs/intervals.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -100,6 +103,14 @@ usage(const char *argv0)
                  "[--intervals-out <path>] [--profile]\n",
                  argv0);
     std::exit(2);
+}
+
+/** requireUint() for a 32-bit flag. */
+std::uint32_t
+u32(const char *flag, const std::string &text)
+{
+    return static_cast<std::uint32_t>(
+        requireUint(flag, text, std::numeric_limits<std::uint32_t>::max()));
 }
 
 trace::PackingPolicy
@@ -169,14 +180,13 @@ main(int argc, char **argv)
         else if (arg == "--config")
             config_name = value();
         else if (arg == "--threshold")
-            threshold = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            threshold = u32("--threshold", value());
         else if (arg == "--packing")
             packing = value();
         else if (arg == "--insts")
-            insts = std::strtoull(value().c_str(), nullptr, 10);
+            insts = requireUint("--insts", value());
         else if (arg == "--warmup")
-            warmup = std::strtoull(value().c_str(), nullptr, 10);
+            warmup = requireUint("--warmup", value());
         else if (arg == "--disambiguation")
             disambiguation = value();
         else if (arg == "--path-assoc")
@@ -198,7 +208,7 @@ main(int argc, char **argv)
         else if (arg == "--trace-format")
             trace_format = value();
         else if (arg == "--intervals")
-            interval_insts = std::strtoull(value().c_str(), nullptr, 10);
+            interval_insts = requireUint("--intervals", value());
         else if (arg == "--intervals-out")
             intervals_out = value();
         else if (arg == "--profile")
@@ -210,26 +220,19 @@ main(int argc, char **argv)
         else if (arg == "--mem-contended")
             mem_contended = true;
         else if (arg == "--mem-latency")
-            dram.latency = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            dram.latency = u32("--mem-latency", value());
         else if (arg == "--mem-bus-bytes")
-            dram.busBytesPerCycle = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            dram.busBytesPerCycle = u32("--mem-bus-bytes", value());
         else if (arg == "--mem-banks")
-            dram.banks = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            dram.banks = u32("--mem-banks", value());
         else if (arg == "--mem-row-bytes")
-            dram.rowBytes = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            dram.rowBytes = u32("--mem-row-bytes", value());
         else if (arg == "--mem-row-hit")
-            dram.rowHitLatency = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            dram.rowHitLatency = u32("--mem-row-hit", value());
         else if (arg == "--mem-row-miss")
-            dram.rowMissLatency = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            dram.rowMissLatency = u32("--mem-row-miss", value());
         else if (arg == "--mem-mshrs")
-            dram.maxOutstanding = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            dram.maxOutstanding = u32("--mem-mshrs", value());
         else
             usage(argv[0]);
     }

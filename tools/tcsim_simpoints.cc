@@ -20,14 +20,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 
 #include "bench/artifact_cache.h"
 #include "bench/harness.h"
 #include "bench/sweep.h"
+#include "common/atomic_file.h"
 #include "common/fnv.h"
+#include "common/parse.h"
 #include "obs/bbv.h"
 #include "sample/simpoints.h"
 #include "workload/profile.h"
@@ -45,18 +47,6 @@ usage(const char *argv0)
                  "  [--max-k k] [--out f] [--bbv-out f] [--cache-dir d]\n",
                  argv0);
     std::exit(1);
-}
-
-bool
-writeFileOrStdout(const std::string &path, const std::string &bytes)
-{
-    if (path == "-") {
-        std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-        return true;
-    }
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(out);
 }
 
 } // namespace
@@ -78,12 +68,12 @@ main(int argc, char **argv)
         if (arg == "--bench") {
             bench_name = next();
         } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 10);
+            insts = requireUint("--insts", next());
         } else if (arg == "--interval") {
-            interval = std::strtoull(next(), nullptr, 10);
+            interval = requireUint("--interval", next());
         } else if (arg == "--max-k") {
-            max_k = static_cast<std::uint32_t>(
-                std::strtoul(next(), nullptr, 10));
+            max_k = static_cast<std::uint32_t>(requireUint(
+                "--max-k", next(), std::numeric_limits<std::uint32_t>::max()));
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--bbv-out") {
@@ -124,14 +114,14 @@ main(int argc, char **argv)
         std::fprintf(stderr, "internal error: BBV profile malformed\n");
         return 2;
     }
-    if (!bbv_out.empty() && !writeFileOrStdout(bbv_out, bbv_json)) {
+    if (!bbv_out.empty() && !writeFileAtomic(bbv_out, bbv_json)) {
         std::fprintf(stderr, "cannot write %s\n", bbv_out.c_str());
         return 3;
     }
 
     const sample::SimpointPlan plan = sample::selectSimpoints(
         *bbv, hashHex(workload::profileFingerprint(profile)), max_k);
-    if (!writeFileOrStdout(out_path, plan.toJson())) {
+    if (!writeFileAtomic(out_path, plan.toJson())) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 3;
     }

@@ -11,8 +11,8 @@
  *
  *   tcsim_sweep [--shard i/N | --worklist <file>] --fragments-dir <dir>
  *       Worker mode: simulate the selected units (all units when
- *       neither selector is given and no --out is set... see below)
- *       and write one atomic "<hash>.json" fragment per unit.
+ *       neither selector is given) and write one atomic "<hash>.json"
+ *       fragment per unit.
  *
  *   tcsim_sweep --out <file>
  *       Single-process mode: simulate the whole matrix in-process and
@@ -31,15 +31,19 @@
  *       --missing-out additionally writes those hashes to a file
  *       atomically — a ready-to-use retry worklist.
  *
+ * Every simulating mode runs its units on the in-process thread pool
+ * (TCSIM_JOBS workers, default all cores) through the same runner the
+ * exhibit binaries use; the documents are identical at any job count.
+ *
  * Matrix options (must match between workers and the merger):
  *   --benchmarks a,b,c   subset of the suite (default: all)
  *   --configs x,y        preset names (default: icache, baseline,
  *                        promotion-t64, packing-unregulated,
  *                        promo-pack-unregulated)
  *   --insts <n>          per-unit budget (default: profile default)
- *   --warmup <n>         predictor warm-up instructions; warmed
- *                        predictor state is cached and imported into a
- *                        fresh processor (0 = cold start)
+ *   --warmup <n>         warm-up instructions (0 = cold start): measure
+ *                        [n, n + insts) after simulating [0, n), as
+ *                        TCSIM_WARMUP and `tcsim_run --warmup` do
  *   --sampled-interval n SimPoint-style sampled execution: BBV
  *   --sampled-max-k k    interval length (must divide --insts) and the
  *                        k-means cluster-count cap. Both must be given
@@ -57,8 +61,9 @@
  *                        zero. Excludes --warmup and sampled mode.
  *
  * Sampling-error report (single-process only):
- *   --error-out <file>   run the matrix both sampled and full, write
- *                        the tcsim-sampling-error-v1 comparison
+ *   --error-out <file>   run the matrix sampled and each unit's window
+ *                        [0, insts) cold on the full model, write the
+ *                        tcsim-sampling-error-v1 comparison
  *   --error-tolerance f  per-unit IPC / fetch-rate relative-error
  *                        bound (default 0.05); exit 4 when any unit
  *                        exceeds it
@@ -72,15 +77,17 @@
  *
  * Artifact cache:
  *   --cache-dir <dir>    content-addressed cache for program images
- *                        and warmed predictor checkpoints (also via
- *                        TCSIM_CACHE_DIR)
+ *                        and the sampled and replay artifacts (also
+ *                        via TCSIM_CACHE_DIR)
  *   --no-cache           disable the cache even if the env var is set
  *
  * Diagnostics / testing:
  *   --timing-out <file>  non-canonical timing+cache-stats JSON
  *                        (tcsim-bench-timing-v1)
- *   --die-after <k>      worker raises SIGKILL after k units complete
- *                        (crash-recovery testing)
+ *   --die-after <k>      raise SIGKILL once k units have completed
+ *                        (and written their fragments), before the
+ *                        next one does (crash-recovery testing)
+ * Numeric flags take decimal integers (the tolerances: numbers) only.
  */
 
 #include <chrono>
@@ -88,17 +95,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/artifact_cache.h"
 #include "bench/sweep.h"
+#include "common/atomic_file.h"
+#include "common/parse.h"
 
 namespace
 {
 
 using namespace tcsim;
+
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
 [[noreturn]] void
 usage(const char *argv0)
@@ -136,24 +148,6 @@ splitCommas(const std::string &text)
     return out;
 }
 
-bool
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    if (path == "-") {
-        std::fwrite(bytes.data(), 1, bytes.size(), stdout);
-        return true;
-    }
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out)
-            return false;
-    }
-    return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
 void
 printReport(const bench::MergeReport &report)
 {
@@ -167,15 +161,11 @@ printReport(const bench::MergeReport &report)
         std::fprintf(stderr, "missing unit: %s\n", id.c_str());
 }
 
-struct TimedUnit
-{
-    const bench::WorkUnit *unit = nullptr;
-    double wallSeconds = 0.0;
-};
-
 void
 writeTimingDoc(const std::string &path,
-               const std::vector<TimedUnit> &timed, double total_seconds)
+               const std::vector<bench::WorkUnit> &units,
+               const std::vector<bench::UnitTiming> &timings,
+               double total_seconds)
 {
     const bench::ArtifactCacheStats cache =
         bench::ArtifactCache::process().stats();
@@ -193,17 +183,26 @@ writeTimingDoc(const std::string &path,
     out += "    \"rejected\": " + std::to_string(cache.rejected) + "\n";
     out += "  },\n";
     out += "  \"units\": [\n";
-    for (std::size_t i = 0; i < timed.size(); ++i) {
-        out += "    {\"id\": \"" + timed[i].unit->id + "\", ";
-        out += "\"hash\": \"" + timed[i].unit->hash + "\", ";
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        out += "    {\"id\": \"" + units[i].id + "\", ";
+        out += "\"hash\": \"" + units[i].hash + "\", ";
         out += "\"wall_seconds\": " +
-               std::to_string(timed[i].wallSeconds) + "}";
-        out += i + 1 < timed.size() ? ",\n" : "\n";
+               std::to_string(timings[i].wallSeconds) + "}";
+        out += i + 1 < units.size() ? ",\n" : "\n";
     }
     out += "  ]\n";
     out += "}\n";
     if (!writeFileAtomic(path, out))
         std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
+}
+
+/** --die-after: die the hard way, with no destructors or atexit
+ * handlers. */
+void
+dieNow(long die_after)
+{
+    std::fprintf(stderr, "--die-after %ld: raising SIGKILL\n", die_after);
+    raise(SIGKILL);
 }
 
 } // namespace
@@ -212,7 +211,7 @@ int
 main(int argc, char **argv)
 {
     bool list = false, merge = false, check = false;
-    int shard_index = -1, shard_count = 0;
+    unsigned shard_index = 0, shard_count = 0;
     std::string worklist_path, fragments_dir, out_path, timing_out;
     std::string error_out, missing_out;
     double error_tolerance = 0.05;
@@ -234,16 +233,17 @@ main(int argc, char **argv)
         } else if (arg == "--configs") {
             config_names = splitCommas(next());
         } else if (arg == "--insts") {
-            options.insts = std::strtoull(next(), nullptr, 10);
+            options.insts = requireUint("--insts", next());
         } else if (arg == "--warmup") {
-            options.warmup = std::strtoull(next(), nullptr, 10);
+            options.warmup = requireUint("--warmup", next());
         } else if (arg == "--sampled-interval") {
             options.sampled.enabled = true;
-            options.sampled.interval = std::strtoull(next(), nullptr, 10);
+            options.sampled.interval =
+                requireUint("--sampled-interval", next());
         } else if (arg == "--sampled-max-k") {
             options.sampled.enabled = true;
             options.sampled.maxK = static_cast<std::uint32_t>(
-                std::strtoul(next(), nullptr, 10));
+                requireUint("--sampled-max-k", next(), kU32Max));
         } else if (arg == "--replay") {
             options.replay = true;
         } else if (arg == "--list") {
@@ -255,13 +255,21 @@ main(int argc, char **argv)
         } else if (arg == "--missing-out") {
             missing_out = next();
         } else if (arg == "--shard") {
-            if (std::sscanf(next(), "%d/%d", &shard_index,
-                            &shard_count) != 2 ||
-                shard_count <= 0 || shard_index < 0 ||
-                shard_index >= shard_count) {
-                std::fprintf(stderr, "bad --shard (want i/N)\n");
+            const std::string spec = next();
+            const std::size_t slash = spec.find('/');
+            const std::optional<std::uint64_t> index =
+                parseUint(spec.substr(0, slash), kU32Max);
+            const std::optional<std::uint64_t> count =
+                slash == std::string::npos
+                    ? std::nullopt
+                    : parseUint(spec.substr(slash + 1), kU32Max);
+            if (!index || !count || *index >= *count) {
+                std::fprintf(stderr, "bad --shard '%s' (want i/N)\n",
+                             spec.c_str());
                 return 1;
             }
+            shard_index = static_cast<unsigned>(*index);
+            shard_count = static_cast<unsigned>(*count);
         } else if (arg == "--worklist") {
             worklist_path = next();
         } else if (arg == "--fragments-dir") {
@@ -271,9 +279,10 @@ main(int argc, char **argv)
         } else if (arg == "--error-out") {
             error_out = next();
         } else if (arg == "--error-tolerance") {
-            error_tolerance = std::strtod(next(), nullptr);
+            error_tolerance = requireDouble("--error-tolerance", next());
         } else if (arg == "--mispredict-tolerance") {
-            mispredict_tolerance = std::strtod(next(), nullptr);
+            mispredict_tolerance =
+                requireDouble("--mispredict-tolerance", next());
         } else if (arg == "--cache-dir") {
             setenv("TCSIM_CACHE_DIR", next(), 1);
         } else if (arg == "--no-cache") {
@@ -281,7 +290,9 @@ main(int argc, char **argv)
         } else if (arg == "--timing-out") {
             timing_out = next();
         } else if (arg == "--die-after") {
-            die_after = std::strtol(next(), nullptr, 10);
+            die_after = static_cast<long>(requireUint(
+                "--die-after", next(),
+                std::numeric_limits<long>::max()));
         } else {
             usage(argv[0]);
         }
@@ -390,13 +401,11 @@ main(int argc, char **argv)
     }
 
     // Worker / single-process execution modes.
-    std::vector<const bench::WorkUnit *> selected;
+    std::vector<bench::WorkUnit> selected;
     if (shard_count > 0) {
         for (const bench::WorkUnit &unit : units) {
-            if (unit.index % static_cast<unsigned>(shard_count) ==
-                static_cast<unsigned>(shard_index)) {
-                selected.push_back(&unit);
-            }
+            if (unit.index % shard_count == shard_index)
+                selected.push_back(unit);
         }
     } else if (!worklist_path.empty()) {
         std::ifstream in(worklist_path);
@@ -425,11 +434,10 @@ main(int argc, char **argv)
                              line.c_str());
                 return 1;
             }
-            selected.push_back(found);
+            selected.push_back(*found);
         }
     } else {
-        for (const bench::WorkUnit &unit : units)
-            selected.push_back(&unit);
+        selected = units;
     }
 
     const bool sharded = shard_count > 0 || !worklist_path.empty();
@@ -438,57 +446,41 @@ main(int argc, char **argv)
         return 1;
     }
 
+    if (die_after == 0)
+        dieNow(die_after);
     using Clock = std::chrono::steady_clock;
     const Clock::time_point run_start = Clock::now();
-    std::vector<bench::ResultIntegers> integers;
-    std::vector<TimedUnit> timed;
+    std::vector<bench::UnitTiming> timings(selected.size());
     long completed = 0;
-    for (const bench::WorkUnit *unit : selected) {
-        std::fprintf(stderr, "[%ld/%zu] %s\n", completed + 1,
-                     selected.size(), unit->id.c_str());
-        const bench::ArtifactCacheStats before =
-            bench::ArtifactCache::process().stats();
-        const Clock::time_point start = Clock::now();
-        const bench::ResultIntegers n =
-            bench::executeUnitIntegers(*unit);
-        const double seconds =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        const bench::ArtifactCacheStats after =
-            bench::ArtifactCache::process().stats();
-        if (!fragments_dir.empty()) {
-            bench::UnitTiming timing;
-            timing.wallSeconds = seconds;
-            timing.cacheHits = after.hits - before.hits;
-            timing.cacheMisses = after.misses - before.misses;
-            if (!bench::writeFragment(fragments_dir, *unit, n, timing)) {
+    bool fragment_failed = false;
+    const std::vector<sim::SimResult> results = bench::runUnits(
+        selected, [&](std::size_t i, const sim::SimResult &result,
+                      const bench::UnitTiming &timing) {
+            timings[i] = timing;
+            if (!fragments_dir.empty() &&
+                !bench::writeFragment(fragments_dir, selected[i], result,
+                                      timing)) {
                 std::fprintf(stderr, "cannot write fragment for %s\n",
-                             unit->id.c_str());
-                return 3;
+                             selected[i].id.c_str());
+                fragment_failed = true;
             }
-        }
-        integers.push_back(n);
-        timed.push_back({unit, seconds});
-        ++completed;
-        if (die_after >= 0 && completed >= die_after) {
-            // Crash-recovery testing: die the hard way, mid-sweep,
-            // with no destructors or atexit handlers.
-            std::fprintf(stderr, "--die-after %ld: raising SIGKILL\n",
-                         die_after);
-            raise(SIGKILL);
-        }
-    }
+            if (++completed == die_after)
+                dieNow(die_after);
+        });
     const double total_seconds =
         std::chrono::duration<double>(Clock::now() - run_start).count();
+    if (fragment_failed)
+        return 3;
 
     if (!sharded && !out_path.empty()) {
-        const std::string doc = bench::renderResultsDoc(units, integers);
+        const std::string doc = bench::renderResultsDoc(units, results);
         if (!writeFileAtomic(out_path, doc)) {
             std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
             return 3;
         }
     }
     if (!timing_out.empty())
-        writeTimingDoc(timing_out, timed, total_seconds);
+        writeTimingDoc(timing_out, selected, timings, total_seconds);
 
     const bench::ArtifactCacheStats cache =
         bench::ArtifactCache::process().stats();
