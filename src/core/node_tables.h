@@ -10,8 +10,8 @@
 #ifndef TCSIM_CORE_NODE_TABLES_H
 #define TCSIM_CORE_NODE_TABLES_H
 
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/log.h"
@@ -27,13 +27,94 @@ struct NodeTableParams
     std::uint32_t entriesPerUnit = 64;
 };
 
+/**
+ * One ready-queue entry: the instruction's seq plus, for a parked
+ * load, a cached park. The cache holds while the store's ring slot
+ * still carries @c slotVersion and the processor's park generation
+ * still equals @c parkGen (see Processor::scheduleStage); generation
+ * 0 never matches, so a fresh entry has no cache.
+ */
+struct ReadyEntry
+{
+    InstSeqNum seq = kInvalidSeqNum;
+    std::uint64_t parkGen = 0;
+    std::uint32_t parkSlot = 0;
+    std::uint32_t slotVersion = 0;
+};
+
+/** A FIFO of ready entries on a power-of-two ring that doubles when
+ * full (stale entries can outnumber the unit's table entries). */
+class ReadyQueue
+{
+  public:
+    explicit ReadyQueue(std::uint32_t capacity)
+        : ring_(std::bit_ceil(capacity)), mask_(ring_.size() - 1)
+    {
+    }
+
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    ReadyEntry &front() { return ring_[head_ & mask_]; }
+
+    void
+    push_back(const ReadyEntry &entry)
+    {
+        if (size_ == ring_.size())
+            grow();
+        ring_[(head_ + size_) & mask_] = entry;
+        ++size_;
+    }
+
+    void
+    pop_front()
+    {
+        TCSIM_ASSERT(size_ > 0);
+        ++head_;
+        --size_;
+    }
+
+    /** Move the first @p n entries to the back, keeping their order. */
+    void
+    rotate(std::size_t n)
+    {
+        for (; n > 0; --n) {
+            ring_[(head_ + size_) & mask_] = ring_[head_ & mask_];
+            ++head_;
+        }
+    }
+
+    void
+    clear()
+    {
+        head_ = 0;
+        size_ = 0;
+    }
+
+  private:
+    void
+    grow()
+    {
+        std::vector<ReadyEntry> bigger(ring_.size() * 2);
+        for (std::size_t i = 0; i < size_; ++i)
+            bigger[i] = ring_[(head_ + i) & mask_];
+        ring_ = std::move(bigger);
+        mask_ = ring_.size() - 1;
+        head_ = 0;
+    }
+
+    std::vector<ReadyEntry> ring_;
+    std::size_t mask_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+};
+
 /** Occupancy tracking plus per-unit ready queues. */
 class NodeTables
 {
   public:
     explicit NodeTables(const NodeTableParams &params = NodeTableParams{})
         : params_(params), occupancy_(params.numUnits, 0),
-          readyQueues_(params.numUnits)
+          readyQueues_(params.numUnits, ReadyQueue(params.entriesPerUnit))
     {
         TCSIM_ASSERT(params_.numUnits >= 1);
         TCSIM_ASSERT(params_.entriesPerUnit >= 1);
@@ -78,11 +159,11 @@ class NodeTables
     void
     markReady(std::uint8_t unit, InstSeqNum seq)
     {
-        readyQueues_[unit].push_back(seq);
+        readyQueues_[unit].push_back(ReadyEntry{seq});
     }
 
     /** @return the ready queue for @p unit (oldest first). */
-    std::deque<InstSeqNum> &readyQueue(std::uint8_t unit)
+    ReadyQueue &readyQueue(std::uint8_t unit)
     {
         return readyQueues_[unit];
     }
@@ -105,7 +186,7 @@ class NodeTables
   private:
     NodeTableParams params_;
     std::vector<std::uint32_t> occupancy_;
-    std::vector<std::deque<InstSeqNum>> readyQueues_;
+    std::vector<ReadyQueue> readyQueues_;
     std::uint32_t allocNext_ = 0;
     std::uint32_t totalOccupied_ = 0;
 };

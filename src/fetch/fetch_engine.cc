@@ -134,7 +134,8 @@ FetchEngine::fetchFromSegment(Addr pc, const trace::TraceSegment &segment,
     Addr next_pc = kInvalidAddr;
 
     for (const trace::TraceInst &ti : segment.insts) {
-        FetchedInst fi;
+        // Built in place; popped again if it does not enter the batch.
+        FetchedInst &fi = out.insts.emplace_back();
         fi.inst = ti.inst;
         fi.pc = ti.pc;
         fi.active = !diverged;
@@ -228,9 +229,9 @@ FetchEngine::fetchFromSegment(Addr pc, const trace::TraceSegment &segment,
         } else if (!params_.inactiveIssue) {
             // Inactive issue disabled: nothing beyond the divergence
             // enters the machine.
+            out.insts.pop_back();
             break;
         }
-        out.insts.push_back(fi);
     }
 
     if (next_pc == kInvalidAddr) {
@@ -274,7 +275,8 @@ FetchEngine::fetchFromICache(Addr pc, FetchBatch &out, Cycle now)
                 break;
         }
 
-        FetchedInst fi;
+        FetchedInst &fi = out.insts.emplace_back();
+        ++out.activeCount;
         fi.inst = program_.fetch(addr);
         fi.pc = addr;
         fi.followedNextPc = addr + isa::kInstBytes;
@@ -308,33 +310,22 @@ FetchEngine::fetchFromICache(Addr pc, FetchBatch &out, Cycle now)
                 pred ? isa::directTarget(fi.inst, addr)
                      : addr + isa::kInstBytes;
             state_.history.push(pred);
-            out.insts.push_back(fi);
-            ++out.activeCount;
             break; // a fetch block ends at any control instruction
         }
         if (isa::isUncondDirect(op)) {
             if (isa::isCall(op))
                 state_.ras.push(addr + isa::kInstBytes);
             fi.followedNextPc = isa::directTarget(fi.inst, addr);
-            out.insts.push_back(fi);
-            ++out.activeCount;
             break;
         }
         if (isa::isReturn(op) || isa::isIndirectJump(op)) {
             fi.followedNextPc = indirectTargetFor(fi.inst, addr);
-            out.insts.push_back(fi);
-            ++out.activeCount;
             break;
         }
         if (isa::isSerializing(op)) {
             out.sawSerialize = true;
-            out.insts.push_back(fi);
-            ++out.activeCount;
             break;
         }
-
-        out.insts.push_back(fi);
-        ++out.activeCount;
     }
 
     if (!out.insts.empty())

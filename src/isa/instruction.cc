@@ -211,78 +211,4 @@ disassemble(const Instruction &inst, Addr pc)
     return os.str();
 }
 
-InstClass
-instClass(Opcode op)
-{
-    switch (op) {
-      case Opcode::Mul:
-        return InstClass::IntMult;
-      case Opcode::Div:
-        return InstClass::IntDiv;
-      case Opcode::Ld:
-        return InstClass::Load;
-      case Opcode::St:
-        return InstClass::Store;
-      case Opcode::Trap:
-      case Opcode::Halt:
-        return InstClass::Serialize;
-      default:
-        return isControl(op) ? InstClass::Control : InstClass::IntAlu;
-    }
-}
-
-bool
-writesReg(const Instruction &inst)
-{
-    if (inst.rd == kRegZero)
-        return false;
-    switch (formatOf(inst.op)) {
-      case Format::R:
-        return true;
-      case Format::I:
-        return inst.op != Opcode::St;
-      case Format::J:
-        return inst.op == Opcode::Call;
-      default:
-        return false;
-    }
-}
-
-bool
-readsRs1(const Instruction &inst)
-{
-    switch (formatOf(inst.op)) {
-      case Format::R:
-      case Format::B:
-      case Format::JR:
-        return true;
-      case Format::I:
-        return inst.op != Opcode::Lui;
-      default:
-        return false;
-    }
-}
-
-bool
-readsRs2(const Instruction &inst)
-{
-    switch (formatOf(inst.op)) {
-      case Format::R:
-      case Format::B:
-        return true;
-      case Format::I:
-        return inst.op == Opcode::St;
-      default:
-        return false;
-    }
-}
-
-Addr
-directTarget(const Instruction &inst, Addr pc)
-{
-    TCSIM_ASSERT(isCondBranch(inst.op) || isUncondDirect(inst.op),
-                 "directTarget on non-direct-control instruction");
-    return pc + static_cast<std::int64_t>(inst.imm) * kInstBytes;
-}
-
 } // namespace tcsim::isa

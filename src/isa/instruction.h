@@ -22,9 +22,12 @@
 #ifndef TCSIM_ISA_INSTRUCTION_H
 #define TCSIM_ISA_INSTRUCTION_H
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
+#include "common/log.h"
 #include "common/types.h"
 
 namespace tcsim::isa
@@ -103,9 +106,6 @@ const char *opcodeName(Opcode op);
 /** @return a human-readable disassembly of @p inst at address @p pc. */
 std::string disassemble(const Instruction &inst, Addr pc = 0);
 
-/** @return the latency/issue classification of @p op. */
-InstClass instClass(Opcode op);
-
 /** @return true for conditional branches (Beq..Bgeu). */
 constexpr bool
 isCondBranch(Opcode op)
@@ -177,20 +177,107 @@ isMem(Opcode op)
     return isLoad(op) || isStore(op);
 }
 
+namespace detail
+{
+
+/** Per-opcode decode facts, indexed by Opcode. */
+struct OpInfo
+{
+    InstClass cls;
+    bool writesRd; ///< writes rd (unless rd is r0)
+    bool readsRs1;
+    bool readsRs2;
+};
+
+// Rows follow the Opcode order: class, writes rd, reads rs1, reads rs2.
+constexpr OpInfo kOpInfo[] = {
+    {InstClass::IntAlu, true, true, true},              // Add
+    {InstClass::IntAlu, true, true, true},              // Sub
+    {InstClass::IntMult, true, true, true},             // Mul
+    {InstClass::IntDiv, true, true, true},              // Div
+    {InstClass::IntAlu, true, true, true},              // And
+    {InstClass::IntAlu, true, true, true},              // Or
+    {InstClass::IntAlu, true, true, true},              // Xor
+    {InstClass::IntAlu, true, true, true},              // Sll
+    {InstClass::IntAlu, true, true, true},              // Srl
+    {InstClass::IntAlu, true, true, true},              // Sra
+    {InstClass::IntAlu, true, true, true},              // Slt
+    {InstClass::IntAlu, true, true, true},              // Sltu
+    {InstClass::IntAlu, true, true, false},             // Addi
+    {InstClass::IntAlu, true, true, false},             // Andi
+    {InstClass::IntAlu, true, true, false},             // Ori
+    {InstClass::IntAlu, true, true, false},             // Xori
+    {InstClass::IntAlu, true, true, false},             // Slli
+    {InstClass::IntAlu, true, true, false},             // Srli
+    {InstClass::IntAlu, true, true, false},             // Slti
+    {InstClass::IntAlu, true, false, false},            // Lui
+    {InstClass::Load, true, true, false},               // Ld
+    {InstClass::Store, false, true, true},              // St
+    {InstClass::Control, false, true, true},            // Beq
+    {InstClass::Control, false, true, true},            // Bne
+    {InstClass::Control, false, true, true},            // Blt
+    {InstClass::Control, false, true, true},            // Bge
+    {InstClass::Control, false, true, true},            // Bltu
+    {InstClass::Control, false, true, true},            // Bgeu
+    {InstClass::Control, false, false, false},          // J
+    {InstClass::Control, true, false, false},           // Call
+    {InstClass::Control, false, true, false},           // Jr
+    {InstClass::Control, false, true, false},           // Ret
+    {InstClass::Serialize, false, false, false},        // Trap
+    {InstClass::Serialize, false, false, false},        // Halt
+    {InstClass::IntAlu, false, false, false},           // Nop
+};
+static_assert(std::size(kOpInfo) ==
+                  static_cast<std::size_t>(Opcode::NumOpcodes),
+              "one kOpInfo row per opcode");
+
+constexpr const OpInfo &
+opInfo(Opcode op)
+{
+    return kOpInfo[static_cast<std::size_t>(op)];
+}
+
+} // namespace detail
+
+/** @return the latency/issue classification of @p op. */
+constexpr InstClass
+instClass(Opcode op)
+{
+    return detail::opInfo(op).cls;
+}
+
 /** @return true if the instruction writes its destination register. */
-bool writesReg(const Instruction &inst);
+constexpr bool
+writesReg(const Instruction &inst)
+{
+    return inst.rd != kRegZero && detail::opInfo(inst.op).writesRd;
+}
 
 /** @return true if the instruction reads rs1. */
-bool readsRs1(const Instruction &inst);
+constexpr bool
+readsRs1(const Instruction &inst)
+{
+    return detail::opInfo(inst.op).readsRs1;
+}
 
 /** @return true if the instruction reads rs2. */
-bool readsRs2(const Instruction &inst);
+constexpr bool
+readsRs2(const Instruction &inst)
+{
+    return detail::opInfo(inst.op).readsRs2;
+}
 
 /**
  * @return the target address of a direct control instruction (branch,
  * J, Call) located at @p pc. Must not be called for indirect control.
  */
-Addr directTarget(const Instruction &inst, Addr pc);
+inline Addr
+directTarget(const Instruction &inst, Addr pc)
+{
+    TCSIM_ASSERT(isCondBranch(inst.op) || isUncondDirect(inst.op),
+                 "directTarget on non-direct-control instruction");
+    return pc + static_cast<std::int64_t>(inst.imm) * kInstBytes;
+}
 
 } // namespace tcsim::isa
 

@@ -62,6 +62,7 @@ Processor::Processor(const ProcessorConfig &config,
 
     robStorage_.resize(std::bit_ceil(std::uint64_t{2} * config_.robEntries));
     robMask_ = robStorage_.size() - 1;
+    slotVersion_.assign(robStorage_.size(), 0);
     memDepTable_.assign(4096, 0);
     oracleRing_.resize(1024); // power of two; grows by doubling
     loadAddrIndex_.resize(kAddrIndexBuckets);
@@ -90,7 +91,7 @@ Processor::recordMemDepViolation(Addr load_pc)
     if (counter < 3)
         ++counter;
     ++memOrderViolations_;
-    ++memOrderEpoch_; // conflict predictions changed
+    bumpMemOrderEpoch(); // conflict predictions changed
 }
 
 void
@@ -216,6 +217,9 @@ Processor::growRobStorage()
         bigger[seq & new_mask] = std::move(robStorage_[seq & robMask_]);
     robStorage_ = std::move(bigger);
     robMask_ = new_mask;
+    // Slots moved: restart the versions and drop every cached park.
+    slotVersion_.assign(robStorage_.size(), 0);
+    ++parkGen_;
 }
 
 DynInst &
@@ -230,6 +234,7 @@ Processor::allocInst()
     }
     DynInst &slot = robStorage_[nextSeq_ & robMask_];
     slot.reset(nextSeq_);
+    bumpSlotVersion(nextSeq_);
     robOrder_.push_back(nextSeq_);
     ++nextSeq_;
     return slot;
@@ -758,8 +763,12 @@ Processor::dispatchStage()
         di.embeddedTaken = fi.embeddedTaken;
         di.predictionValid = fi.predictionValid;
         di.usedHybrid = fi.usedHybrid;
-        di.mbpCtx = fi.mbpCtx;
-        di.hybridCtx = fi.hybridCtx;
+        if (fi.predictionValid) {
+            if (fi.usedHybrid)
+                di.hybridCtx = fi.hybridCtx;
+            else
+                di.mbpCtx = fi.mbpCtx;
+        }
         di.followedNextPc = fi.followedNextPc;
 
         di.onCorrectPath = pb.wasOnPath && i < pb.correctPrefix;
@@ -904,13 +913,14 @@ Processor::tryScheduleMemory(DynInst &inst)
         // this and never re-disambiguates).
         unknownStoreResolved(inst.seq);
         addrIndexInsert(storeAddrIndex_, inst.memAddr, inst.seq);
+        bumpSlotVersion(inst.seq);
         if (config_.disambiguation == Disambiguation::Speculative)
             checkStoreOrderViolation(inst);
         // Perfect let younger loads pass this store by its oracle
         // address; resolving elsewhere may make it their forwarder.
         if (config_.disambiguation == Disambiguation::Perfect &&
             inst.memAddr != inst.oracleMemAddr) {
-            ++memOrderEpoch_;
+            bumpMemOrderEpoch();
         }
         return true;
     }
@@ -968,7 +978,7 @@ void
 Processor::scheduleStage()
 {
     for (std::uint32_t unit = 0; unit < nodeTables_.numUnits(); ++unit) {
-        auto &queue = nodeTables_.readyQueue(
+        core::ReadyQueue &queue = nodeTables_.readyQueue(
             static_cast<std::uint8_t>(unit));
         const std::size_t queued = queue.size();
         unsigned attempts = 0;
@@ -978,26 +988,48 @@ Processor::scheduleStage()
                 // stale ones are gone and the rest now wait for a
                 // later cycle, so the remaining attempts would only
                 // pop and re-push them. Rotate by that many instead.
-                const std::size_t shift = (8 - attempts) % queue.size();
-                std::rotate(queue.begin(), queue.begin() + shift,
-                            queue.end());
+                queue.rotate((8 - attempts) % queue.size());
                 break;
             }
-            const InstSeqNum seq = queue.front();
+            core::ReadyEntry entry = queue.front();
             queue.pop_front();
-            DynInst *di = instFor(seq);
+            if (entry.parkGen == parkGen_ &&
+                slotVersion_[entry.parkSlot] == entry.slotVersion) {
+                // Cached park: nothing that loadParked reads has
+                // changed since this load last failed to schedule, so
+                // it fails again; skip it without touching the
+                // DynInst (DESIGN.md section 7, "Cached parks").
+                if (verifyIndexed_) {
+                    const DynInst *load = instFor(entry.seq);
+                    TCSIM_ASSERT(load != nullptr && loadParked(*load) &&
+                                     !slowLoadDisambiguation(*load),
+                                 "cached park no longer holds (load seq "
+                                 "%llu)",
+                                 static_cast<unsigned long long>(
+                                     entry.seq));
+                }
+                queue.push_back(entry);
+                ++attempts;
+                continue;
+            }
+            DynInst *di = instFor(entry.seq);
             if (di == nullptr || di->fired || !di->inReadyQueue)
                 continue; // stale or already handled
             if (di->readyCycle > cycle_) {
-                queue.push_back(seq);
+                queue.push_back(entry);
                 ++attempts;
                 continue;
             }
 
             if (isa::isMem(di->inst.op)) {
                 if (!tryScheduleMemory(*di)) {
+                    // A blocked load, now parked: cache the park.
                     di->readyCycle = cycle_ + 1;
-                    queue.push_back(seq);
+                    entry.parkGen = parkGen_;
+                    entry.parkSlot =
+                        static_cast<std::uint32_t>(di->parkedOn & robMask_);
+                    entry.slotVersion = slotVersion_[entry.parkSlot];
+                    queue.push_back(entry);
                     ++attempts;
                     continue;
                 }
@@ -1154,10 +1186,10 @@ Processor::resolveControl(DynInst &inst)
                         continue;
                     if (cand->fetchGroup != inst.fetchGroup)
                         break;
-                    if (!cand->active)
-                        cand->discarded = true;
-                    else
+                    if (cand->active)
                         break;
+                    cand->discarded = true;
+                    bumpSlotVersion(cand->seq);
                 }
             }
             return;
@@ -1222,10 +1254,10 @@ Processor::resolveControl(DynInst &inst)
                     continue;
                 if (cand->fetchGroup != inst.fetchGroup)
                     break;
-                if (!cand->active)
-                    cand->discarded = true;
-                else
+                if (cand->active)
                     break;
+                cand->discarded = true;
+                bumpSlotVersion(cand->seq);
             }
         }
         return;
@@ -1262,6 +1294,7 @@ Processor::completeStage()
         if (di == nullptr || di->executed || !di->fired)
             continue; // squashed or stale
         di->executed = true;
+        bumpSlotVersion(seq);
         di->resolveCycle = cycle_;
         wakeDependents(*di);
         if (isa::isControl(di->inst.op))
@@ -1285,6 +1318,7 @@ Processor::requestRecovery(const RecoveryRequest &request)
 void
 Processor::squashYoungerThan(InstSeqNum keep_seq)
 {
+    ++parkGen_; // squashed loads and stores leave their cached parks
     while (!robOrder_.empty() && robOrder_.back() > keep_seq) {
         const InstSeqNum seq = robOrder_.back();
         robOrder_.pop_back();
@@ -1406,7 +1440,7 @@ Processor::applyRecovery()
     // Salvage: activate the surviving inactive suffix.
     DynInst *tail = nullptr;
     if (req.salvage) {
-        ++memOrderEpoch_; // newly visible stores; active loads
+        bumpMemOrderEpoch(); // newly visible stores; active loads
         for (auto it = robLowerBound(req.salvageFrom + 1);
              it != robOrder_.end(); ++it) {
             DynInst *di = instFor(*it);
@@ -1740,6 +1774,7 @@ Processor::retireStage()
         }
         retireOne(*di);
         robOrder_.pop_front();
+        bumpSlotVersion(seq);
         di->seq = kInvalidSeqNum;
         ++retired;
         if (done_)
@@ -1813,26 +1848,12 @@ Processor::run(std::uint64_t max_insts)
         if (retiredInsts_ != last_retired) {
             last_retired = retiredInsts_;
             last_progress_cycle = cycle_;
-        } else if (cycle_ - last_progress_cycle > 99'980 &&
-                   std::getenv("TCSIM_TRACE") != nullptr) {
-            std::fprintf(stderr,
-                         "cyc=%llu pc=%llx rob=%zu fq=%zu ckpt=%u "
-                         "stall=%llu ser=%d rec=%d onP=%d ofi=%llu "
-                         "ori=%llu\n",
-                         (unsigned long long)cycle_,
-                         (unsigned long long)fetchPc_, robOrder_.size(),
-                         fetchQueue_.size(), outstandingCheckpoints_,
-                         (unsigned long long)icacheStallUntil_,
-                         (int)serializeStall_, (int)recoveryPending_,
-                         (int)onTruePath_,
-                         (unsigned long long)oracleFetchIdx_,
-                         (unsigned long long)oracleRetireIdx_);
         }
         if (cycle_ - last_progress_cycle > 100'000) {
             fatal("no retirement progress for 100k cycles at cycle %llu "
                   "(%llu retired; rob=%zu fetchq=%zu serialize=%d "
                   "recovery=%d ckpts=%u icacheStall=%llu pc=%llx "
-                  "onPath=%d)",
+                  "onPath=%d oracleFetch=%llu oracleRetire=%llu)",
                   static_cast<unsigned long long>(cycle_),
                   static_cast<unsigned long long>(retiredInsts_),
                   robOrder_.size(), fetchQueue_.size(),
@@ -1841,7 +1862,9 @@ Processor::run(std::uint64_t max_insts)
                   outstandingCheckpoints_,
                   static_cast<unsigned long long>(icacheStallUntil_),
                   static_cast<unsigned long long>(fetchPc_),
-                  static_cast<int>(onTruePath_));
+                  static_cast<int>(onTruePath_),
+                  static_cast<unsigned long long>(oracleFetchIdx_),
+                  static_cast<unsigned long long>(oracleRetireIdx_));
         }
         if (cycle_ > cycle_budget) {
             fatal("cycle budget exhausted: %llu cycles, %llu retired "

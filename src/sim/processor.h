@@ -313,6 +313,17 @@ class Processor
      * no DynInst pointer may be held across a call. */
     core::DynInst &allocInst();
     void growRobStorage();
+    /** An event that can change loadParked's answer for the store in
+     * @p seq's slot: drops the ready-queue parks cached on it. */
+    void bumpSlotVersion(InstSeqNum seq) { ++slotVersion_[seq & robMask_]; }
+    /** Unpark every load (see memOrderEpoch_) and drop every cached
+     * park. */
+    void
+    bumpMemOrderEpoch()
+    {
+        ++memOrderEpoch_;
+        ++parkGen_;
+    }
     void wakeDependents(core::DynInst &producer);
     bool operandsReady(const core::DynInst &inst) const;
     void enqueueReady(core::DynInst &inst);
@@ -427,6 +438,13 @@ class Processor
      * whenever the live seq span (squashes leave gaps) reaches it. */
     std::vector<core::DynInst> robStorage_;
     std::uint64_t robMask_ = 0;
+    /** Per-slot version, bumped by bumpSlotVersion() at the slot's
+     * allocation, address resolution, completion, discard and retire. */
+    std::vector<std::uint32_t> slotVersion_;
+    /** Ready-queue park cache generation (core::ReadyEntry::parkGen),
+     * bumped at every squash, memOrderEpoch_ bump and ring growth.
+     * Starts at 1: a fresh entry's 0 never matches. */
+    std::uint64_t parkGen_ = 1;
     std::deque<InstSeqNum> robOrder_;
     InstSeqNum nextSeq_ = 1;
     core::NodeTables nodeTables_;

@@ -188,6 +188,64 @@ TEST(IsaOperands, ReadsSources)
     EXPECT_TRUE(readsRs1(ret));
 }
 
+/** Encoding format families, as the file comment of instruction.h
+ * lays them out. */
+enum class Format { R, I, B, J, JR, None };
+
+Format
+formatOf(Opcode op)
+{
+    if (op >= Opcode::Add && op <= Opcode::Sltu)
+        return Format::R;
+    if (op >= Opcode::Addi && op <= Opcode::St)
+        return Format::I;
+    if (isCondBranch(op))
+        return Format::B;
+    if (isUncondDirect(op))
+        return Format::J;
+    if (op == Opcode::Jr || op == Opcode::Ret)
+        return Format::JR;
+    return Format::None;
+}
+
+TEST(IsaOperands, TablePredicatesMatchFormatRules)
+{
+    // The per-opcode table behind writesReg/readsRs1/readsRs2/
+    // instClass must agree with the operand rules of each encoding
+    // format, for every opcode, with and without an r0 destination.
+    for (const Opcode op : allOpcodes()) {
+        SCOPED_TRACE(opcodeName(op));
+        const Format f = formatOf(op);
+        for (const RegIndex rd : {RegIndex{0}, RegIndex{7}}) {
+            const Instruction inst{op, rd, 3, 4, 0};
+            const bool writes =
+                f == Format::R || (f == Format::I && op != Opcode::St) ||
+                (f == Format::J && op == Opcode::Call);
+            EXPECT_EQ(writesReg(inst), rd != kRegZero && writes);
+            EXPECT_EQ(readsRs1(inst),
+                      f == Format::R || f == Format::B ||
+                          f == Format::JR ||
+                          (f == Format::I && op != Opcode::Lui));
+            EXPECT_EQ(readsRs2(inst),
+                      f == Format::R || f == Format::B ||
+                          (f == Format::I && op == Opcode::St));
+        }
+        InstClass cls = isControl(op) ? InstClass::Control
+                                      : InstClass::IntAlu;
+        if (op == Opcode::Mul)
+            cls = InstClass::IntMult;
+        else if (op == Opcode::Div)
+            cls = InstClass::IntDiv;
+        else if (isLoad(op))
+            cls = InstClass::Load;
+        else if (isStore(op))
+            cls = InstClass::Store;
+        else if (isSerializing(op))
+            cls = InstClass::Serialize;
+        EXPECT_EQ(instClass(op), cls);
+    }
+}
+
 TEST(IsaOperands, DirectTargetArithmetic)
 {
     Instruction branch{Opcode::Beq, 0, 1, 2, 4};

@@ -55,10 +55,10 @@ TEST(NodeTables, ReadyQueuesAreFifoPerUnit)
     tables.markReady(0, 11);
     tables.markReady(0, 12);
     tables.markReady(1, 21);
-    EXPECT_EQ(tables.readyQueue(0).front(), 11u);
+    EXPECT_EQ(tables.readyQueue(0).front().seq, 11u);
     tables.readyQueue(0).pop_front();
-    EXPECT_EQ(tables.readyQueue(0).front(), 12u);
-    EXPECT_EQ(tables.readyQueue(1).front(), 21u);
+    EXPECT_EQ(tables.readyQueue(0).front().seq, 12u);
+    EXPECT_EQ(tables.readyQueue(1).front().seq, 21u);
 }
 
 TEST(NodeTables, ClearResetsEverything)

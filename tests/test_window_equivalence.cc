@@ -10,8 +10,11 @@
  *     counts captured from the pre-indexing simulator (commit
  *     77a5ca7) across benchmarks, configs, and two ROB sizes, plus a
  *     perfect-disambiguation row captured before blocked loads were
- *     parked on their stores. The current simulator must reproduce
- *     every number exactly.
+ *     parked on their stores. Each row also pins an FNV-1a digest of
+ *     the whole statistics dump (every name and the bit pattern of
+ *     its value), captured before ready-queue entries cached their
+ *     parks, so no counter can move unseen. The current simulator
+ *     must reproduce every number exactly.
  *
  *  2. Verify mode: TCSIM_VERIFY_WINDOW_INDEX=1 makes the processor
  *     run the original reference scans beside every indexed lookup
@@ -24,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "sim/config.h"
 #include "sim/processor.h"
 #include "workload/generator.h"
@@ -76,19 +80,42 @@ struct GoldenRow
     std::uint64_t condMispredicts;
     std::uint64_t promotedFaults;
     std::uint64_t memOrderViolations;
+    std::uint64_t statsDigest;
 };
 
 constexpr GoldenRow kGolden[] = {
-    {"compress", "promo-pack", 64, 60000ull, 20749ull, 9188ull, 1005ull, 2ull, 0ull},
-    {"compress", "promo-pack", 512, 60000ull, 15745ull, 9188ull, 1101ull, 2ull, 0ull},
-    {"vortex", "speculative", 64, 60000ull, 26543ull, 8279ull, 616ull, 7ull, 0ull},
-    {"vortex", "speculative", 512, 60000ull, 20791ull, 8279ull, 707ull, 7ull, 0ull},
-    {"m88ksim", "baseline", 64, 60000ull, 17766ull, 10886ull, 365ull, 0ull, 0ull},
-    {"m88ksim", "baseline", 512, 60000ull, 14316ull, 10887ull, 450ull, 0ull, 0ull},
-    {"tex", "speculative", 512, 60000ull, 16434ull, 6527ull, 820ull, 5ull, 1ull},
-    {"gnuchess", "promo-pack", 512, 60000ull, 15891ull, 16628ull, 1271ull, 44ull, 0ull},
-    {"go", "perfect", 512, 60000ull, 20162ull, 7378ull, 605ull, 13ull, 0ull},
+    {"compress", "promo-pack", 64, 60000ull, 20749ull, 9188ull, 1005ull, 2ull, 0ull,
+     0x46a6b66ee9c4f86bull},
+    {"compress", "promo-pack", 512, 60000ull, 15745ull, 9188ull, 1101ull, 2ull, 0ull,
+     0x2d1690d506051120ull},
+    {"vortex", "speculative", 64, 60000ull, 26543ull, 8279ull, 616ull, 7ull, 0ull,
+     0xa3987a579ae93426ull},
+    {"vortex", "speculative", 512, 60000ull, 20791ull, 8279ull, 707ull, 7ull, 0ull,
+     0xe253c6d66247079eull},
+    {"m88ksim", "baseline", 64, 60000ull, 17766ull, 10886ull, 365ull, 0ull, 0ull,
+     0x0ecdaa65a7c026e8ull},
+    {"m88ksim", "baseline", 512, 60000ull, 14316ull, 10887ull, 450ull, 0ull, 0ull,
+     0x834bd501e87109e2ull},
+    {"tex", "speculative", 512, 60000ull, 16434ull, 6527ull, 820ull, 5ull, 1ull,
+     0xfdaba18c0e9c55e2ull},
+    {"gnuchess", "promo-pack", 512, 60000ull, 15891ull, 16628ull, 1271ull, 44ull, 0ull,
+     0xf2a6858cb5e7e93aull},
+    {"go", "perfect", 512, 60000ull, 20162ull, 7378ull, 605ull, 13ull, 0ull,
+     0x869c6be58e4788b4ull},
 };
+
+/** FNV-1a over the whole statistics dump: each name, then the bit
+ * pattern of its value. */
+std::uint64_t
+statsDigest(const sim::SimResult &result)
+{
+    std::uint64_t hash = kFnvOffsetBasis;
+    for (const auto &[name, value] : result.stats.entries()) {
+        hash = fnv1aAppend(hash, name);
+        hash = fnv1aAppendScalar(hash, value);
+    }
+    return hash;
+}
 
 TEST(WindowEquivalence, GoldenStatsBitIdentical)
 {
@@ -108,6 +135,7 @@ TEST(WindowEquivalence, GoldenStatsBitIdentical)
         EXPECT_EQ(static_cast<std::uint64_t>(
                       r.stats.get("mem.order_violations")),
                   row.memOrderViolations);
+        EXPECT_EQ(hashHex(statsDigest(r)), hashHex(row.statsDigest));
     }
 }
 
@@ -141,6 +169,10 @@ TEST(WindowEquivalence, VerifyModeCrossChecksEveryEvent)
         // grow; Perfect parks loads on stores that stay unresolved.
         {"go", "perfect", 64},
         {"go", "perfect", 512},
+        // Every preset uses Conservative, where parks dominate; the
+        // cached parks must hold under each policy.
+        {"go", "promo-pack", 512},
+        {"go", "speculative", 512},
     };
     constexpr std::uint64_t kInsts = 40000;
     for (const Combo &combo : kCombos) {
