@@ -1,18 +1,13 @@
 #include "bench/harness.h"
 
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
 #include "bench/artifact_cache.h"
-#include "bench/thread_pool.h"
 #include "common/fnv.h"
-#include "common/json.h"
 #include "common/log.h"
 #include "common/parse.h"
 #include "workload/serialize.h"
@@ -22,72 +17,6 @@ namespace tcsim::bench
 
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
-
-// ----------------------------------------------------------------------
-// Machine-readable results (BENCH_results.json fragments).
-// ----------------------------------------------------------------------
-
-std::string
-exhibitName()
-{
-#ifdef __GLIBC__
-    return program_invocation_short_name;
-#else
-    return "exhibit";
-#endif
-}
-
-/** A run's result and wall-clock seconds. */
-using RecordedRun = std::pair<sim::SimResult, double>;
-
-/**
- * Write @p runs as this exhibit's JSON summary to TCSIM_RESULTS_JSON,
- * or "<TCSIM_RESULTS_DIR>/<exhibit>.json"; no-op when neither is set.
- */
-void
-writeResultsJson(const std::vector<RecordedRun> &runs, double wall_seconds)
-{
-    std::string path;
-    if (const char *json_path = std::getenv("TCSIM_RESULTS_JSON"))
-        path = json_path;
-    else if (const char *dir = std::getenv("TCSIM_RESULTS_DIR"))
-        path = std::string(dir) + "/" + exhibitName() + ".json";
-    if (path.empty())
-        return;
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-        std::fprintf(stderr, "warn: cannot write %s\n", path.c_str());
-        return;
-    }
-    std::fprintf(out,
-                 "{\"exhibit\":\"%s\",\"wall_seconds\":%.3f,"
-                 "\"jobs\":%u,\"runs\":[",
-                 json::escape(exhibitName()).c_str(), wall_seconds,
-                 defaultJobCount());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const auto &[run, wall] = runs[i];
-        // Simulated instructions per wall microsecond.
-        const double sim_mips =
-            wall > 0.0 ? static_cast<double>(run.instructions) / (wall * 1e6)
-                       : 0.0;
-        std::fprintf(
-            out,
-            "%s{\"benchmark\":\"%s\",\"config\":\"%s\","
-            "\"instructions\":%llu,\"cycles\":%llu,\"ipc\":%.6f,"
-            "\"effective_fetch_rate\":%.6f,"
-            "\"cond_mispredict_rate\":%.6f,\"wall_seconds\":%.3f,"
-            "\"sim_mips\":%.3f}",
-            i == 0 ? "" : ",", json::escape(run.benchmark).c_str(),
-            json::escape(run.config).c_str(),
-            static_cast<unsigned long long>(run.instructions),
-            static_cast<unsigned long long>(run.cycles), run.ipc,
-            run.effectiveFetchRate, run.condMispredictRate, wall, sim_mips);
-    }
-    std::fprintf(out, "]}\n");
-    std::fclose(out);
-}
 
 /** @return TCSIM_INSTS, which must be a positive integer when set. */
 std::optional<std::uint64_t>
@@ -188,43 +117,6 @@ exhibitUnits(const std::vector<std::string> &benchmarks,
     return enumerateUnits(options);
 }
 
-std::vector<sim::SimResult>
-runExhibit(const std::vector<WorkUnit> &units)
-{
-    // Every run of this process so far; exhibits fan out from their
-    // main thread, and runUnits serializes the callbacks.
-    static std::vector<RecordedRun> runs;
-    static const Clock::time_point start = Clock::now();
-    std::vector<sim::SimResult> results = runUnits(
-        units, [](std::size_t, const sim::SimResult &result,
-                  const UnitTiming &timing) {
-            runs.emplace_back(result, timing.wallSeconds);
-        });
-    writeResultsJson(
-        runs, std::chrono::duration<double>(Clock::now() - start).count());
-    return results;
-}
-
-std::vector<std::vector<sim::SimResult>>
-sweepMatrix(const std::vector<std::string> &benchmarks,
-            const std::vector<sim::ProcessorConfig> &configs)
-{
-    const std::vector<sim::SimResult> flat =
-        runExhibit(exhibitUnits(benchmarks, configs));
-    std::vector<std::vector<sim::SimResult>> results(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        results[c].assign(flat.begin() + c * benchmarks.size(),
-                          flat.begin() + (c + 1) * benchmarks.size());
-    }
-    return results;
-}
-
-std::vector<std::vector<sim::SimResult>>
-sweepSuiteConfigs(const std::vector<sim::ProcessorConfig> &configs)
-{
-    return sweepMatrix(allBenchmarks(), configs);
-}
-
 std::vector<double>
 metricsOf(const std::vector<sim::SimResult> &results,
           const std::function<double(const sim::SimResult &)> &metric)
@@ -236,10 +128,14 @@ metricsOf(const std::vector<sim::SimResult> &results,
     return values;
 }
 
-sim::SimResult
-runOne(const std::string &benchmark, const sim::ProcessorConfig &config)
+double
+sumOf(const std::vector<sim::SimResult> &results,
+      const std::function<double(const sim::SimResult &)> &metric)
 {
-    return sweepMatrix({benchmark}, {config}).front().front();
+    double sum = 0;
+    for (const sim::SimResult &result : results)
+        sum += metric(result);
+    return sum;
 }
 
 std::string
@@ -266,6 +162,26 @@ allBenchmarks()
     return names;
 }
 
+std::vector<std::vector<sim::SimResult>>
+byConfig(const std::vector<sim::SimResult> &results, std::size_t benchmarks)
+{
+    std::vector<std::vector<sim::SimResult>> rows;
+    for (auto row = results.begin(); row != results.end();
+         row += static_cast<std::ptrdiff_t>(benchmarks))
+        rows.emplace_back(row, row + static_cast<std::ptrdiff_t>(benchmarks));
+    return rows;
+}
+
+std::vector<double>
+percentChange(const std::vector<double> &base,
+              const std::vector<double> &other)
+{
+    std::vector<double> change;
+    for (std::size_t i = 0; i < base.size(); ++i)
+        change.push_back(100.0 * (other[i] - base[i]) / base[i]);
+    return change;
+}
+
 void
 printBenchmarkHeader(const std::string &row_label)
 {
@@ -288,13 +204,6 @@ printBenchmarkRow(const std::string &label,
     std::printf("%7.*f\n", precision,
                 values.empty() ? 0.0 : sum / values.size());
     std::fflush(stdout);
-}
-
-std::vector<double>
-sweepSuite(const sim::ProcessorConfig &config,
-           const std::function<double(const sim::SimResult &)> &metric)
-{
-    return metricsOf(sweepSuiteConfigs({config}).front(), metric);
 }
 
 void

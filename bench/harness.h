@@ -1,11 +1,10 @@
 /**
  * @file
- * Shared harness for the exhibit binaries: thin queries that build
- * work units, run them through the sweep engine's one fan-out
- * (runUnits, bench/sweep.h) and pick out results, plus fixed-width
- * table printing in the paper's row/series shapes.
+ * Shared harness for the exhibits (bench/exhibits.h): building work
+ * units for a plan, reshaping their results and fixed-width table
+ * printing in the paper's row/series shapes.
  *
- * Environment variables understood by every binary:
+ * Environment variables understood by tcsim_exhibits:
  *  - TCSIM_INSTS: per-unit instruction budget (default: each
  *    profile's defaultMaxInsts, 2M).
  *  - TCSIM_WARMUP: warm-up instructions per unit (default 0): measure
@@ -14,13 +13,6 @@
  *  - TCSIM_JOBS: worker threads for the fan-out (default:
  *    hardware_concurrency); results are bit-identical at any count.
  *  - TCSIM_CACHE_DIR: the artifact cache (bench/artifact_cache.h).
- *  - TCSIM_RESULTS_DIR / TCSIM_RESULTS_JSON: when set, the binary
- *    writes a machine-readable JSON summary of every run (per-run
- *    IPC/fetch-rate, wall-clock, and simulated MIPS — retired
- *    instructions per wall microsecond) at exit — to
- *    "<dir>/<exhibit>.json" or the explicit path respectively.
- *    `run_benches.sh --long` sets TCSIM_INSTS=1000000 for
- *    statistically meaningful sweeps.
  *  - TCSIM_VERIFY_WINDOW_INDEX: when set, the simulator runs the
  *    original O(window) reference scans beside every indexed lookup
  *    (store-order violations, load forwarding/disambiguation,
@@ -68,36 +60,32 @@ std::vector<WorkUnit>
 exhibitUnits(const std::vector<std::string> &benchmarks,
              const std::vector<sim::ProcessorConfig> &configs);
 
-/** runUnits(), recording each run in the results JSON
- * (TCSIM_RESULTS_DIR / TCSIM_RESULTS_JSON). */
-std::vector<sim::SimResult> runExhibit(const std::vector<WorkUnit> &units);
-
-/**
- * Run @p configs x @p benchmarks in one parallel fan-out.
- * @return results indexed [config][benchmark].
- */
-std::vector<std::vector<sim::SimResult>>
-sweepMatrix(const std::vector<std::string> &benchmarks,
-            const std::vector<sim::ProcessorConfig> &configs);
-
-/** Whole-suite convenience: results indexed [config][suite order]. */
-std::vector<std::vector<sim::SimResult>>
-sweepSuiteConfigs(const std::vector<sim::ProcessorConfig> &configs);
-
 /** Extract one metric per result. */
 std::vector<double>
 metricsOf(const std::vector<sim::SimResult> &results,
           const std::function<double(const sim::SimResult &)> &metric);
 
-/** Run one (benchmark, config) pair to its budget (recorded + timed). */
-sim::SimResult runOne(const std::string &benchmark,
-                      const sim::ProcessorConfig &config);
+/** @return the sum of @p metric over @p results, in order. */
+double sumOf(const std::vector<sim::SimResult> &results,
+             const std::function<double(const sim::SimResult &)> &metric);
 
 /** Short column label for a benchmark (paper-style). */
 std::string shortName(const std::string &benchmark);
 
 /** All benchmark names in suite order. */
 std::vector<std::string> allBenchmarks();
+
+/**
+ * @return @p results of exhibitUnits(benchmarks, configs), which come
+ * config-major, as one row of @p benchmarks results per config.
+ */
+std::vector<std::vector<sim::SimResult>>
+byConfig(const std::vector<sim::SimResult> &results,
+         std::size_t benchmarks = allBenchmarks().size());
+
+/** @return 100 * (other[i] - base[i]) / base[i] for every i. */
+std::vector<double> percentChange(const std::vector<double> &base,
+                                  const std::vector<double> &other);
 
 /** Print a table header: first column @p row_label then benchmarks. */
 void printBenchmarkHeader(const std::string &row_label);
@@ -106,15 +94,7 @@ void printBenchmarkHeader(const std::string &row_label);
 void printBenchmarkRow(const std::string &label,
                        const std::vector<double> &values, int precision = 2);
 
-/**
- * Run @p config across the whole suite (in parallel on the shared
- * pool) and return one value per benchmark via @p metric.
- */
-std::vector<double>
-sweepSuite(const sim::ProcessorConfig &config,
-           const std::function<double(const sim::SimResult &)> &metric);
-
-/** Banner identifying which paper exhibit a binary regenerates. */
+/** Banner identifying which paper exhibit a section regenerates. */
 void printBanner(const std::string &exhibit, const std::string &what);
 
 } // namespace tcsim::bench

@@ -5,15 +5,15 @@
  * (executeUnit: full, sampled or replay), one fan-out that runs units
  * on the in-process thread pool (runUnits), and a merge layer that
  * combines per-unit result fragments into one canonical results
- * document. The exhibits (bench/harness.h) are queries over unit
- * results; tcsim_sweep renders them, writes them as fragments for
- * --shard / --worklist, or merges fragments.
+ * document. The exhibits (bench/exhibits.h) plan units and render
+ * their results; tcsim_sweep renders them as a document, writes them
+ * as fragments for --shard / --worklist, or merges fragments.
  *
  * Determinism contract:
  *
  *  - enumerateUnits() yields the matrix in a stable order
- *    (configuration-major, matching sweepMatrix), with each unit
- *    carrying a content hash over everything its result depends on:
+ *    (configuration-major, as exhibitUnits lays them out), with each
+ *    unit carrying a content hash over everything its result depends on:
  *    unit identity, config fingerprint, generator version, profile
  *    fingerprint and warm-up length. Any change to those regenerates
  *    the hash, so stale fragments are detected instead of merged.

@@ -1,16 +1,18 @@
 #!/bin/bash
-# Runs every experiment binary, teeing combined output — or, with
+# Regenerates every exhibit, teeing combined output — or, with
 # --sweep N, runs the (benchmark, config) matrix as N sharded worker
 # processes through tools/tcsim_sweep with crash detection, bounded
 # retry, and a byte-deterministic merge.
 #
 # Both modes run the same work units through the same executor
-# (bench/sweep.h). Exhibit mode: each exhibit fans its units across
-# TCSIM_JOBS worker threads (default: all cores); results are
-# identical at any job count. Per-exhibit wall-clock and per-run
-# metrics (including simulated MIPS) are merged into
-# BENCH_results.json (schema tcsim-bench-exhibits-v1) so the perf
-# trajectory is machine-readable.
+# (bench/sweep.h). Exhibit mode is one tcsim_exhibits call: every
+# exhibit's units, deduplicated by hash, fan out across TCSIM_JOBS
+# worker threads (default: all cores) and each exhibit prints its
+# "### <name>" section; results are identical at any job count. The
+# micro_components and trace_overhead host benchmarks run after it.
+# stdout goes to bench_output.txt, progress lines to bench_stderr.log
+# (both rewritten on every run); the exit status is tcsim_exhibits'
+# (verify_claims' failed-claim count).
 #
 # Sweep mode (--sweep N): shards the work-unit matrix across N
 # tcsim_sweep worker processes writing atomic per-unit fragments, then
@@ -391,41 +393,19 @@ fi
 # ----------------------------------------------------------------------
 # Exhibit mode.
 # ----------------------------------------------------------------------
-results_dir=.bench_results.tmp
-rm -rf "$results_dir"
-mkdir -p "$results_dir"
+exhibits_bin=build/bench/tcsim_exhibits
+[ -x "$exhibits_bin" ] || { echo "$exhibits_bin not built" >&2; exit 1; }
 : > bench_output.txt
+: > bench_stderr.log
 
 total_start=$(date +%s)
-for b in build/bench/*; do
-    [ -x "$b" ] && [ -f "$b" ] || continue
-    name=$(basename "$b")
-    echo "### $name" | tee -a bench_output.txt
-    start=$(date +%s)
-    TCSIM_RESULTS_DIR="$results_dir" "$b" 2>>bench_stderr.log \
-        | tee -a bench_output.txt
-    end=$(date +%s)
-    echo "### $name took $((end - start))s" | tee -a bench_output.txt
-    echo | tee -a bench_output.txt
+"$exhibits_bin" 2>>bench_stderr.log | tee -a bench_output.txt
+status=${PIPESTATUS[0]}
+for b in build/bench/micro_components build/bench/trace_overhead; do
+    echo "### $(basename "$b")" | tee -a bench_output.txt
+    "$b" 2>>bench_stderr.log | tee -a bench_output.txt
 done
-total_end=$(date +%s)
-total=$((total_end - total_start))
+total=$(( $(date +%s) - total_start ))
 
-# Merge the per-exhibit JSON fragments (one object per line each)
-# into a single results file.
-{
-    printf '{"schema":"tcsim-bench-exhibits-v1","jobs":"%s",' \
-        "${TCSIM_JOBS:-auto}"
-    printf '"total_wall_seconds":%d,"exhibits":[' "$total"
-    first=1
-    for f in "$results_dir"/*.json; do
-        [ -f "$f" ] || continue
-        [ $first -eq 1 ] || printf ','
-        first=0
-        tr -d '\n' < "$f"
-    done
-    printf ']}\n'
-} > BENCH_results.json
-rm -rf "$results_dir"
-
-echo "ALL BENCHES COMPLETE in ${total}s (results: BENCH_results.json)"
+echo "ALL BENCHES COMPLETE in ${total}s (tcsim_exhibits exit $status)"
+exit "$status"

@@ -40,8 +40,8 @@ TEST(SweepUnits, EnumerationIsStableAndConfigMajor)
     const SweepOptions options = smallMatrix();
     const std::vector<WorkUnit> units = enumerateUnits(options);
     ASSERT_EQ(units.size(), 4u);
-    // Config-major, matching sweepMatrix: all benchmarks of config 0
-    // first, so fragments line up with the exhibit tables.
+    // Config-major, as exhibitUnits lays them out: all benchmarks of
+    // config 0 first, so fragments line up with the exhibit tables.
     EXPECT_EQ(units[0].benchmark, "compress");
     EXPECT_EQ(units[1].benchmark, "li");
     EXPECT_EQ(units[0].config.name, units[1].config.name);
