@@ -16,7 +16,10 @@ Cache::Cache(const CacheParams &params, Cache *next,
                      0,
                  "size not divisible by way size");
     numSets_ = params_.sizeBytes / (params_.lineBytes * params_.assoc);
-    TCSIM_ASSERT(numSets_ >= 1);
+    TCSIM_ASSERT(isPowerOf2(numSets_), "set count not pow2");
+    lineShift_ = floorLog2(params_.lineBytes);
+    setShift_ = floorLog2(numSets_);
+    setMask_ = numSets_ - 1;
     lines_.resize(static_cast<std::size_t>(numSets_) * params_.assoc);
 }
 
@@ -28,7 +31,22 @@ Cache::access(Addr addr, bool write, Cycle now)
 
     const std::uint32_t set = setIndex(addr);
     const Addr tag = tagOf(addr);
-    Line *line_base = &lines_[static_cast<std::size_t>(set) * params_.assoc];
+
+    // Repeat-line fast path: the way the previous access touched is
+    // the only one in its set that can hold its line, so if it still
+    // does (the re-check), this is that hit without the set search.
+    const Addr line_addr = lineAddr(addr);
+    if (line_addr == lastLine_) {
+        Line &line = lines_[lastWay_];
+        if (line.valid && line.tag == tag) {
+            line.lruStamp = tick_;
+            line.dirty = line.dirty || write;
+            return params_.accessLatency;
+        }
+    }
+    lastLine_ = line_addr;
+    const std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
+    Line *line_base = &lines_[base];
 
     // Hit?
     for (std::uint32_t way = 0; way < params_.assoc; ++way) {
@@ -36,6 +54,7 @@ Cache::access(Addr addr, bool write, Cycle now)
         if (line.valid && line.tag == tag) {
             line.lruStamp = tick_;
             line.dirty = line.dirty || write;
+            lastWay_ = base + way;
             return params_.accessLatency;
         }
     }
@@ -87,6 +106,7 @@ Cache::access(Addr addr, bool write, Cycle now)
     victim->tag = tag;
     victim->dirty = write;
     victim->lruStamp = tick_;
+    lastWay_ = static_cast<std::size_t>(victim - lines_.data());
 
     return params_.accessLatency + below;
 }

@@ -147,17 +147,19 @@ class Cache
         std::uint64_t lruStamp = 0;
     };
 
-    Addr lineAddr(Addr addr) const { return addr / params_.lineBytes; }
+    // Line size and set count are powers of two (the constructor
+    // asserts both), so indexing is shifts and masks.
+    Addr lineAddr(Addr addr) const { return addr >> lineShift_; }
     std::uint32_t setIndex(Addr addr) const
     {
-        return static_cast<std::uint32_t>(lineAddr(addr) % numSets_);
+        return static_cast<std::uint32_t>(lineAddr(addr) & setMask_);
     }
-    Addr tagOf(Addr addr) const { return lineAddr(addr) / numSets_; }
+    Addr tagOf(Addr addr) const { return lineAddr(addr) >> setShift_; }
     /** Reconstruct the byte address of a resident line. */
     Addr
     addrOfLine(Addr tag, std::uint32_t set) const
     {
-        return (tag * numSets_ + set) * params_.lineBytes;
+        return ((tag << setShift_) | set) << lineShift_;
     }
 
     CacheParams params_;
@@ -165,8 +167,19 @@ class Cache
     std::uint32_t memoryLatency_;
     Dram *dram_ = nullptr;
     std::uint32_t numSets_;
+    unsigned lineShift_;
+    unsigned setShift_;
+    Addr setMask_;
     std::vector<Line> lines_; // numSets_ * assoc, set-major
     std::uint64_t tick_ = 0;
+    /**
+     * Repeat-line memo: the line address of the previous access and
+     * the lines_ index of the way it touched. access() re-checks that
+     * way's valid bit and tag before trusting it, so flush(),
+     * restoreState() and evictions need not clear it.
+     */
+    Addr lastLine_ = kInvalidAddr;
+    std::size_t lastWay_ = 0;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;

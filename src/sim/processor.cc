@@ -1957,17 +1957,24 @@ Processor::warmStart(const workload::ArchCheckpoint &ckpt)
         oracle_->setReg(static_cast<RegIndex>(r), ckpt.regs[r]);
     oracle_->restoreExecPoint(ckpt.pc, ckpt.instIndex, ckpt.halted);
 
-    // Committed mirrors.
-    memory_.copyFrom(oracle_->memory());
-    archRegs_ = ckpt.regs;
     archHistory_ = ckpt.history;
     archRas_.assign(ckpt.ras.begin(), ckpt.ras.end());
+    syncToOracle();
+}
 
-    // The oracle ring is empty and starts at the checkpoint index.
-    oracleBase_ = ckpt.instIndex;
+void
+Processor::syncToOracle()
+{
+    // Committed mirrors.
+    memory_.copyFrom(oracle_->memory());
+    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
+        archRegs_[r] = oracle_->reg(static_cast<RegIndex>(r));
+
+    // The oracle ring is empty and starts at the oracle's position.
+    oracleBase_ = oracle_->instCount();
     oracleCount_ = 0;
-    oracleFetchIdx_ = ckpt.instIndex;
-    oracleRetireIdx_ = ckpt.instIndex;
+    oracleFetchIdx_ = oracleBase_;
+    oracleRetireIdx_ = oracleBase_;
     onTruePath_ = true;
 
     // Speculative state from the committed mirrors — the rebuild
@@ -1978,96 +1985,8 @@ Processor::warmStart(const workload::ArchCheckpoint &ckpt)
     frontEnd_.history.restore(archHistory_);
     rasScratch_.assign(archRas_.begin(), archRas_.end());
     frontEnd_.ras.assignSwap(rasScratch_);
-    fetchPc_ = ckpt.pc;
-
-    retiredInsts_ = ckpt.instIndex;
-    statBaseCycle_ = cycle_;
-    statBaseInsts_ = retiredInsts_;
-    if (intervals_ != nullptr)
-        intervalNextAt_ = intervals_->nextBoundaryAfter(retiredInsts_);
-}
-
-void
-Processor::functionalWarmup(std::uint64_t until)
-{
-    TCSIM_ASSERT(cycle_ == 0 && robOrder_.empty() && oracleCount_ == 0,
-                 "functionalWarmup requires a pre-run processor");
-    TCSIM_ASSERT(oracle_->instCount() == retiredInsts_,
-                 "oracle out of sync with the committed position");
-    TCSIM_ASSERT(until >= retiredInsts_);
-
-    // Leader = the fetch-group start address the detailed front end
-    // would use for a segment beginning at this block. Training the
-    // position-0 counter at (leader, history-at-leader) warms exactly
-    // the entries segment-start predictions consult.
-    Addr leader = oracle_->pc();
-    std::uint64_t leader_hist = archHistory_;
-    while (oracle_->instCount() < until && !oracle_->halted()) {
-        const workload::StepResult step = oracle_->step();
-        const Opcode op = step.inst.op;
-
-        hierarchy_.icache().access(step.pc, false, cycle_);
-        if (isa::isMem(op) && step.memAddr != kInvalidAddr)
-            hierarchy_.dcache().access(step.memAddr, isa::isStore(op),
-                                       cycle_);
-
-        if (isa::isCondBranch(op)) {
-            if (mbp_ != nullptr) {
-                bpred::MbpCtx ctx;
-                ctx.fetchAddr = leader;
-                ctx.history = leader_hist;
-                ctx.position = 0;
-                ctx.path = 0;
-                ctx.prediction = mbp_->predict(leader, leader_hist, 0, 0);
-                mbp_->update(ctx, step.taken);
-            }
-            if (hybrid_ != nullptr) {
-                const bpred::HybridCtx ctx =
-                    hybrid_->predict(step.pc, archHistory_);
-                hybrid_->update(step.pc, ctx, step.taken);
-            }
-            archHistory_ = (archHistory_ << 1) |
-                           static_cast<std::uint64_t>(step.taken);
-        } else if (isa::isCall(op)) {
-            archRas_.push_back(step.pc + isa::kInstBytes);
-        } else if (isa::isReturn(op)) {
-            if (!archRas_.empty())
-                archRas_.pop_back();
-        } else if (isa::isIndirectJump(op)) {
-            frontEnd_.indirect.update(step.pc, step.nextPc);
-        }
-
-        if (fillUnit_ != nullptr) {
-            trace::RetiredInst retired;
-            retired.inst = step.inst;
-            retired.pc = step.pc;
-            retired.taken = step.taken;
-            fillUnit_->retire(retired);
-        }
-
-        if (isa::isControl(op)) {
-            leader = step.nextPc;
-            leader_hist = archHistory_;
-        }
-    }
-    TCSIM_ASSERT(oracle_->instCount() == until,
-                 "program halted inside the functional warm-up window");
-
-    // Committed mirrors and speculative resync, as in warmStart().
-    memory_.copyFrom(oracle_->memory());
-    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
-        archRegs_[r] = oracle_->reg(static_cast<RegIndex>(r));
-    oracleBase_ = oracle_->instCount();
-    oracleCount_ = 0;
-    oracleFetchIdx_ = oracleBase_;
-    oracleRetireIdx_ = oracleBase_;
-    onTruePath_ = true;
-    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
-        rat_[r] = RatEntry{true, archRegs_[r], kInvalidSeqNum};
-    frontEnd_.history.restore(archHistory_);
-    rasScratch_.assign(archRas_.begin(), archRas_.end());
-    frontEnd_.ras.assignSwap(rasScratch_);
     fetchPc_ = oracle_->pc();
+
     retiredInsts_ = oracleBase_;
     statBaseCycle_ = cycle_;
     statBaseInsts_ = retiredInsts_;
@@ -2077,6 +1996,94 @@ Processor::functionalWarmup(std::uint64_t until)
 
 namespace
 {
+
+/** Walk steps: the oracle's, up to absolute retired index @p until. */
+class OracleSteps
+{
+  public:
+    OracleSteps(FunctionalExecutor &oracle, std::uint64_t until)
+        : oracle_(oracle), until_(until)
+    {
+    }
+
+    Addr pc() const { return oracle_.pc(); }
+    bool
+    more() const
+    {
+        return !oracle_.halted() && oracle_.instCount() < until_;
+    }
+    workload::StepResult next() { return oracle_.step(); }
+
+  private:
+    FunctionalExecutor &oracle_;
+    std::uint64_t until_;
+};
+
+/**
+ * Walk steps from a btrace: non-control instructions are walked from
+ * the program image, control transfers take their directions and
+ * targets from the trace. Fatal on any divergence between the walked
+ * pc and the next record's pc.
+ */
+class ReplaySteps
+{
+  public:
+    ReplaySteps(const workload::Program &program,
+                const workload::BtraceReader &reader)
+        : program_(program), reader_(reader),
+          pc_(reader.header().entryPc)
+    {
+    }
+
+    Addr pc() const { return pc_; }
+    bool more() const { return covered_ < reader_.header().instCount; }
+    workload::StepResult next();
+
+  private:
+    const workload::Program &program_;
+    const workload::BtraceReader &reader_;
+    Addr pc_;
+    std::uint64_t nextRecord_ = 0;
+    std::uint64_t covered_ = 0;
+};
+
+workload::StepResult
+ReplaySteps::next()
+{
+    if (!program_.isCode(pc_)) {
+        fatal("btrace replay walked outside the program image at "
+              "pc 0x%llx",
+              static_cast<unsigned long long>(pc_));
+    }
+    workload::StepResult step;
+    step.pc = pc_;
+    step.inst = program_.fetch(pc_);
+    const Opcode op = step.inst.op;
+    step.halted = op == Opcode::Halt;
+    if (isa::isControl(op)) {
+        if (nextRecord_ >= reader_.recordCount()) {
+            fatal("btrace ran out of records at pc 0x%llx "
+                  "(instCount says more follow)",
+                  static_cast<unsigned long long>(pc_));
+        }
+        const workload::BtraceRecord record = reader_.record(nextRecord_);
+        if (record.pc != pc_) {
+            fatal("btrace divergence: walked to pc 0x%llx but the "
+                  "next record is for pc 0x%llx (record %llu)",
+                  static_cast<unsigned long long>(pc_),
+                  static_cast<unsigned long long>(record.pc),
+                  static_cast<unsigned long long>(nextRecord_));
+        }
+        ++nextRecord_;
+        step.taken = record.taken;
+        step.nextPc = record.target;
+    } else {
+        step.nextPc = pc_ + isa::kInstBytes;
+    }
+    pc_ = step.nextPc;
+    ++covered_;
+    return step;
+}
 
 workload::BtraceClass
 btraceClassOf(Opcode op)
@@ -2098,53 +2105,58 @@ btraceClassOf(Opcode op)
 
 } // namespace
 
+template <Processor::WalkMode Mode, typename Steps>
 Processor::ControlFlowResult
-Processor::controlFlowPass(
-    const std::function<bool(workload::StepResult &)> &source,
-    Addr start_pc, workload::BtraceWriter *writer)
+Processor::walk(Steps &steps, workload::BtraceWriter *writer)
 {
     TCSIM_ASSERT(cycle_ == 0 && robOrder_.empty() && oracleCount_ == 0,
-                 "control-flow passes require a pre-run processor");
+                 "functional walks require a pre-run processor");
+    constexpr bool kControlFlow = Mode == WalkMode::ControlFlow;
 
     ControlFlowResult result;
     result.outcomeHash = kFnvOffsetBasis;
 
-    // Leader handling mirrors functionalWarmup(): the multi-branch
-    // predictor trains at (fetch-group leader, history-at-leader), and
-    // each new leader costs one trace-cache lookup — the fetch-rate /
-    // miss-rate signal the replay stats report.
-    Addr leader = start_pc;
+    // Leader = the fetch-group start address the detailed front end
+    // would use for a segment beginning at this block. Training the
+    // position-0 counter at (leader, history-at-leader) warms exactly
+    // the entries segment-start predictions consult. Under
+    // ControlFlow each new leader also costs one trace-cache lookup —
+    // the fetch-rate / miss-rate signal the replay stats report.
+    Addr leader = steps.pc();
     std::uint64_t leader_hist = archHistory_;
     bool leader_pending = true;
 
-    workload::StepResult step;
-    while (source(step)) {
+    while (steps.more()) {
+        const workload::StepResult step = steps.next();
         const Opcode op = step.inst.op;
-        if (leader_pending) {
-            if (traceCache_ != nullptr)
+        if constexpr (kControlFlow) {
+            if (leader_pending && traceCache_ != nullptr)
                 traceCache_->lookup(leader);
             leader_pending = false;
+            ++result.instructions;
         }
         hierarchy_.icache().access(step.pc, false, cycle_);
-        ++result.instructions;
+        if constexpr (!kControlFlow) {
+            if (isa::isMem(op) && step.memAddr != kInvalidAddr)
+                hierarchy_.dcache().access(step.memAddr, isa::isStore(op),
+                                           cycle_);
+        }
 
         if (isa::isCondBranch(op)) {
-            ++result.condBranches;
+            if constexpr (kControlFlow)
+                ++result.condBranches;
             if (mbp_ != nullptr) {
-                bpred::MbpCtx ctx;
-                ctx.fetchAddr = leader;
-                ctx.history = leader_hist;
-                ctx.position = 0;
-                ctx.path = 0;
-                ctx.prediction = mbp_->predict(leader, leader_hist, 0, 0);
-                if (ctx.prediction != step.taken)
+                const bpred::MbpCtx ctx{
+                    leader, leader_hist, 0, 0,
+                    mbp_->predict(leader, leader_hist, 0, 0)};
+                if (kControlFlow && ctx.prediction != step.taken)
                     ++result.condMispredicts;
                 mbp_->update(ctx, step.taken);
             }
             if (hybrid_ != nullptr) {
                 const bpred::HybridCtx ctx =
                     hybrid_->predict(step.pc, archHistory_);
-                if (ctx.prediction != step.taken)
+                if (kControlFlow && ctx.prediction != step.taken)
                     ++result.condMispredicts;
                 hybrid_->update(step.pc, ctx, step.taken);
             }
@@ -2153,21 +2165,25 @@ Processor::controlFlowPass(
         } else if (isa::isCall(op)) {
             archRas_.push_back(step.pc + isa::kInstBytes);
         } else if (isa::isReturn(op)) {
-            ++result.returns;
-            if (archRas_.empty() || archRas_.back() != step.nextPc)
-                ++result.returnMispredicts;
+            if constexpr (kControlFlow) {
+                ++result.returns;
+                if (archRas_.empty() || archRas_.back() != step.nextPc)
+                    ++result.returnMispredicts;
+            }
             if (!archRas_.empty())
                 archRas_.pop_back();
         } else if (isa::isIndirectJump(op)) {
-            ++result.indirectJumps;
-            if (frontEnd_.indirect.predict(step.pc) != step.nextPc)
-                ++result.indirectMispredicts;
+            if constexpr (kControlFlow) {
+                ++result.indirectJumps;
+                if (frontEnd_.indirect.predict(step.pc) != step.nextPc)
+                    ++result.indirectMispredicts;
+            }
             frontEnd_.indirect.update(step.pc, step.nextPc);
-        } else if (op == Opcode::Trap) {
+        } else if (kControlFlow && op == Opcode::Trap) {
             ++result.traps;
         }
 
-        if (isa::isControl(op)) {
+        if (kControlFlow && isa::isControl(op)) {
             ++result.records;
             result.outcomeHash =
                 fnv1aAppendScalar(result.outcomeHash, step.pc);
@@ -2176,23 +2192,13 @@ Processor::controlFlowPass(
             result.outcomeHash = fnv1aAppendScalar(
                 result.outcomeHash,
                 static_cast<std::uint8_t>(step.taken ? 1 : 0));
-            if (writer != nullptr) {
-                workload::BtraceRecord record;
-                record.pc = step.pc;
-                record.target = step.nextPc;
-                record.cls = btraceClassOf(op);
-                record.taken = step.taken;
-                writer->append(record);
-            }
+            if (writer != nullptr)
+                writer->append(
+                    {step.pc, step.nextPc, btraceClassOf(op), step.taken});
         }
 
-        if (fillUnit_ != nullptr) {
-            trace::RetiredInst retired;
-            retired.inst = step.inst;
-            retired.pc = step.pc;
-            retired.taken = step.taken;
-            fillUnit_->retire(retired);
-        }
+        if (fillUnit_ != nullptr)
+            fillUnit_->retire({step.inst, step.pc, step.taken});
 
         if (isa::isControl(op)) {
             leader = step.nextPc;
@@ -2215,19 +2221,26 @@ Processor::controlFlowPass(
     return result;
 }
 
+void
+Processor::functionalWarmup(std::uint64_t until)
+{
+    TCSIM_ASSERT(oracle_->instCount() == retiredInsts_,
+                 "oracle out of sync with the committed position");
+    TCSIM_ASSERT(until >= retiredInsts_);
+    OracleSteps steps(*oracle_, until);
+    walk<WalkMode::Warm>(steps, nullptr);
+    TCSIM_ASSERT(oracle_->instCount() == until,
+                 "program halted inside the functional warm-up window");
+    syncToOracle();
+}
+
 Processor::ControlFlowResult
 Processor::recordTrace(workload::BtraceWriter &writer,
                        std::uint64_t max_insts)
 {
-    const auto source = [this,
-                         max_insts](workload::StepResult &out) -> bool {
-        if (oracle_->halted() || oracle_->instCount() >= max_insts)
-            return false;
-        out = oracle_->step();
-        return true;
-    };
+    OracleSteps steps(*oracle_, max_insts);
     const ControlFlowResult result =
-        controlFlowPass(source, oracle_->pc(), &writer);
+        walk<WalkMode::ControlFlow>(steps, &writer);
     writer.close(result.instructions);
     return result;
 }
@@ -2235,56 +2248,15 @@ Processor::recordTrace(workload::BtraceWriter &writer,
 Processor::ControlFlowResult
 Processor::replayTrace(const workload::BtraceReader &reader)
 {
-    const workload::BtraceHeader &header = reader.header();
-    Addr pc = header.entryPc;
-    std::uint64_t rec_idx = 0;
-    std::uint64_t covered = 0;
-    const auto source = [this, &reader, &header, &pc, &rec_idx,
-                         &covered](workload::StepResult &out) -> bool {
-        if (covered >= header.instCount)
-            return false;
-        if (!program_.isCode(pc)) {
-            fatal("btrace replay walked outside the program image at "
-                  "pc 0x%llx",
-                  static_cast<unsigned long long>(pc));
-        }
-        out.pc = pc;
-        out.inst = program_.fetch(pc);
-        const Opcode op = out.inst.op;
-        out.memAddr = kInvalidAddr;
-        out.halted = op == Opcode::Halt;
-        if (isa::isControl(op)) {
-            if (rec_idx >= reader.recordCount()) {
-                fatal("btrace ran out of records at pc 0x%llx "
-                      "(instCount says more follow)",
-                      static_cast<unsigned long long>(pc));
-            }
-            const workload::BtraceRecord record = reader.record(rec_idx);
-            ++rec_idx;
-            if (record.pc != pc) {
-                fatal("btrace divergence: walked to pc 0x%llx but the "
-                      "next record is for pc 0x%llx (record %llu)",
-                      static_cast<unsigned long long>(pc),
-                      static_cast<unsigned long long>(record.pc),
-                      static_cast<unsigned long long>(rec_idx - 1));
-            }
-            out.taken = record.taken;
-            out.nextPc = record.target;
-        } else {
-            out.taken = false;
-            out.nextPc = pc + isa::kInstBytes;
-        }
-        pc = out.nextPc;
-        ++covered;
-        return true;
-    };
+    ReplaySteps steps(program_, reader);
     const ControlFlowResult result =
-        controlFlowPass(source, header.entryPc, nullptr);
-    if (result.instructions != header.instCount && !result.halted) {
+        walk<WalkMode::ControlFlow>(steps, nullptr);
+    if (result.instructions != reader.header().instCount &&
+        !result.halted) {
         fatal("btrace replay covered %llu instructions but the header "
               "promises %llu",
               static_cast<unsigned long long>(result.instructions),
-              static_cast<unsigned long long>(header.instCount));
+              static_cast<unsigned long long>(reader.header().instCount));
     }
     return result;
 }

@@ -35,7 +35,6 @@
 
 #include <array>
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <utility>
 #include <memory>
@@ -282,20 +281,40 @@ class Processor
         workload::StepResult step;
     };
 
+    /**
+     * Reposition the committed mirrors, the oracle ring and the
+     * speculative front end at the oracle's current position (after
+     * warmStart or functionalWarmup moved it); archHistory_ and
+     * archRas_ must already hold that position's values.
+     */
+    void syncToOracle();
     void extendOracle(std::uint64_t upto_idx);
     const workload::StepResult &oracleAt(std::uint64_t idx);
     void growOracleRing();
 
+    /** The two ways a functional walk (walk()) differs by caller. */
+    enum class WalkMode : std::uint8_t
+    {
+        /** functionalWarmup: touch the dcache too; no trace-cache
+         * lookups and no counting, so the walk leaves exactly the
+         * state exportWarmState() captures. */
+        Warm,
+        /** recordTrace / replayTrace: look up the trace cache once per
+         * fetch leader, count, and fold the outcome hash. */
+        ControlFlow,
+    };
+
     /**
-     * Shared record/replay loop: @p source yields successive retired
-     * steps (false = exhausted), @p start_pc is the first fetch
-     * leader, @p writer (optional) receives one record per control
-     * instruction. Both drivers share this body so their component
-     * updates cannot drift apart.
+     * The functional front-end walker behind functionalWarmup(),
+     * recordTrace() and replayTrace(). @p steps is the step source:
+     * pc() gives the first fetch leader, and while more() holds,
+     * next() yields the next retired step. Each step gets the
+     * retire-time updates a detailed run would apply (icache, branch
+     * predictors, RAS, indirect targets, fill unit). @p writer, given
+     * only by record, receives one record per control instruction.
      */
-    ControlFlowResult
-    controlFlowPass(const std::function<bool(workload::StepResult &)> &source,
-                    Addr start_pc, workload::BtraceWriter *writer);
+    template <WalkMode Mode, typename Steps>
+    ControlFlowResult walk(Steps &steps, workload::BtraceWriter *writer);
 
     // ------------------------------------------------------------------
     // Pipeline stages (called youngest-last each cycle).

@@ -53,7 +53,10 @@ FillUnit::retire(const RetiredInst &retired)
         finalize(FillReason::Resync);
     }
 
-    TraceInst ti;
+    // Build the slot in place: a stack TraceInst copied in afterwards
+    // reloads its byte-sized flag stores as wider words, which defeats
+    // store-to-load forwarding on every retired instruction.
+    TraceInst &ti = curBlock_.emplace_back();
     ti.inst = retired.inst;
     ti.pc = retired.pc;
 
@@ -95,8 +98,6 @@ FillUnit::retire(const RetiredInst &retired)
         block_end = true;
         segment_end = true;
     }
-
-    curBlock_.push_back(ti);
 
     if (block_end)
         closeBlock(segment_end);

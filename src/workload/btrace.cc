@@ -231,10 +231,13 @@ BtraceReader::validate(std::string *error)
     if (header_.formatVersion != kBtraceFormatVersion)
         return fail(error, "unsupported btrace format version");
 
-    const std::uint64_t want_bytes =
-        kBtraceHeaderBytes + header_.recordCount * kBtraceRecordBytes;
-    if (want_bytes != mapBytes_)
+    // Divide rather than multiply: recordCount * 16 wraps for a
+    // count near 2^60 and would match a much shorter file.
+    const std::size_t record_bytes = mapBytes_ - kBtraceHeaderBytes;
+    if (record_bytes % kBtraceRecordBytes != 0 ||
+        header_.recordCount != record_bytes / kBtraceRecordBytes) {
         return fail(error, "btrace size does not match its record count");
+    }
 
     std::uint64_t stored_records_fnv = 0;
     get(48, stored_records_fnv);

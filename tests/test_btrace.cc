@@ -5,17 +5,21 @@
  * outcome stream (outcomeHash) and predictor-visible history
  * (finalHistory) on both a legacy and a server-class workload, and the
  * reader must reject truncated or corrupted files with a specific
- * reason rather than serving bad records.
+ * reason rather than serving bad records. Golden digests pin what the
+ * functional walker (warm-up, record, replay) leaves behind.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
+#include "common/fnv.h"
 #include "sim/config.h"
 #include "sim/processor.h"
 #include "test_paths.h"
@@ -128,6 +132,119 @@ INSTANTIATE_TEST_SUITE_P(LegacyAndServer, BtraceRoundTrip,
                              return name;
                          });
 
+/** Golden digests of the functional walker's outputs, per combo. */
+struct WalkerGolden
+{
+    const char *bench;
+    const char *config;
+    std::uint64_t warm;   ///< exportWarmState blob, then stats
+    std::uint64_t record; ///< btrace bytes, then ControlFlowResult
+    std::uint64_t replay; ///< ControlFlowResult, then stats
+};
+
+constexpr std::uint64_t kWalkerInsts = 200000;
+
+constexpr WalkerGolden kWalkerGolden[] = {
+    {"gcc", "icache", 0xb66888cfdc3e0ddeull, 0xb9225faf7df0894cull,
+     0x5f8153567575dc54ull},
+    {"gcc", "baseline", 0x66ea44bfd2b0b7edull, 0x17b428ec50d8bb0eull,
+     0xd90c977795b3b371ull},
+    {"gcc", "promo-pack", 0x1322f01a353d7d81ull, 0x7b346a348178b2ecull,
+     0x6b4959abd906f167ull},
+    {"go", "icache", 0xc7e0c9279c169882ull, 0xc9e46ebb42575dcdull,
+     0x0b87fa7840ed8463ull},
+    {"go", "baseline", 0xe0d9b77769f30474ull, 0x466d0959bfc65ee4ull,
+     0xc5d6ca6e7265f93bull},
+    {"go", "promo-pack", 0x84e0dbb83ce7b181ull, 0x2005387e36384ecdull,
+     0xe52a81e9860a9157ull},
+    {"server-oltp", "icache", 0x343ba79f35bd7273ull, 0x0c1a4528984c595eull,
+     0x9780eb7ff0cc5397ull},
+    {"server-oltp", "baseline", 0x52b8dac2fe38129eull, 0x0128ec691d32b36bull,
+     0x6c83270f76be2780ull},
+    {"server-oltp", "promo-pack", 0x1f8634d7c640b4b6ull, 0xc2d058e4a435da9eull,
+     0x9775c2b53b674d5bull},
+};
+
+sim::ProcessorConfig
+walkerConfig(const std::string &name)
+{
+    if (name == "icache")
+        return sim::icacheConfig();
+    if (name == "baseline")
+        return sim::baselineConfig();
+    return sim::promotionPackingConfig();
+}
+
+/** FNV-1a over every statistic: each name, then its value's bits. */
+std::uint64_t
+foldStats(std::uint64_t hash, const StatDump &stats)
+{
+    for (const auto &[name, value] : stats.entries()) {
+        hash = fnv1aAppend(hash, name);
+        hash = fnv1aAppendScalar(hash, value);
+    }
+    return hash;
+}
+
+/** FNV-1a over every ControlFlowResult field, in declaration order. */
+std::uint64_t
+foldControlFlow(std::uint64_t hash,
+                const sim::Processor::ControlFlowResult &r)
+{
+    for (const std::uint64_t field :
+         {r.instructions, r.records, r.condBranches, r.condMispredicts,
+          r.returns, r.returnMispredicts, r.indirectJumps,
+          r.indirectMispredicts, r.traps, r.icacheAccesses,
+          r.icacheMisses, r.tcLookups, r.tcHits, r.outcomeHash,
+          r.finalHistory}) {
+        hash = fnv1aAppendScalar(hash, field);
+    }
+    return fnv1aAppendScalar(hash, static_cast<std::uint8_t>(r.halted));
+}
+
+// Record/replay agreement and the warm-state round trip only compare
+// the walker with itself; these digests, captured from the simulator
+// before warm-up, record and replay shared one walker, pin its
+// absolute outputs so a change that moves every mode alike fails too.
+TEST(FunctionalWalker, GoldenDigests)
+{
+    for (const WalkerGolden &row : kWalkerGolden) {
+        SCOPED_TRACE(std::string(row.bench) + "/" + row.config);
+        const BenchmarkProfile &profile = findProfile(row.bench);
+        const Program program = generateProgram(profile);
+        const sim::ProcessorConfig config = walkerConfig(row.config);
+
+        sim::Processor warmer(config, program);
+        warmer.functionalWarmup(kWalkerInsts);
+        std::ostringstream blob;
+        warmer.exportWarmState(blob);
+        const std::uint64_t warm = foldStats(
+            fnv1a(blob.str()), warmer.makeResult().stats);
+
+        const std::string path = tracePath(row.bench);
+        sim::Processor recorder(config, program);
+        BtraceWriter writer(path, kGeneratorVersion,
+                            profileFingerprint(profile), program.entry());
+        const auto recorded = recorder.recordTrace(writer, kWalkerInsts);
+        const std::uint64_t record =
+            foldControlFlow(fnv1a(readFileBytes(path)), recorded);
+
+        BtraceReader reader;
+        std::string error;
+        ASSERT_TRUE(reader.open(path, &error)) << error;
+        sim::Processor replayer(config, program);
+        const auto replayed = replayer.replayTrace(reader);
+        const std::uint64_t replay =
+            foldStats(foldControlFlow(kFnvOffsetBasis, replayed),
+                      replayer.makeResult().stats);
+        std::filesystem::remove(path);
+
+        EXPECT_EQ(hashHex(warm), hashHex(row.warm));
+        EXPECT_EQ(hashHex(record), hashHex(row.record));
+        EXPECT_EQ(hashHex(replay), hashHex(row.replay));
+    }
+}
+
 // openBytes() must validate an in-memory image (the artifact-cache
 // path) exactly like open() validates a file, and serve identical
 // records from the adopted buffer.
@@ -223,6 +340,22 @@ TEST_F(BtraceCorruption, RecordBitFlip)
     std::string bytes = good_;
     bytes[kBtraceHeaderBytes + kBtraceRecordBytes + 3] ^= 0x01;
     expectRejected(bytes, "btrace record checksum mismatch");
+}
+
+// A record count of 2^60 + k times 16 wraps to the size of a k-record
+// file. With its header checksum recomputed, only the size check
+// stands between the reader and records past the end of the map.
+TEST_F(BtraceCorruption, WrappedRecordCount)
+{
+    std::string bytes = good_;
+    std::uint64_t count = 0;
+    std::memcpy(&count, bytes.data() + 40, sizeof(count));
+    count += std::uint64_t{1} << 60;
+    std::memcpy(bytes.data() + 40, &count, sizeof(count));
+    const std::uint64_t header_fnv =
+        fnv1a(std::string_view(bytes).substr(0, 56));
+    std::memcpy(bytes.data() + 56, &header_fnv, sizeof(header_fnv));
+    expectRejected(bytes, "btrace size does not match its record count");
 }
 
 // A writer that never reaches close() leaves a zeroed header on disk:

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "memory/cache.h"
 #include "memory/dram.h"
 #include "memory/hierarchy.h"
@@ -298,6 +302,81 @@ namespace
 {
 
 /**
+ * Reference model of a set-associative, write-back LRU cache: each set
+ * lists its lines MRU-last with a dirty bit, and evicting or flushing
+ * a dirty line counts a writeback.
+ */
+class RefLru
+{
+  public:
+    /** One resident line; sets() is the tag state saveState covers. */
+    struct Entry
+    {
+        Addr line;
+        bool dirty;
+    };
+    using Sets = std::vector<std::vector<Entry>>;
+
+    RefLru(std::uint32_t sets, std::uint32_t ways, std::uint32_t line_bytes)
+        : sets_(sets), ways_(ways), lineBytes_(line_bytes)
+    {
+    }
+
+    /** @return true on a hit. */
+    bool
+    access(Addr addr, bool write)
+    {
+        const Addr line = addr / lineBytes_;
+        std::vector<Entry> &set = sets_[line % sets_.size()];
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->line == line) {
+                const Entry hit{line, it->dirty || write};
+                set.erase(it);
+                set.push_back(hit);
+                return true;
+            }
+        }
+        if (set.size() == ways_) {
+            writebacks_ += set.front().dirty ? 1 : 0;
+            set.erase(set.begin());
+        }
+        set.push_back(Entry{line, write});
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (std::vector<Entry> &set : sets_) {
+            for (const Entry &entry : set)
+                writebacks_ += entry.dirty ? 1 : 0;
+            set.clear();
+        }
+    }
+
+    /** @return true if @p sets holds the line of @p addr. */
+    bool
+    holds(const Sets &sets, Addr addr) const
+    {
+        const Addr line = addr / lineBytes_;
+        for (const Entry &entry : sets[line % sets.size()])
+            if (entry.line == line)
+                return true;
+        return false;
+    }
+
+    const Sets &sets() const { return sets_; }
+    void setSets(const Sets &sets) { sets_ = sets; }
+    std::uint64_t writebacks() const { return writebacks_; }
+
+  private:
+    Sets sets_;
+    std::uint32_t ways_;
+    std::uint32_t lineBytes_;
+    std::uint64_t writebacks_ = 0;
+};
+
+/**
  * Model-based property test: the cache's hit/miss behaviour must
  * match a straightforward reference model of set-associative LRU.
  */
@@ -305,12 +384,7 @@ TEST(CacheProperty, MatchesReferenceLruModel)
 {
     const CacheParams params{"mbt", 1024, 4, 64, 0}; // 4 sets x 4 ways
     Cache cache(params, nullptr, 50);
-
-    struct RefSet
-    {
-        std::vector<Addr> lines; // MRU at back
-    };
-    std::vector<RefSet> ref(cache.numSets());
+    RefLru ref(cache.numSets(), 4, 64);
 
     std::uint64_t state = 12345;
     auto next = [&state] {
@@ -321,29 +395,72 @@ TEST(CacheProperty, MatchesReferenceLruModel)
     for (int i = 0; i < 20000; ++i) {
         // Small address space so sets conflict heavily.
         const Addr addr = (next() >> 20) % 16384;
-        const Addr line = addr / 64;
-        RefSet &set = ref[line % cache.numSets()];
-
-        bool ref_hit = false;
-        for (auto it = set.lines.begin(); it != set.lines.end(); ++it) {
-            if (*it == line) {
-                set.lines.erase(it);
-                set.lines.push_back(line);
-                ref_hit = true;
-                break;
-            }
-        }
-        if (!ref_hit) {
-            if (set.lines.size() == 4)
-                set.lines.erase(set.lines.begin());
-            set.lines.push_back(line);
-        }
-
+        const bool ref_hit = ref.access(addr, false);
         const bool cache_hit = cache.access(addr, false) == 0;
         ASSERT_EQ(cache_hit, ref_hit) << "iteration " << i;
     }
     EXPECT_GT(cache.misses(), 100u);
     EXPECT_GT(cache.accesses() - cache.misses(), 100u);
+}
+
+/**
+ * The repeat-line fast path against the same model: runs of 1-4
+ * accesses to one line at different offsets, with writes, a flush
+ * between two accesses to one line, and restores of a saved state
+ * that lacks the line the cache touched last.
+ */
+TEST(CacheProperty, RepeatLineRunsMatchReferenceLruModel)
+{
+    const CacheParams params{"repeat", 1024, 4, 64, 0}; // 4 sets x 4 ways
+    Cache cache(params, nullptr, 50);
+    RefLru ref(cache.numSets(), 4, 64);
+
+    std::uint64_t state = 67890;
+    auto next = [&state] {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return state >> 33;
+    };
+    const auto check = [&](Addr addr, bool write, int run) {
+        const bool ref_hit = ref.access(addr, write);
+        ASSERT_EQ(cache.access(addr, write) == 0, ref_hit) << "run " << run;
+        ASSERT_EQ(cache.writebacks(), ref.writebacks()) << "run " << run;
+    };
+
+    std::string saved;
+    RefLru::Sets saved_sets;
+    unsigned flushes = 0, restores = 0;
+    for (int run = 0; run < 6000; ++run) {
+        // 64 lines over 16 ways: runs often return to an evicted line.
+        const Addr line = next() % 64;
+        const unsigned length = 1 + next() % 4;
+        for (unsigned k = 0; k < length; ++k) {
+            if (k == 1 && next() % 16 == 0) {
+                cache.flush();
+                ref.flush();
+                ++flushes;
+                ASSERT_EQ(cache.writebacks(), ref.writebacks());
+            }
+            check(line * 64 + next() % 64, next() % 3 == 0, run);
+        }
+
+        if (run % 50 == 0) {
+            std::ostringstream os;
+            cache.saveState(os);
+            saved = os.str();
+            saved_sets = ref.sets();
+        } else if (run % 50 == 25 && !ref.holds(saved_sets, line * 64)) {
+            // The cache still remembers the way it just gave `line`.
+            std::istringstream is(saved);
+            ASSERT_TRUE(cache.restoreState(is));
+            ref.setSets(saved_sets);
+            ++restores;
+            check(line * 64 + next() % 64, next() % 3 == 0, run);
+        }
+    }
+    EXPECT_GT(flushes, 50u);
+    EXPECT_GT(restores, 20u);
+    EXPECT_GT(cache.writebacks(), 100u);
+    EXPECT_GT(cache.accesses() - cache.misses(), 1000u);
 }
 
 } // namespace
@@ -358,6 +475,13 @@ TEST(CacheDeath, BadGeometryAborts)
 {
     CacheParams params{"bad", 100, 3, 48, 0};
     EXPECT_DEATH(Cache(params, nullptr, 50), "");
+}
+
+TEST(CacheDeath, NonPowerOfTwoSetCountAborts)
+{
+    // 768 B / (4 ways x 64 B) = 3 sets: indexing is shift and mask.
+    CacheParams params{"odd", 768, 4, 64, 0};
+    EXPECT_DEATH(Cache(params, nullptr, 50), "set count not pow2");
 }
 
 } // namespace

@@ -32,8 +32,9 @@
  *       atomically — a ready-to-use retry worklist.
  *
  * Every simulating mode runs its units on the in-process thread pool
- * (TCSIM_JOBS workers, default all cores) through the same runner the
- * exhibit binaries use; the documents are identical at any job count.
+ * (TCSIM_JOBS workers, default all cores) through runUnits, the runner
+ * tcsim_exhibits uses too; the documents are identical at any job
+ * count.
  *
  * Matrix options (must match between workers and the merger):
  *   --benchmarks a,b,c   subset of the suite (default: all)
