@@ -79,9 +79,9 @@ programFor(const std::string &name)
                     artifacts.load("program", key)) {
                 std::istringstream is(*image);
                 // The payload passed the cache checksum, so a parse
-                // failure means a same-version format change — a bug
-                // loadProgram reports fatally; fall through only on a
-                // short stream.
+                // failure means a same-version format change (a bug).
+                // loadProgram rejects such an image like any corrupt
+                // one, and the program is generated afresh below.
                 if (std::optional<workload::Program> loaded =
                         workload::loadProgram(is)) {
                     entry->program = std::make_unique<workload::Program>(

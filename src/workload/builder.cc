@@ -1,5 +1,7 @@
 #include "workload/builder.h"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/log.h"
@@ -244,14 +246,15 @@ void
 ProgramBuilder::setData(Addr addr, std::uint64_t value)
 {
     TCSIM_ASSERT((addr & 7) == 0, "unaligned data word");
-    data_[addr] = value;
+    data_.push_back({addr, value});
 }
 
 void
 ProgramBuilder::setDataLabel(Addr addr, Label label)
 {
     TCSIM_ASSERT((addr & 7) == 0, "unaligned data word");
-    dataFixups_.push_back({addr, requireValid(label)});
+    dataFixups_.push_back({data_.size(), requireValid(label)});
+    data_.push_back({addr, 0});
 }
 
 void
@@ -283,11 +286,44 @@ ProgramBuilder::build()
     for (const DataFixup &fixup : dataFixups_) {
         TCSIM_ASSERT(labelBound_[fixup.labelId],
                      "unbound label referenced by data word");
-        data_[fixup.addr] = labelAddrs_[fixup.labelId];
+        data_[fixup.slot].value = labelAddrs_[fixup.labelId];
+    }
+    const auto out_of_order = [](const DataWord &a, const DataWord &b) {
+        return a.addr >= b.addr;
+    };
+    if (std::adjacent_find(data_.begin(), data_.end(), out_of_order) !=
+        data_.end()) {
+        data_ = sortedData();
     }
 
     return Program(std::move(name_), codeBase_, std::move(code_),
                    std::move(data_), entrySet_ ? entry_ : codeBase_);
+}
+
+std::vector<DataWord>
+ProgramBuilder::sortedData() const
+{
+    // Stable-sort by address, label words after plain ones, and keep
+    // the last write of each address: the last setData wins, and a
+    // label word wins over every setData.
+    std::vector<bool> is_label(data_.size(), false);
+    for (const DataFixup &fixup : dataFixups_)
+        is_label[fixup.slot] = true;
+    std::vector<std::size_t> order(data_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return std::pair(data_[a].addr, is_label[a]) <
+                                std::pair(data_[b].addr, is_label[b]);
+                     });
+    std::vector<DataWord> sorted;
+    for (const std::size_t i : order) {
+        if (!sorted.empty() && sorted.back().addr == data_[i].addr)
+            sorted.back() = data_[i];
+        else
+            sorted.push_back(data_[i]);
+    }
+    return sorted;
 }
 
 std::uint32_t

@@ -12,7 +12,6 @@
 #define TCSIM_WORKLOAD_BUILDER_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -136,12 +135,16 @@ class ProgramBuilder
      */
     Addr allocData(std::size_t bytes);
 
-    /** Set the 64-bit word at @p addr in the initial data image. */
+    /**
+     * Set the 64-bit word at @p addr in the initial data image. Of
+     * several writes to one address the last wins.
+     */
     void setData(Addr addr, std::uint64_t value);
 
     /**
      * Arrange for the data word at @p addr to hold the address of
-     * @p label once it is bound (jump-table support).
+     * @p label once it is bound (jump-table support). A label word
+     * wins over any setData to the same address.
      */
     void setDataLabel(Addr addr, Label label);
 
@@ -167,13 +170,14 @@ class ProgramBuilder
 
     struct DataFixup
     {
-        Addr addr;
+        std::size_t slot; // index into data_
         std::uint32_t labelId;
     };
 
     void emitBranch(isa::Opcode op, RegIndex rs1, RegIndex rs2,
                     Label target);
     std::uint32_t requireValid(Label label) const;
+    std::vector<DataWord> sortedData() const;
 
     std::string name_;
     Addr codeBase_;
@@ -187,7 +191,8 @@ class ProgramBuilder
     std::vector<bool> labelBound_;
     std::vector<Fixup> fixups_;
     std::vector<DataFixup> dataFixups_;
-    std::map<Addr, std::uint64_t> data_;
+    /** Data writes in call order; build() sorts them if needed. */
+    std::vector<DataWord> data_;
 };
 
 } // namespace tcsim::workload

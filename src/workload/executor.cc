@@ -15,8 +15,18 @@ using isa::Opcode;
 void
 SparseMemory::initFrom(const Program &program)
 {
-    for (const auto &[addr, value] : program.initData())
-        store(addr, value);
+    pages_.clear();
+    pages_.reserve(program.dataPages().size());
+    for (const DataPage &page : program.dataPages())
+        pages_[page.index].bytes = &page.bytes;
+}
+
+void
+SparseMemory::own(Slot &slot)
+{
+    slot.owned = slot.bytes ? std::make_unique<PageBytes>(*slot.bytes)
+                            : std::make_unique<PageBytes>();
+    slot.bytes = slot.owned.get();
 }
 
 std::vector<Addr>
@@ -34,8 +44,16 @@ void
 SparseMemory::copyFrom(const SparseMemory &other)
 {
     pages_.clear();
-    for (const auto &[index, page] : other.pages_)
-        pages_[index] = std::make_unique<Page>(*page);
+    pages_.reserve(other.pages_.size());
+    for (const auto &[index, other_slot] : other.pages_) {
+        Slot &slot = pages_[index];
+        if (other_slot.owned) {
+            slot.owned = std::make_unique<PageBytes>(*other_slot.owned);
+            slot.bytes = slot.owned.get();
+        } else {
+            slot.bytes = other_slot.bytes;
+        }
+    }
 }
 
 FunctionalExecutor::FunctionalExecutor(const Program &program)

@@ -34,11 +34,16 @@ namespace tcsim::workload
  * programs only perform aligned accesses; wrong-path garbage addresses
  * are aligned rather than faulting). Reads of unmapped memory return
  * zero.
+ *
+ * Pages are copy-on-write: initFrom maps the program's page images
+ * without copying them, and the first write to a page makes the
+ * memory's own copy. A memory must not outlive the Program it was
+ * initialized (or copied) from.
  */
 class SparseMemory
 {
   public:
-    static constexpr unsigned kPageBytes = 4096;
+    static constexpr unsigned kPageBytes = workload::kPageBytes;
 
     /** Read the 64-bit word containing @p addr. */
     std::uint64_t
@@ -49,7 +54,7 @@ class SparseMemory
         if (it == pages_.end())
             return 0;
         std::uint64_t value;
-        std::memcpy(&value, it->second->data() + offsetOf(addr),
+        std::memcpy(&value, it->second.bytes->data() + offsetOf(addr),
                     sizeof(value));
         return value;
     }
@@ -59,12 +64,18 @@ class SparseMemory
     store(Addr addr, std::uint64_t value)
     {
         addr &= ~Addr{7};
-        Page &page = pageFor(addr);
+        PageBytes &page = pageFor(addr);
         std::memcpy(page.data() + offsetOf(addr), &value, sizeof(value));
     }
 
-    /** Populate memory from a program's initial data image. */
+    /**
+     * Replace this image with @p program's initial data image. The
+     * program's pages are shared until written.
+     */
     void initFrom(const Program &program);
+
+    /** The memory would outlive the pages it shares; rejected. */
+    void initFrom(Program &&) = delete;
 
     /** @return the number of mapped pages. */
     std::size_t numPages() const { return pages_.size(); }
@@ -77,41 +88,59 @@ class SparseMemory
     pageData(Addr page_index) const
     {
         const auto it = pages_.find(page_index);
-        return it == pages_.end() ? nullptr : it->second->data();
+        return it == pages_.end() ? nullptr : it->second.bytes->data();
     }
 
     /** Overwrite (mapping if needed) page @p page_index wholesale. */
     void
     writePage(Addr page_index, const std::uint8_t *bytes)
     {
-        auto &slot = pages_[page_index];
-        if (!slot)
-            slot = std::make_unique<Page>();
-        std::memcpy(slot->data(), bytes, kPageBytes);
+        Slot &slot = pages_[page_index];
+        if (!slot.owned)
+            own(slot);
+        std::memcpy(slot.owned->data(), bytes, kPageBytes);
     }
 
     /** Drop every mapped page. */
     void clear() { pages_.clear(); }
 
-    /** Replace this image with a deep copy of @p other. */
+    /**
+     * Replace this image with a copy of @p other: pages @p other
+     * shares stay shared, pages it owns are copied.
+     */
     void copyFrom(const SparseMemory &other);
 
   private:
-    using Page = std::array<std::uint8_t, kPageBytes>;
+    /**
+     * A mapped page: @c bytes points at a shared program page until
+     * the first write, then at the page's own copy in @c owned.
+     */
+    struct Slot
+    {
+        const PageBytes *bytes = nullptr;
+        std::unique_ptr<PageBytes> owned;
+    };
 
     static Addr pageOf(Addr addr) { return addr / kPageBytes; }
     static std::size_t offsetOf(Addr addr) { return addr % kPageBytes; }
 
-    Page &
+    /**
+     * Give @p slot its own copy of the page it shares, or a zero page.
+     * Out of line, since it runs once per page: the inline store path
+     * in the simulators' hot loops stays small.
+     */
+    static void own(Slot &slot);
+
+    PageBytes &
     pageFor(Addr addr)
     {
-        auto &slot = pages_[pageOf(addr)];
-        if (!slot)
-            slot = std::make_unique<Page>(Page{});
-        return *slot;
+        Slot &slot = pages_[pageOf(addr)];
+        if (!slot.owned)
+            own(slot);
+        return *slot.owned;
     }
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+    std::unordered_map<Addr, Slot> pages_;
 };
 
 /** The record of one architecturally executed instruction. */

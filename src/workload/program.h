@@ -11,8 +11,8 @@
 #ifndef TCSIM_WORKLOAD_PROGRAM_H
 #define TCSIM_WORKLOAD_PROGRAM_H
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,6 +31,28 @@ constexpr Addr kDataBase = 0x4000000;
 /** Default initial stack pointer (stack grows down). */
 constexpr Addr kStackTop = 0x8000000;
 
+/** Bytes per page of a data image and of simulated memory. */
+constexpr unsigned kPageBytes = 4096;
+
+/** The bytes of one page. */
+using PageBytes = std::array<std::uint8_t, kPageBytes>;
+
+/** One initialized 64-bit word of a data image. */
+struct DataWord
+{
+    Addr addr;
+    std::uint64_t value;
+
+    bool operator==(const DataWord &) const = default;
+};
+
+/** One page of a data image: its index (address / kPageBytes). */
+struct DataPage
+{
+    Addr index;
+    PageBytes bytes;
+};
+
 /** An immutable program image. */
 class Program
 {
@@ -39,12 +61,13 @@ class Program
      * @param name human-readable benchmark name
      * @param code_base address of the first instruction
      * @param code decoded instructions, contiguous from code_base
-     * @param init_data initial data image, 64-bit words keyed by address
+     * @param init_data initial data image: 8-byte-aligned words in
+     *        strictly ascending address order
      * @param entry the entry-point address
      */
     Program(std::string name, Addr code_base,
             std::vector<isa::Instruction> code,
-            std::map<Addr, std::uint64_t> init_data, Addr entry);
+            std::vector<DataWord> init_data, Addr entry);
 
     /** @return the benchmark name. */
     const std::string &name() const { return name_; }
@@ -85,15 +108,24 @@ class Program
         return code_[(addr - codeBase_) / isa::kInstBytes];
     }
 
-    /** @return the initial data image (word-granular). */
-    const std::map<Addr, std::uint64_t> &initData() const { return data_; }
+    /** @return the initial data words, ascending by address. */
+    const std::vector<DataWord> &initData() const { return data_; }
+
+    /**
+     * @return the initial data image as pages, ascending by index:
+     * every page holding an initialized word, zero elsewhere. Built
+     * once by the constructor and never changed, so simulated
+     * memories share them (SparseMemory::initFrom).
+     */
+    const std::vector<DataPage> &dataPages() const { return pages_; }
 
   private:
     std::string name_;
     Addr codeBase_;
     Addr entry_;
     std::vector<isa::Instruction> code_;
-    std::map<Addr, std::uint64_t> data_;
+    std::vector<DataWord> data_;
+    std::vector<DataPage> pages_;
     isa::Instruction nopInst_;
 };
 

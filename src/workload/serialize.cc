@@ -91,6 +91,15 @@ loadProgram(std::istream &is)
         code_size > (1ULL << 26)) {
         return std::nullopt;
     }
+    // Program's constructor asserts these; a corrupt image must be
+    // rejected here instead.
+    const std::uint64_t code_bytes = code_size * isa::kInstBytes;
+    if ((code_base & (isa::kInstBytes - 1)) != 0 ||
+        code_base > ~std::uint64_t{0} - code_bytes || entry < code_base ||
+        entry - code_base >= code_bytes ||
+        (entry & (isa::kInstBytes - 1)) != 0) {
+        return std::nullopt;
+    }
     std::vector<isa::Instruction> code;
     code.reserve(code_size);
     for (std::uint64_t i = 0; i < code_size; ++i) {
@@ -103,13 +112,22 @@ loadProgram(std::istream &is)
     std::uint64_t data_count = 0;
     if (!readScalar(is, data_count) || data_count > (1ULL << 28))
         return std::nullopt;
-    std::map<Addr, std::uint64_t> data;
+    std::vector<DataWord> data;
     for (std::uint64_t i = 0; i < data_count; ++i) {
-        std::uint64_t addr = 0, value = 0;
-        if (!readScalar(is, addr) || !readScalar(is, value))
+        DataWord word{};
+        if (!readScalar(is, word.addr) || !readScalar(is, word.value))
             return std::nullopt;
-        data.emplace(addr, value);
+        // saveProgram writes aligned words in strictly ascending order.
+        if ((word.addr & 7) != 0 ||
+            (!data.empty() && word.addr <= data.back().addr)) {
+            return std::nullopt;
+        }
+        data.push_back(word);
     }
+    // No trailing bytes.
+    is.peek();
+    if (!is.eof())
+        return std::nullopt;
 
     return Program(std::move(name), code_base, std::move(code),
                    std::move(data), entry);

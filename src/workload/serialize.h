@@ -30,8 +30,10 @@ bool saveProgram(const Program &program, std::ostream &os);
 bool saveProgram(const Program &program, const std::string &path);
 
 /**
- * Read a program from @p is. Aborts (fatal) on a malformed image;
- * stream failures return an empty optional.
+ * Read a program from @p is, which must end with the image. A
+ * truncated or malformed image (bad magic or version, entry outside
+ * the code, misaligned code base, data words unaligned or not
+ * strictly ascending, trailing bytes) returns an empty optional.
  */
 std::optional<Program> loadProgram(std::istream &is);
 

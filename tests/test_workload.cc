@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <optional>
+#include <thread>
+
 #include "workload/builder.h"
 #include "workload/characterize.h"
 #include "workload/executor.h"
@@ -59,9 +65,137 @@ TEST(SparseMemory, DistinctPages)
     EXPECT_EQ(mem.load(0x10000), 2u);
 }
 
+/** A program whose data image spans two pages. */
+Program
+twoPageProgram()
+{
+    ProgramBuilder b("cow");
+    b.setData(kDataBase, 0x11);
+    b.setData(kDataBase + 8, 0x22);
+    b.setData(kDataBase + kPageBytes, 0x33);
+    b.halt();
+    return b.build();
+}
+
+constexpr Addr kPage0 = kDataBase / kPageBytes;
+
+TEST(SparseMemory, InitFromSharesProgramPages)
+{
+    const Program p = twoPageProgram();
+    SparseMemory mem;
+    mem.initFrom(p);
+    ASSERT_EQ(p.dataPages().size(), 2u);
+    EXPECT_EQ(mem.pageIndices(), (std::vector<Addr>{kPage0, kPage0 + 1}));
+    for (const DataPage &page : p.dataPages())
+        EXPECT_EQ(mem.pageData(page.index), page.bytes.data());
+    EXPECT_EQ(mem.load(kDataBase + 8), 0x22u);
+    EXPECT_EQ(mem.load(kDataBase + 16), 0u);
+    EXPECT_EQ(mem.load(kDataBase + kPageBytes), 0x33u);
+}
+
+TEST(SparseMemory, StoreIntoSharedPageCopiesIt)
+{
+    const Program p = twoPageProgram();
+    const PageBytes before = p.dataPages()[0].bytes;
+    SparseMemory a, b;
+    a.initFrom(p);
+    b.initFrom(p);
+    a.store(kDataBase, 0x99);
+    EXPECT_EQ(a.load(kDataBase), 0x99u);
+    EXPECT_EQ(a.load(kDataBase + 8), 0x22u); // the copy keeps the rest
+    EXPECT_EQ(b.load(kDataBase), 0x11u);
+    EXPECT_EQ(p.dataPages()[0].bytes, before);
+    EXPECT_NE(a.pageData(kPage0), p.dataPages()[0].bytes.data());
+    EXPECT_EQ(a.pageData(kPage0 + 1), p.dataPages()[1].bytes.data());
+    EXPECT_EQ(a.numPages(), 2u);
+}
+
+TEST(SparseMemory, CopyFromIsIndependentBothWays)
+{
+    const Program p = twoPageProgram();
+    const PageBytes before = p.dataPages()[1].bytes;
+    SparseMemory src, copy;
+    src.initFrom(p);
+    src.store(kDataBase, 0x1); // src owns page 0; page 1 stays shared
+    copy.copyFrom(src);
+    EXPECT_EQ(copy.pageIndices(), src.pageIndices());
+    EXPECT_EQ(copy.load(kDataBase), 0x1u);
+    EXPECT_EQ(copy.pageData(kPage0 + 1), p.dataPages()[1].bytes.data());
+
+    src.store(kDataBase, 0x2);
+    src.store(kDataBase + kPageBytes, 0x3);
+    EXPECT_EQ(copy.load(kDataBase), 0x1u);
+    EXPECT_EQ(copy.load(kDataBase + kPageBytes), 0x33u);
+
+    copy.store(kDataBase + 8, 0x4);
+    copy.store(kDataBase + kPageBytes + 8, 0x5);
+    copy.store(0x1000, 0x6); // a page neither had
+    EXPECT_EQ(src.load(kDataBase + 8), 0x22u);
+    EXPECT_EQ(src.load(kDataBase + kPageBytes + 8), 0u);
+    EXPECT_EQ(src.load(0x1000), 0u);
+    EXPECT_EQ(src.numPages(), 2u);
+    EXPECT_EQ(copy.numPages(), 3u);
+    EXPECT_EQ(p.dataPages()[1].bytes, before);
+}
+
+TEST(SparseMemory, WritePageOverSharedPage)
+{
+    const Program p = twoPageProgram();
+    const PageBytes before = p.dataPages()[0].bytes;
+    SparseMemory a, b;
+    a.initFrom(p);
+    b.initFrom(p);
+    PageBytes bytes;
+    bytes.fill(0xab);
+    a.writePage(kPage0, bytes.data());
+    EXPECT_EQ(a.load(kDataBase + 8), 0xababababababababULL);
+    EXPECT_EQ(std::memcmp(a.pageData(kPage0), bytes.data(), kPageBytes), 0);
+    EXPECT_EQ(b.load(kDataBase + 8), 0x22u);
+    EXPECT_EQ(p.dataPages()[0].bytes, before);
+    EXPECT_EQ(a.numPages(), 2u);
+}
+
+TEST(SparseMemory, ClearDropsSharedAndOwnedPages)
+{
+    const Program p = twoPageProgram();
+    SparseMemory mem;
+    mem.initFrom(p);
+    mem.store(kDataBase, 0x99);
+    mem.clear();
+    EXPECT_EQ(mem.numPages(), 0u);
+    EXPECT_EQ(mem.pageData(kPage0), nullptr);
+    EXPECT_EQ(mem.load(kDataBase + kPageBytes), 0u);
+    mem.initFrom(p);
+    EXPECT_EQ(mem.load(kDataBase), 0x11u);
+}
+
+TEST(SparseMemory, PageDataAfterStoreSeesTheStore)
+{
+    const Program p = twoPageProgram();
+    SparseMemory mem;
+    mem.initFrom(p);
+    mem.store(kDataBase + 16, 0x77);
+    std::array<std::uint64_t, 3> words{};
+    std::memcpy(words.data(), mem.pageData(kPage0), sizeof(words));
+    EXPECT_EQ(words, (std::array<std::uint64_t, 3>{0x11, 0x22, 0x77}));
+}
+
 // ----------------------------------------------------------------------
 // ProgramBuilder.
 // ----------------------------------------------------------------------
+
+/** @return the initial value of the data word at @p addr, if any. */
+std::optional<std::uint64_t>
+initWord(const Program &p, Addr addr)
+{
+    const std::vector<DataWord> &data = p.initData();
+    const auto it = std::lower_bound(
+        data.begin(), data.end(), addr,
+        [](const DataWord &word, Addr a) { return word.addr < a; });
+    if (it == data.end() || it->addr != addr)
+        return std::nullopt;
+    return it->value;
+}
 
 TEST(Builder, ForwardAndBackwardBranchFixups)
 {
@@ -103,7 +237,58 @@ TEST(Builder, DataLabelsResolveToCode)
     b.bind(target);
     b.halt();
     Program p = b.build();
-    EXPECT_EQ(p.initData().at(slot), kCodeBase + 4);
+    EXPECT_EQ(initWord(p, slot), kCodeBase + 4);
+}
+
+TEST(Builder, RepeatedSetDataKeepsLast)
+{
+    ProgramBuilder b("t");
+    const Addr a = b.allocData(16);
+    b.setData(a, 1);
+    b.setData(a + 8, 2);
+    b.setData(a, 3);
+    b.halt();
+    const Program p = b.build();
+    EXPECT_EQ(p.initData(), (std::vector<DataWord>{{a, 3}, {a + 8, 2}}));
+}
+
+TEST(Builder, LabelWordWinsOverSetDataInEitherOrder)
+{
+    ProgramBuilder b("t");
+    const Addr a = b.allocData(16);
+    Label target = b.newLabel();
+    b.setData(a, 5);
+    b.setDataLabel(a, target);
+    b.setDataLabel(a + 8, target);
+    b.setData(a + 8, 7);
+    b.nop();
+    b.bind(target);
+    b.halt();
+    const Program p = b.build();
+    EXPECT_EQ(p.initData(), (std::vector<DataWord>{{a, kCodeBase + 4},
+                                                   {a + 8, kCodeBase + 4}}));
+}
+
+TEST(Builder, OutOfOrderWritesComeOutSorted)
+{
+    ProgramBuilder b("t");
+    const Addr a = b.allocData(4 * kPageBytes);
+    b.setData(a + 3 * kPageBytes, 4);
+    b.setData(a + 8, 2);
+    b.setData(a, 1);
+    b.setData(a + kPageBytes, 3);
+    b.halt();
+    const Program p = b.build();
+    EXPECT_EQ(p.initData(),
+              (std::vector<DataWord>{{a, 1},
+                                     {a + 8, 2},
+                                     {a + kPageBytes, 3},
+                                     {a + 3 * kPageBytes, 4}}));
+    ASSERT_EQ(p.dataPages().size(), 3u);
+    SparseMemory mem;
+    mem.initFrom(p);
+    for (const DataWord &word : p.initData())
+        EXPECT_EQ(mem.load(word.addr), word.value);
 }
 
 TEST(Builder, LoadImm64TwoInstructionSequence)
@@ -493,6 +678,8 @@ TEST(ProfileStaticBias, IgnoresRareAndUnbiasedSites)
 
 #include <sstream>
 
+#include "common/fnv.h"
+
 namespace tcsim::workload
 {
 namespace
@@ -547,6 +734,213 @@ TEST(Serialize, RejectsTruncated)
     bytes.resize(bytes.size() / 2);
     std::stringstream truncated(bytes);
     EXPECT_FALSE(loadProgram(truncated).has_value());
+}
+
+/**
+ * The image of a two-instruction program with three data words, and
+ * the byte offsets of the fields the corruption tests patch.
+ */
+struct SmallImage
+{
+    std::string bytes;
+    std::size_t codeBaseAt = 0;
+    std::size_t entryAt = 0;
+    std::size_t dataAt = 0; // the first (addr, value) pair
+};
+
+SmallImage
+smallImage()
+{
+    ProgramBuilder b("img");
+    const Addr base = b.allocData(24);
+    b.setData(base, 1);
+    b.setData(base + 8, 2);
+    b.setData(base + 16, 3);
+    b.nop();
+    b.halt();
+    std::ostringstream os;
+    EXPECT_TRUE(saveProgram(b.build(), os));
+    SmallImage image;
+    image.bytes = os.str();
+    // Magic, version, name length, "img".
+    image.codeBaseAt = 8 + 4 + 4 + 3;
+    image.entryAt = image.codeBaseAt + 8;
+    // Instruction count, two instruction words, data word count.
+    image.dataAt = image.entryAt + 8 + 8 + 2 * 4 + 8;
+    return image;
+}
+
+std::uint64_t
+read64(const std::string &bytes, std::size_t at)
+{
+    std::uint64_t value = 0;
+    std::memcpy(&value, bytes.data() + at, sizeof(value));
+    return value;
+}
+
+std::string
+patched64(std::string bytes, std::size_t at, std::uint64_t value)
+{
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    return bytes;
+}
+
+bool
+loads(const std::string &bytes)
+{
+    std::istringstream is(bytes);
+    return loadProgram(is).has_value();
+}
+
+TEST(Serialize, RejectsCorruptHeader)
+{
+    const SmallImage image = smallImage();
+    ASSERT_TRUE(loads(image.bytes));
+    const std::uint64_t base = read64(image.bytes, image.codeBaseAt);
+    ASSERT_EQ(base, kCodeBase);
+    ASSERT_EQ(read64(image.bytes, image.entryAt), kCodeBase);
+    EXPECT_TRUE(loads(patched64(image.bytes, image.entryAt, base + 4)));
+
+    // The entry before, past or between the instructions.
+    for (const std::uint64_t entry : {std::uint64_t{0}, base - 4, base + 8,
+                                      base + 2}) {
+        EXPECT_FALSE(loads(patched64(image.bytes, image.entryAt, entry)))
+            << "entry 0x" << std::hex << entry;
+    }
+    // A misaligned code base, and one whose code would wrap past 2^64.
+    for (const std::uint64_t code_base : {base + 2, ~std::uint64_t{3}}) {
+        std::string bytes =
+            patched64(image.bytes, image.codeBaseAt, code_base);
+        EXPECT_FALSE(loads(patched64(bytes, image.entryAt, code_base)))
+            << "code base 0x" << std::hex << code_base;
+    }
+}
+
+TEST(Serialize, RejectsMisorderedData)
+{
+    const SmallImage image = smallImage();
+    ASSERT_TRUE(loads(image.bytes));
+    const std::uint64_t first = read64(image.bytes, image.dataAt);
+    const std::size_t second_at = image.dataAt + 16;
+    ASSERT_EQ(read64(image.bytes, second_at), first + 8);
+
+    EXPECT_FALSE(loads(patched64(image.bytes, image.dataAt, first + 4)))
+        << "unaligned";
+    EXPECT_FALSE(loads(patched64(image.bytes, second_at, first - 8)))
+        << "descending";
+    EXPECT_FALSE(loads(patched64(image.bytes, second_at, first)))
+        << "duplicate";
+}
+
+TEST(Serialize, RejectsTrailingBytes)
+{
+    const SmallImage image = smallImage();
+    ASSERT_TRUE(loads(image.bytes));
+    EXPECT_FALSE(loads(image.bytes + '\0'));
+    EXPECT_FALSE(loads(image.bytes + image.bytes));
+}
+
+TEST(ProgramImage, GoldenDigestsAllProfiles)
+{
+    // FNV-1a digests of every profile's saveProgram bytes and of a
+    // memory initialized from the program (each page index, then the
+    // page's bytes, in pageIndices() order). Captured when data images
+    // were still address-keyed trees copied word by word into memory.
+    struct Golden
+    {
+        const char *name;
+        const char *image;
+        const char *memory;
+    };
+    static const Golden kGolden[] = {
+        {"compress", "e7a3fef8bbbd80aa", "a66115ca22183e7d"},
+        {"gcc", "94bd696fa53f8503", "300dde251b737f53"},
+        {"go", "de7e81338353c45e", "0f46300580303021"},
+        {"ijpeg", "b73bcdf842794e34", "ea665cf3f654b612"},
+        {"li", "76468a0024d914d9", "36988b5359b6b4f8"},
+        {"m88ksim", "3136f526dcde3d39", "08ff4cc820ca914d"},
+        {"perl", "120e24454821b848", "7351135058c2c77e"},
+        {"vortex", "ce03192f38b1d6a8", "75a955cbe00b8c6f"},
+        {"gnuchess", "b42f92051dc53c79", "9137c798501cbcce"},
+        {"ghostscript", "916da042d3819615", "b3162db8e4aa36a9"},
+        {"pgp", "7774505ac48d08da", "b779c311afa410e4"},
+        {"python", "66565fb697db72f7", "2500a6d5bd714df5"},
+        {"gnuplot", "7fde05ef0ef9cdba", "fcd43d4ad643e610"},
+        {"sim-outorder", "ebef41c283c2480d", "7d2416891f416130"},
+        {"tex", "1b78d57159f10dfe", "400bd34d559e25ae"},
+        {"server-oltp", "90ecf35178fb306d", "da44bda1184e2295"},
+        {"server-web", "fbfae13eea05f779", "bcd0489af0bc0006"},
+        {"server-cache", "76d68cbf3c9253e5", "876a57a52fa4d3b2"},
+    };
+
+    std::vector<BenchmarkProfile> profiles = benchmarkSuite();
+    profiles.insert(profiles.end(), serverSuite().begin(),
+                    serverSuite().end());
+    ASSERT_EQ(profiles.size(), std::size(kGolden));
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        const Program p = generateProgram(profiles[i]);
+        std::ostringstream os;
+        ASSERT_TRUE(saveProgram(p, os));
+        SparseMemory mem;
+        mem.initFrom(p);
+        std::uint64_t memory = kFnvOffsetBasis;
+        for (const Addr index : mem.pageIndices()) {
+            memory = fnv1aAppendScalar(memory, index);
+            memory = fnv1aAppend(
+                memory,
+                std::string_view(
+                    reinterpret_cast<const char *>(mem.pageData(index)),
+                    SparseMemory::kPageBytes));
+        }
+        EXPECT_EQ(profiles[i].name, kGolden[i].name);
+        EXPECT_EQ(hashHex(fnv1a(os.str())), kGolden[i].image)
+            << profiles[i].name;
+        EXPECT_EQ(hashHex(memory), kGolden[i].memory) << profiles[i].name;
+    }
+}
+
+TEST(SharedProgram, FourThreadsMatchSingleThread)
+{
+    // Four executors on one Program read its shared pages and copy the
+    // ones they write; each must step exactly like a lone executor.
+    const Program p = generateProgram(findProfile("gcc"));
+    constexpr int kSteps = 50000;
+    constexpr int kThreads = 4;
+    std::vector<StepResult> reference;
+    reference.reserve(kSteps);
+    FunctionalExecutor lone(p);
+    for (int i = 0; i < kSteps; ++i)
+        reference.push_back(lone.step());
+
+    std::array<int, kThreads> first_mismatch;
+    first_mismatch.fill(-1);
+    std::array<std::size_t, kThreads> copied_pages{};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            FunctionalExecutor exec(p);
+            for (int i = 0; i < kSteps; ++i) {
+                const StepResult step = exec.step();
+                const StepResult &ref = reference[i];
+                if (step.pc != ref.pc || step.nextPc != ref.nextPc ||
+                    step.result != ref.result ||
+                    step.memAddr != ref.memAddr || step.taken != ref.taken) {
+                    first_mismatch[t] = i;
+                    return;
+                }
+            }
+            for (const DataPage &page : p.dataPages()) {
+                if (exec.memory().pageData(page.index) != page.bytes.data())
+                    ++copied_pages[t];
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(first_mismatch[t], -1) << "thread " << t;
+        EXPECT_GT(copied_pages[t], 0u) << "thread " << t;
+    }
 }
 
 } // namespace
