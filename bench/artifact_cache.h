@@ -1,9 +1,11 @@
 /**
  * @file
  * Content-addressed artifact cache for expensive deterministic
- * byproducts of a benchmark run: generated workload::Program images,
- * and the sampled and replay units' BBV profiles, architectural
- * checkpoints, functional-warming checkpoints and recorded btraces.
+ * byproducts of the sampled and replay units: BBV profiles,
+ * architectural checkpoints, functional-warming checkpoints and
+ * recorded btraces. Full units look nothing up; a program is
+ * generated once per process (bench::programFor), which costs less
+ * than reading and parsing a cached image.
  *
  * Every artifact is addressed by a canonical key string that encodes
  * everything its bytes depend on (generator version, profile

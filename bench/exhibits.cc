@@ -1078,69 +1078,6 @@ render(const Results &results)
 
 } // namespace tc_size
 
-// Memory-pressure addendum to the paper's IPC exhibits (Figures 11 and
-// 16): the same icache / baseline / promotion+packing comparison, but
-// with the contended DRAM backstop enabled — finite bus bandwidth,
-// banked open-row timing, an outstanding-miss limit, and dirty-victim
-// writeback traffic charged where it lands. The paper's substrate is a
-// flat >= 50-cycle memory; this exhibit measures whether the promo+pack
-// IPC deltas (claims 8 and 10 in EXPERIMENTS.md) widen once a wider
-// fetch engine's extra demand has to queue for memory instead of
-// drawing on infinite bandwidth.
-namespace mem_pressure
-{
-
-/** Bus width in bytes per cycle: deliberately narrow, so an L2 line
- * occupies the bus for 16 cycles and contention is visible at small
- * instruction budgets (`tcsim_run --mem-bus-bytes` tries others). */
-constexpr std::uint32_t kBusBytesPerCycle = 4;
-
-/** Realistic engine (Figure 11 shape) under contention, then the
- * perfect-disambiguation engine (Figure 16 shape). */
-std::vector<WorkUnit>
-plan()
-{
-    memory::DramParams dram;
-    dram.busBytesPerCycle = kBusBytesPerCycle;
-    const auto perfect = [&](sim::ProcessorConfig cfg) {
-        cfg.disambiguation = sim::Disambiguation::Perfect;
-        cfg.name += "+perfect";
-        return sim::withContendedMemory(std::move(cfg), dram);
-    };
-    const sim::ProcessorConfig both =
-        sim::promotionPackingConfig(64, trace::PackingPolicy::CostRegulated);
-    return exhibitUnits(
-        allBenchmarks(),
-        {sim::withContendedMemory(sim::icacheConfig(), dram),
-         sim::withContendedMemory(sim::baselineConfig(), dram),
-         sim::withContendedMemory(both, dram),
-         perfect(sim::baselineConfig()), perfect(both)});
-}
-
-int
-render(const Results &results)
-{
-    printBanner("Mem pressure",
-                "IPC under the contended DRAM model (claims 8/10 addendum)");
-
-    std::vector<std::vector<double>> ipc;
-    for (const Results &row : byConfig(results))
-        ipc.push_back(metricsOf(row, &sim::SimResult::ipc));
-
-    printBenchmarkHeader("config");
-    printBenchmarkRow("icache+mem", ipc[0]);
-    printBenchmarkRow("baseline+mem", ipc[1]);
-    printBenchmarkRow("promo,pack+mem", ipc[2]);
-    printBenchmarkRow("both vs baseline %", percentChange(ipc[1], ipc[2]), 1);
-    printBenchmarkRow("baseline+mem (perfect)", ipc[3]);
-    printBenchmarkRow("promo,pack+mem (perfect)", ipc[4]);
-    printBenchmarkRow("both vs baseline % (perfect)",
-                      percentChange(ipc[3], ipc[4]), 1);
-    return 0;
-}
-
-} // namespace mem_pressure
-
 // Server-class front-end exhibit: the paper's promotion + packing
 // deltas re-measured on the server workload profiles (huge code
 // footprint, deep call chains, indirect-branch-dense dispatch loops,
@@ -1522,7 +1459,6 @@ exhibitRegistry()
         {"fig6_fetch_histogram_promotion", fig6::plan, fig6::render},
         {"fig7_mispred_change", fig7::plan, fig7::render},
         {"fig9_packing_fetch_rate", fig9::plan, fig9::render},
-        {"mem_pressure_ipc", mem_pressure::plan, mem_pressure::render},
         {"server_frontend", server::plan, server::render},
         {"table1_benchmarks", table1::plan, table1::render},
         {"table2_promotion_threshold", table2::plan, table2::render},

@@ -4,13 +4,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 
-#include "bench/artifact_cache.h"
-#include "common/fnv.h"
 #include "common/log.h"
 #include "common/parse.h"
-#include "workload/serialize.h"
 
 namespace tcsim::bench
 {
@@ -36,18 +32,6 @@ instBudget(const workload::BenchmarkProfile &profile)
     return envBudget().value_or(profile.defaultMaxInsts);
 }
 
-std::string
-programArtifactKey(const workload::BenchmarkProfile &profile)
-{
-    std::string key = "program:v";
-    key += std::to_string(workload::kGeneratorVersion);
-    key += ':';
-    key += profile.name;
-    key += ":profile=";
-    key += hashHex(workload::profileFingerprint(profile));
-    return key;
-}
-
 const workload::Program &
 programFor(const std::string &name)
 {
@@ -70,36 +54,8 @@ programFor(const std::string &name)
         entry = &cache[name];
     }
     std::call_once(entry->once, [&] {
-        const workload::BenchmarkProfile &profile =
-            workload::findProfile(name);
-        ArtifactCache &artifacts = ArtifactCache::process();
-        if (artifacts.enabled()) {
-            const std::string key = programArtifactKey(profile);
-            if (std::optional<std::string> image =
-                    artifacts.load("program", key)) {
-                std::istringstream is(*image);
-                // The payload passed the cache checksum, so a parse
-                // failure means a same-version format change (a bug).
-                // loadProgram rejects such an image like any corrupt
-                // one, and the program is generated afresh below.
-                if (std::optional<workload::Program> loaded =
-                        workload::loadProgram(is)) {
-                    entry->program = std::make_unique<workload::Program>(
-                        std::move(*loaded));
-                    return;
-                }
-            }
-            workload::Program generated =
-                workload::generateProgram(profile);
-            std::ostringstream image;
-            if (workload::saveProgram(generated, image))
-                artifacts.store("program", key, std::move(image).str());
-            entry->program = std::make_unique<workload::Program>(
-                std::move(generated));
-            return;
-        }
         entry->program = std::make_unique<workload::Program>(
-            workload::generateProgram(profile));
+            workload::generateProgram(workload::findProfile(name)));
     });
     return *entry->program;
 }

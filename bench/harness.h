@@ -41,18 +41,9 @@ std::uint64_t instBudget(const workload::BenchmarkProfile &profile);
 /**
  * Generate and cache the program for @p name (per-process cache).
  * Thread-safe: concurrent callers generate each benchmark exactly once
- * and share the immutable cached Program. When TCSIM_CACHE_DIR is set,
- * the serialized image is additionally memoized on disk through the
- * content-addressed ArtifactCache, so later processes skip generation.
+ * and share the immutable cached Program.
  */
 const workload::Program &programFor(const std::string &name);
-
-/**
- * @return the content key a benchmark's generated program image is
- * cached under: generator version + full profile fingerprint, so any
- * change to either regenerates instead of reusing a stale image.
- */
-std::string programArtifactKey(const workload::BenchmarkProfile &profile);
 
 /** @return the units of @p configs x @p benchmarks (config-major),
  * with TCSIM_INSTS and TCSIM_WARMUP applied. */

@@ -4,8 +4,8 @@
  * artifact cache.
  *
  * Everything the sweep persists — result fragments and cached
- * artifacts (program images, BBV profiles, architectural checkpoints,
- * warm states, btraces) — is a named blob under content-hashed names
+ * artifacts (BBV profiles, architectural checkpoints, warm states,
+ * btraces) — is a named blob under content-hashed names
  * in a directory. LocalDirStore is the one place that writes them:
  *
  *  - put() is atomic (writeFileAtomic, common/atomic_file.h): it writes

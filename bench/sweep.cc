@@ -9,7 +9,6 @@
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <string_view>
 
 #include "bench/artifact_cache.h"
 #include "bench/harness.h"
@@ -251,13 +250,11 @@ warmingStateKey(const WorkUnit &unit, std::uint64_t pos)
     return key;
 }
 
-/** Program-only key prefix shared by the config-independent sampled
- * artifacts (BBV profiles, architectural checkpoints). */
+/** Program-only key prefix shared by the config-independent artifacts
+ * (BBV profiles, architectural checkpoints, btraces). */
 std::string
-programKeyPrefix(const std::string &benchmark)
+programKeyPrefix(const workload::BenchmarkProfile &profile)
 {
-    const workload::BenchmarkProfile &profile =
-        workload::findProfile(benchmark);
     std::string key = "gen=v";
     key += std::to_string(workload::kGeneratorVersion);
     key += ":prog=";
@@ -266,10 +263,10 @@ programKeyPrefix(const std::string &benchmark)
 }
 
 std::string
-archCkptKey(const std::string &benchmark, std::uint64_t pos)
+archCkptKey(const workload::BenchmarkProfile &profile, std::uint64_t pos)
 {
     std::string key = "archckpt:v1:";
-    key += programKeyPrefix(benchmark);
+    key += programKeyPrefix(profile);
     key += ":pos=";
     key += std::to_string(pos);
     return key;
@@ -278,13 +275,13 @@ archCkptKey(const std::string &benchmark, std::uint64_t pos)
 } // namespace
 
 std::string
-bbvArtifactKey(const std::string &benchmark, std::uint64_t insts,
-               std::uint64_t interval)
+bbvArtifactKey(const workload::BenchmarkProfile &profile,
+               std::uint64_t insts, std::uint64_t interval)
 {
     std::string key = "bbv:v";
     key += std::to_string(sample::kBbvFormatVersion);
     key += ':';
-    key += programKeyPrefix(benchmark);
+    key += programKeyPrefix(profile);
     key += ":insts=";
     key += std::to_string(insts);
     key += ":interval=";
@@ -293,12 +290,13 @@ bbvArtifactKey(const std::string &benchmark, std::uint64_t insts,
 }
 
 std::string
-btraceArtifactKey(const std::string &benchmark, std::uint64_t insts)
+btraceArtifactKey(const workload::BenchmarkProfile &profile,
+                  std::uint64_t insts)
 {
     std::string key = "btrace:v";
     key += std::to_string(workload::kBtraceFormatVersion);
     key += ':';
-    key += programKeyPrefix(benchmark);
+    key += programKeyPrefix(profile);
     key += ":insts=";
     key += std::to_string(insts);
     return key;
@@ -315,18 +313,6 @@ defaultSweepConfigs()
 std::optional<sim::ProcessorConfig>
 configByName(const std::string &name)
 {
-    // A "+mem" suffix layers the contended-DRAM memory model (default
-    // DramParams) over any base config, e.g. "baseline+mem".
-    constexpr std::string_view mem_suffix = "+mem";
-    if (name.size() > mem_suffix.size() &&
-        name.compare(name.size() - mem_suffix.size(), mem_suffix.size(),
-                     mem_suffix) == 0) {
-        auto base = configByName(
-            name.substr(0, name.size() - mem_suffix.size()));
-        if (!base)
-            return std::nullopt;
-        return sim::withContendedMemory(std::move(*base));
-    }
     if (name == "icache")
         return sim::icacheConfig();
     if (name == "baseline")
@@ -499,6 +485,8 @@ executeSampledUnit(const WorkUnit &unit)
 {
     TCSIM_ASSERT(unit.sampled.enabled);
     const workload::Program &program = programFor(unit.benchmark);
+    const workload::BenchmarkProfile &profile =
+        workload::findProfile(unit.benchmark);
     ArtifactCache &cache = ArtifactCache::process();
 
     // 1. BBV profile: functional pass, configuration-independent,
@@ -506,8 +494,7 @@ executeSampledUnit(const WorkUnit &unit)
     const std::string bbv_json =
         cache.getOrCreate(
             "bbv",
-            bbvArtifactKey(unit.benchmark, unit.insts,
-                           unit.sampled.interval),
+            bbvArtifactKey(profile, unit.insts, unit.sampled.interval),
             [&] {
             return sample::profileBbv(program, unit.benchmark, unit.insts,
                                       unit.sampled.interval)
@@ -525,8 +512,6 @@ executeSampledUnit(const WorkUnit &unit)
     // 2. Deterministic clustering: a pure single-threaded function of
     //    the BBV artifact — bit-identical regardless of TCSIM_JOBS or
     //    shard count.
-    const workload::BenchmarkProfile &profile =
-        workload::findProfile(unit.benchmark);
     const sample::SimpointPlan plan = sample::selectSimpoints(
         *bbv, hashHex(workload::profileFingerprint(profile)),
         unit.sampled.maxK);
@@ -551,7 +536,7 @@ executeSampledUnit(const WorkUnit &unit)
     for (const std::uint64_t pos : positions) {
         std::optional<std::string> blob;
         if (cache.enabled())
-            blob = cache.load("archckpt", archCkptKey(unit.benchmark, pos));
+            blob = cache.load("archckpt", archCkptKey(profile, pos));
         if (blob)
             ckpt_blobs.emplace(pos, std::move(*blob));
         else
@@ -563,7 +548,7 @@ executeSampledUnit(const WorkUnit &unit)
             walker.advanceTo(pos);
             std::string blob = walker.capture().serialize();
             if (cache.enabled())
-                cache.store("archckpt", archCkptKey(unit.benchmark, pos),
+                cache.store("archckpt", archCkptKey(profile, pos),
                             blob);
             ckpt_blobs.emplace(pos, std::move(blob));
         }
@@ -707,8 +692,10 @@ sim::SimResult
 executeReplayUnit(const WorkUnit &unit)
 {
     TCSIM_ASSERT(unit.replay);
+    const workload::BenchmarkProfile &profile =
+        workload::findProfile(unit.benchmark);
     const std::string bytes = ArtifactCache::process().getOrCreate(
-        "btrace", btraceArtifactKey(unit.benchmark, unit.insts),
+        "btrace", btraceArtifactKey(profile, unit.insts),
         [&] { return recordBtraceBytes(unit.benchmark, unit.insts); });
 
     workload::BtraceReader reader;
@@ -717,8 +704,6 @@ executeReplayUnit(const WorkUnit &unit)
         fatal("btrace artifact for %s is invalid: %s", unit.id.c_str(),
               error.c_str());
     }
-    const workload::BenchmarkProfile &profile =
-        workload::findProfile(unit.benchmark);
     if (reader.header().generatorVersion != workload::kGeneratorVersion ||
         reader.header().profileFingerprint !=
             workload::profileFingerprint(profile)) {

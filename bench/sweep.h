@@ -46,6 +46,7 @@
 #include "bench/thread_pool.h"
 #include "sim/accounting.h"
 #include "sim/config.h"
+#include "workload/profile.h"
 
 namespace tcsim::bench
 {
@@ -177,22 +178,22 @@ std::vector<sim::SimResult> runUnits(const std::vector<WorkUnit> &units,
                                      ThreadPool &pool = sharedPool());
 
 /**
- * @return the content key a benchmark's BBV profile artifact is
+ * @return the content key @p profile's BBV profile artifact is
  * cached under (config-independent: generator version + profile
  * fingerprint + budget + interval). Shared by the sweep engine and
  * the tcsim_simpoints CLI so both hit the same cache entry.
  */
-std::string bbvArtifactKey(const std::string &benchmark,
+std::string bbvArtifactKey(const workload::BenchmarkProfile &profile,
                            std::uint64_t insts, std::uint64_t interval);
 
 /**
- * @return the content key a benchmark's recorded btrace artifact is
+ * @return the content key @p profile's recorded btrace artifact is
  * cached under (config-independent: btrace format version + generator
  * version + profile fingerprint + budget — the oracle control-flow
  * stream does not depend on the processor configuration, so one
  * recording serves every config in a replay matrix).
  */
-std::string btraceArtifactKey(const std::string &benchmark,
+std::string btraceArtifactKey(const workload::BenchmarkProfile &profile,
                               std::uint64_t insts);
 
 /**

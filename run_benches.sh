@@ -23,9 +23,9 @@
 # to a single-process run of the same matrix), and records sweep
 # timing + artifact-cache statistics in BENCH_results.json. The
 # processes are the parallelism, so each runs with TCSIM_JOBS=1.
-# Generated program images and the sampled and replay artifacts are
-# reused across workers and runs via the content-addressed cache in
-# TCSIM_CACHE_DIR (default .tcsim_cache).
+# The sampled and replay artifacts are reused across workers and runs
+# via the content-addressed cache in TCSIM_CACHE_DIR (default
+# .tcsim_cache); full units look nothing up.
 #
 # Usage: run_benches.sh [--long] [--sweep N]
 #                       [--inject-kill] [--warm-compare]
@@ -37,9 +37,11 @@
 #   --inject-kill   (sweep mode) worker 0 SIGKILLs itself after one
 #                   unit, exercising the crash-retry path (CI).
 #   --warm-compare  (sweep mode) after the merge, re-run the matrix
-#                   single-process against the now-warm artifact cache,
-#                   assert the document is byte-identical, and record
-#                   the cold-vs-warm wall-clock in BENCH_results.json.
+#                   single-process against the now-warm artifact cache
+#                   (sampled and replay units; full units cache
+#                   nothing), assert the document is byte-identical,
+#                   and record the cold-vs-warm wall-clock in
+#                   BENCH_results.json.
 #   --sampled-errors (sampled sweep mode) after the merge, run the
 #                   sampled-vs-full error report (each unit simulated
 #                   BOTH ways — expensive), fail if any unit's IPC or
@@ -285,8 +287,8 @@ if [ "$sweep_shards" -gt 0 ]; then
         fi
     fi
 
-    # Optional warm rerun: with every artifact now cached, a
-    # single-process pass must be faster AND byte-identical — cache
+    # Optional warm rerun: with the sampled and replay artifacts now
+    # cached, a single-process pass must be byte-identical — cache
     # hits may only ever change wall-clock.
     warm_json=""
     if [ "$warm_compare" -eq 1 ] && [ -n "$cache_dir" ]; then

@@ -85,7 +85,7 @@ FetchEngine::fullyMatches(Addr pc, const trace::TraceSegment &segment) const
 }
 
 void
-FetchEngine::fetchCycle(Addr pc, FetchBatch &out, Cycle now)
+FetchEngine::fetchCycle(Addr pc, FetchBatch &out)
 {
     out.clear();
     if (params_.useTraceCache) {
@@ -117,7 +117,7 @@ FetchEngine::fetchCycle(Addr pc, FetchBatch &out, Cycle now)
             return;
         }
     }
-    fetchFromICache(pc, out, now);
+    fetchFromICache(pc, out);
 }
 
 void
@@ -248,12 +248,12 @@ FetchEngine::fetchFromSegment(Addr pc, const trace::TraceSegment &segment,
 }
 
 void
-FetchEngine::fetchFromICache(Addr pc, FetchBatch &out, Cycle now)
+FetchEngine::fetchFromICache(Addr pc, FetchBatch &out)
 {
     out.source = FetchSource::ICache;
 
     // First-line access: a miss stalls the front end.
-    const std::uint32_t stall = icache_.access(pc, false, now);
+    const std::uint32_t stall = icache_.access(pc, false);
     if (stall > 0) {
         out.icacheStall = stall;
         TCSIM_TPOINT(tracer_, Fetch, "icache_stall",

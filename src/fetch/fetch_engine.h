@@ -111,10 +111,8 @@ class FetchEngine
      * (cleared first). When out.icacheStall is non-zero the cycle
      * produced nothing and the caller must stall that many cycles
      * before retrying the same pc.
-     * @param now current cycle, threaded to the memory hierarchy so a
-     *        contended backstop can charge queueing delay
      */
-    void fetchCycle(Addr pc, FetchBatch &out, Cycle now = 0);
+    void fetchCycle(Addr pc, FetchBatch &out);
 
     /** Attach a tracer for `fetch` trace points (null disables). */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
@@ -122,7 +120,7 @@ class FetchEngine
   private:
     void fetchFromSegment(Addr pc, const trace::TraceSegment &segment,
                           FetchBatch &out);
-    void fetchFromICache(Addr pc, FetchBatch &out, Cycle now);
+    void fetchFromICache(Addr pc, FetchBatch &out);
 
     /**
      * @return the number of block-ending branches of @p segment whose

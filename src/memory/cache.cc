@@ -24,7 +24,7 @@ Cache::Cache(const CacheParams &params, Cache *next,
 }
 
 std::uint32_t
-Cache::access(Addr addr, bool write, Cycle now)
+Cache::access(Addr addr, bool write)
 {
     ++accesses_;
     ++tick_;
@@ -64,13 +64,8 @@ Cache::access(Addr addr, bool write, Cycle now)
     TCSIM_TPOINT(tracer_, Mem, "miss", "%s addr=0x%llx write=%d",
                  params_.name.c_str(),
                  static_cast<unsigned long long>(addr), write ? 1 : 0);
-    std::uint32_t below;
-    if (next_ != nullptr)
-        below = next_->access(addr, false, now);
-    else if (dram_ != nullptr)
-        below = dram_->access(addr, false, params_.lineBytes, now);
-    else
-        below = memoryLatency_;
+    const std::uint32_t below =
+        next_ != nullptr ? next_->access(addr, false) : memoryLatency_;
 
     Line *victim = line_base;
     for (std::uint32_t way = 1; way < params_.assoc; ++way) {
@@ -87,20 +82,6 @@ Cache::access(Addr addr, bool write, Cycle now)
         TCSIM_TPOINT(tracer_, Mem, "writeback", "%s victim_tag=0x%llx",
                      params_.name.c_str(),
                      static_cast<unsigned long long>(victim->tag));
-        if (params_.writebackToNext) {
-            // The victim's data must reach the next level (or memory):
-            // charge the traffic where it lands. The store lands after
-            // the demand fill, so it sees the post-miss cycle.
-            const Addr victim_addr = addrOfLine(victim->tag, set);
-            const Cycle wb_now = now + params_.accessLatency + below;
-            std::uint32_t wb_cost = 0;
-            if (next_ != nullptr)
-                wb_cost = next_->access(victim_addr, true, wb_now);
-            else if (dram_ != nullptr)
-                wb_cost = dram_->access(victim_addr, true,
-                                        params_.lineBytes, wb_now);
-            writebackCycles_ += wb_cost;
-        }
     }
     victim->valid = true;
     victim->tag = tag;
@@ -127,32 +108,14 @@ Cache::probe(Addr addr) const
 }
 
 void
-Cache::flush(Cycle now)
+Cache::flush()
 {
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        Line &line = lines_[i];
+    for (Line &line : lines_) {
         if (line.valid && line.dirty) {
             ++writebacks_;
             TCSIM_TPOINT(tracer_, Mem, "flush_writeback",
                          "%s victim_tag=0x%llx", params_.name.c_str(),
                          static_cast<unsigned long long>(line.tag));
-            if (params_.writebackToNext) {
-                // Mirror the eviction path in access(): the victim's
-                // data must reach the next level (or memory), and the
-                // cost lands in writebackCycles_ exactly once — the
-                // line is invalidated below, so a later flush cannot
-                // charge it again.
-                const std::uint32_t set =
-                    static_cast<std::uint32_t>(i / params_.assoc);
-                const Addr victim_addr = addrOfLine(line.tag, set);
-                std::uint32_t wb_cost = 0;
-                if (next_ != nullptr)
-                    wb_cost = next_->access(victim_addr, true, now);
-                else if (dram_ != nullptr)
-                    wb_cost = dram_->access(victim_addr, true,
-                                            params_.lineBytes, now);
-                writebackCycles_ += wb_cost;
-            }
         }
         line = Line{};
     }
@@ -165,9 +128,6 @@ Cache::dumpStats(StatDump &dump) const
     dump.add(params_.name + ".misses", static_cast<double>(misses_));
     dump.add(params_.name + ".writebacks",
              static_cast<double>(writebacks_));
-    if (params_.writebackToNext)
-        dump.add(params_.name + ".writeback_cycles",
-                 static_cast<double>(writebackCycles_));
 }
 
 void
@@ -176,7 +136,6 @@ Cache::resetStats()
     accesses_ = 0;
     misses_ = 0;
     writebacks_ = 0;
-    writebackCycles_ = 0;
 }
 
 void

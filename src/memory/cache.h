@@ -4,9 +4,7 @@
  * into a hierarchy. Timing is modeled as a per-access latency returned
  * to the caller; caches are blocking (the era's simulators, including
  * the paper's SimpleScalar 2.0 baseline, modeled fetch stalls the same
- * way). The last level may be backed by a contended Dram model, in
- * which case the caller's current cycle (threaded through access())
- * determines queueing delay on the memory bus.
+ * way). A miss in the last level pays the flat memory latency.
  */
 
 #ifndef TCSIM_MEMORY_CACHE_H
@@ -20,7 +18,6 @@
 #include "common/log.h"
 #include "common/stats.h"
 #include "common/types.h"
-#include "memory/dram.h"
 #include "obs/trace.h"
 
 namespace tcsim::memory
@@ -35,14 +32,6 @@ struct CacheParams
     std::uint32_t lineBytes = 64;
     /** Extra cycles charged when this level must be consulted. */
     std::uint32_t accessLatency = 0;
-    /**
-     * Issue dirty-victim writebacks to the next level (or DRAM when
-     * last-level) so eviction traffic is seen — and charged — below.
-     * Defaults to the legacy zero-cost path (count only), which keeps
-     * pre-existing golden stats byte-identical; contended-memory
-     * configs switch it on.
-     */
-    bool writebackToNext = false;
 };
 
 /** One cache level; misses are forwarded to the next level. */
@@ -53,43 +42,28 @@ class Cache
      * @param params geometry/latency
      * @param next the next level, or nullptr if backed by memory
      * @param memory_latency cycles charged when next == nullptr misses
-     *        here (i.e., this is the last level before DRAM) and no
-     *        Dram model is attached
+     *        here (i.e., this is the last level before memory)
      */
     Cache(const CacheParams &params, Cache *next,
           std::uint32_t memory_latency = 50);
 
     /**
-     * Back this (last-level) cache with a contended Dram model:
-     * misses and issued writebacks queue on its bus instead of paying
-     * the flat memory latency. Ignored while @p dram is null or when
-     * this level has a next cache.
-     */
-    void setBackingDram(Dram *dram) { dram_ = dram; }
-
-    /**
      * Access the line containing @p addr, allocating it on miss.
      * @param write true for stores (sets the dirty bit)
-     * @param now current cycle; only consulted by a backing Dram model
-     *        (flat-latency timing is cycle-independent)
      * @return total extra latency in cycles (0 for an L1 hit when
      *         accessLatency is 0)
      */
-    std::uint32_t access(Addr addr, bool write, Cycle now = 0);
+    std::uint32_t access(Addr addr, bool write);
 
     /** @return true if the line containing @p addr is resident. */
     bool probe(Addr addr) const;
 
     /**
      * Invalidate all lines, counting (and tracing) a writeback for
-     * every dirty valid line dropped. With writebackToNext set the
-     * victims' data is actually issued below — to the next level, or
-     * to the backing Dram at @p now so flush traffic queues on the
-     * contended bus like any other writeback — and the cost lands in
-     * writebackCycles() exactly once per dirty line (a line is clean
-     * once flushed, so a second flush adds nothing).
+     * every dirty valid line dropped. Like an eviction's, the
+     * writeback is counted, not charged.
      */
-    void flush(Cycle now = 0);
+    void flush();
 
     /** @return the line size in bytes. */
     std::uint32_t lineBytes() const { return params_.lineBytes; }
@@ -100,9 +74,6 @@ class Cache
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t writebacks() const { return writebacks_; }
-    /** Cycles spent issuing writeback traffic below (0 on the legacy
-     * zero-cost path). */
-    std::uint64_t writebackCycles() const { return writebackCycles_; }
 
     /** Miss ratio over all accesses (0 when never accessed). */
     double
@@ -155,17 +126,10 @@ class Cache
         return static_cast<std::uint32_t>(lineAddr(addr) & setMask_);
     }
     Addr tagOf(Addr addr) const { return lineAddr(addr) >> setShift_; }
-    /** Reconstruct the byte address of a resident line. */
-    Addr
-    addrOfLine(Addr tag, std::uint32_t set) const
-    {
-        return ((tag << setShift_) | set) << lineShift_;
-    }
 
     CacheParams params_;
     Cache *next_;
     std::uint32_t memoryLatency_;
-    Dram *dram_ = nullptr;
     std::uint32_t numSets_;
     unsigned lineShift_;
     unsigned setShift_;
@@ -184,7 +148,6 @@ class Cache
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t writebacks_ = 0;
-    std::uint64_t writebackCycles_ = 0;
 
     obs::Tracer *tracer_ = nullptr;
 };

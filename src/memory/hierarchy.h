@@ -2,19 +2,14 @@
  * @file
  * The paper's memory hierarchy, assembled: a 4 KB 4-way L1 instruction
  * cache, a 64 KB 4-way L1 data cache, and a unified 1 MB second-level
- * cache with 6-cycle latency backed by >= 50-cycle memory. The backstop
- * is either the historical flat latency (default) or, when
- * `dram.contended` is set, a bus/bank-contended Dram model that the L2
- * queues its misses and writebacks on.
+ * cache with 6-cycle latency backed by >= 50-cycle memory. Memory is
+ * a flat latency with free bandwidth, as in the paper.
  */
 
 #ifndef TCSIM_MEMORY_HIERARCHY_H
 #define TCSIM_MEMORY_HIERARCHY_H
 
-#include <memory>
-
 #include "memory/cache.h"
-#include "memory/dram.h"
 
 namespace tcsim::memory
 {
@@ -26,10 +21,6 @@ struct HierarchyParams
     CacheParams dcache{"l1d", 64 * 1024, 4, 64, 0};
     CacheParams l2{"l2", 1024 * 1024, 8, 64, 6};
     std::uint32_t memoryLatency = 50;
-    /** Main-memory model behind the L2; flat-latency unless
-     * `dram.contended` (the DramParams default keeps `dram.latency`
-     * in sync with memoryLatency via the Hierarchy ctor). */
-    DramParams dram{};
 };
 
 /** Owns the cache levels and wires them together. */
@@ -37,44 +28,29 @@ class Hierarchy
 {
   public:
     explicit Hierarchy(const HierarchyParams &params = HierarchyParams{})
-        : dram_([&] {
-              DramParams dp = params.dram;
-              if (!dp.contended)
-                  dp.latency = params.memoryLatency;
-              return dp;
-          }()),
-          l2_(params.l2, nullptr, params.memoryLatency),
+        : l2_(params.l2, nullptr, params.memoryLatency),
           icache_(params.icache, &l2_),
           dcache_(params.dcache, &l2_)
     {
-        if (dram_.contended())
-            l2_.setBackingDram(&dram_);
     }
 
     Cache &icache() { return icache_; }
     Cache &dcache() { return dcache_; }
     Cache &l2() { return l2_; }
-    Dram &dram() { return dram_; }
     const Cache &icache() const { return icache_; }
     const Cache &dcache() const { return dcache_; }
     const Cache &l2() const { return l2_; }
-    const Dram &dram() const { return dram_; }
 
-    /** Append all levels' statistics to @p dump. The DRAM device only
-     * reports when the contended model is live, so default dumps are
-     * unchanged from the flat-latency era. */
+    /** Append all levels' statistics to @p dump. */
     void
     dumpStats(StatDump &dump) const
     {
         icache_.dumpStats(dump);
         dcache_.dumpStats(dump);
         l2_.dumpStats(dump);
-        if (dram_.contended())
-            dram_.dumpStats(dump);
     }
 
   private:
-    Dram dram_;
     Cache l2_;
     Cache icache_;
     Cache dcache_;

@@ -76,8 +76,6 @@ IntervalRecorder::writeJson(std::FILE *out, const std::string &benchmark,
             cur.memOrderViolations - prev.memOrderViolations,
             cur.l2Misses - prev.l2Misses,
             cur.writebacks - prev.writebacks,
-            cur.dramBusWaitCycles - prev.dramBusWaitCycles,
-            cur.dramMshrStallCycles - prev.dramMshrStallCycles,
         };
         std::fprintf(
             out,
@@ -91,30 +89,25 @@ IntervalRecorder::writeJson(std::FILE *out, const std::string &benchmark,
             "\"segments_built\":%" PRIu64 ",\"icache_misses\":%" PRIu64 ","
             "\"predictions_used\":%" PRIu64 ","
             "\"mem_order_violations\":%" PRIu64 ","
-            "\"l2_misses\":%" PRIu64 ",\"writebacks\":%" PRIu64 ","
-            "\"dram_bus_wait_cycles\":%" PRIu64 ","
-            "\"dram_mshr_stall_cycles\":%" PRIu64 "},"
+            "\"l2_misses\":%" PRIu64 ",\"writebacks\":%" PRIu64 "},"
             "\"rates\":{\"ipc\":%.6f,\"fetch_rate\":%.6f,"
             "\"tc_hit_rate\":%.6f,\"mispredict_rate\":%.6f,"
             "\"preds_per_fetch\":%.6f,\"faults_per_kinst\":%.6f,"
             "\"promotions_per_kinst\":%.6f,\"demotions_per_kinst\":%.6f,"
-            "\"l2_mpki\":%.6f,\"writebacks_per_kinst\":%.6f,"
-            "\"bus_wait_frac\":%.6f}}",
+            "\"l2_mpki\":%.6f,\"writebacks_per_kinst\":%.6f}}",
             i == 0 ? "" : ",", cur.cycles, cur.insts, d.cycles, d.insts,
             d.usefulFetches, d.fetchedInsts, d.condBranches,
             d.condMispredicts, d.promotedFaults, d.promotions, d.demotions,
             d.promotedRetired, d.tcLookups, d.tcHits, d.segmentsBuilt,
             d.icacheMisses, d.predictionsUsed, d.memOrderViolations,
-            d.l2Misses, d.writebacks, d.dramBusWaitCycles,
-            d.dramMshrStallCycles,
+            d.l2Misses, d.writebacks,
             ratio(d.insts, d.cycles), ratio(d.fetchedInsts, d.usefulFetches),
             ratio(d.tcHits, d.tcLookups),
             ratio(d.condMispredicts, d.condBranches),
             ratio(d.predictionsUsed, d.usefulFetches),
             perKinst(d.promotedFaults, d.insts),
             perKinst(d.promotions, d.insts), perKinst(d.demotions, d.insts),
-            perKinst(d.l2Misses, d.insts), perKinst(d.writebacks, d.insts),
-            ratio(d.dramBusWaitCycles, d.cycles));
+            perKinst(d.l2Misses, d.insts), perKinst(d.writebacks, d.insts));
         prev = cur;
     }
     std::fprintf(out, "\n]}\n");

@@ -51,8 +51,6 @@ struct IntervalCounters {
     std::uint64_t memOrderViolations = 0;
     std::uint64_t l2Misses = 0;
     std::uint64_t writebacks = 0;        ///< all cache levels combined
-    std::uint64_t dramBusWaitCycles = 0; ///< contended model only
-    std::uint64_t dramMshrStallCycles = 0; ///< contended model only
 };
 
 /**

@@ -67,34 +67,6 @@ configFingerprint(const ProcessorConfig &config)
     hash = cacheFingerprint(hash, config.hierarchy.dcache);
     hash = cacheFingerprint(hash, config.hierarchy.l2);
     hash = fnv1aAppendScalar(hash, config.hierarchy.memoryLatency);
-    {
-        // Memory-model extension block (contended DRAM, issued
-        // writebacks). Hashed only when some feature is enabled so
-        // every pre-extension config keeps its historical fingerprint
-        // — and with it the sweep unit hashes embedded in committed
-        // tcsim-bench-results-v1 documents.
-        const memory::DramParams &dram = config.hierarchy.dram;
-        const bool wb = config.hierarchy.icache.writebackToNext ||
-                        config.hierarchy.dcache.writebackToNext ||
-                        config.hierarchy.l2.writebackToNext;
-        if (dram.contended || wb) {
-            hash = fnv1aAppend(hash, "mem-ext-v1");
-            hash = fnv1aAppendScalar(hash,
-                                     config.hierarchy.icache.writebackToNext);
-            hash = fnv1aAppendScalar(hash,
-                                     config.hierarchy.dcache.writebackToNext);
-            hash = fnv1aAppendScalar(hash,
-                                     config.hierarchy.l2.writebackToNext);
-            hash = fnv1aAppendScalar(hash, dram.contended);
-            hash = fnv1aAppendScalar(hash, dram.latency);
-            hash = fnv1aAppendScalar(hash, dram.busBytesPerCycle);
-            hash = fnv1aAppendScalar(hash, dram.banks);
-            hash = fnv1aAppendScalar(hash, dram.rowBytes);
-            hash = fnv1aAppendScalar(hash, dram.rowHitLatency);
-            hash = fnv1aAppendScalar(hash, dram.rowMissLatency);
-            hash = fnv1aAppendScalar(hash, dram.maxOutstanding);
-        }
-    }
     hash = fnv1aAppendScalar(hash, config.nodeTables.numUnits);
     hash = fnv1aAppendScalar(hash, config.nodeTables.entriesPerUnit);
     hash = fnv1aAppendScalar(hash, config.robEntries);
@@ -154,20 +126,6 @@ packingConfig(trace::PackingPolicy policy, std::uint32_t granule)
     cfg.name = std::string("packing-") + trace::packingPolicyName(policy);
     cfg.fillUnit.packing = policy;
     cfg.fillUnit.packingGranule = granule;
-    return cfg;
-}
-
-ProcessorConfig
-withContendedMemory(ProcessorConfig cfg, const memory::DramParams &dram)
-{
-    cfg.name += "+mem";
-    cfg.hierarchy.dram = dram;
-    cfg.hierarchy.dram.contended = true;
-    // Under a contended backstop, eviction traffic must be charged
-    // where it lands: L1d dirty victims write into the L2, L2 victims
-    // onto the memory bus. (The icache never holds dirty lines.)
-    cfg.hierarchy.dcache.writebackToNext = true;
-    cfg.hierarchy.l2.writebackToNext = true;
     return cfg;
 }
 

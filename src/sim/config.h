@@ -113,15 +113,6 @@ ProcessorConfig promotionPackingConfig(
     trace::PackingPolicy policy = trace::PackingPolicy::Unregulated,
     std::uint32_t granule = 2);
 
-/**
- * @return @p cfg with the contended DRAM backstop enabled (bus + bank
- * occupancy per @p dram, `contended` forced on) and dirty-victim
- * writeback traffic issued from L1d and L2. Appends "+mem" to the
- * config name; the fingerprint gains the memory-extension block.
- */
-ProcessorConfig withContendedMemory(
-    ProcessorConfig cfg, const memory::DramParams &dram = {});
-
 } // namespace tcsim::sim
 
 #endif // TCSIM_SIM_CONFIG_H

@@ -681,7 +681,7 @@ Processor::fetchStage()
     }
 
     const bool was_on = onTruePath_;
-    fetchEngine_->fetchCycle(fetchPc_, scratchBatch_, cycle_);
+    fetchEngine_->fetchCycle(fetchPc_, scratchBatch_);
 
     if (scratchBatch_.icacheStall > 0) {
         icacheStallUntil_ = cycle_ + scratchBatch_.icacheStall;
@@ -968,7 +968,7 @@ Processor::tryScheduleMemory(DynInst &inst)
         latency += 1;
     } else {
         latency += config_.latDCacheHit +
-                   hierarchy_.dcache().access(inst.memAddr, false, cycle_);
+                   hierarchy_.dcache().access(inst.memAddr, false);
     }
     inst.completeCycle = cycle_ + latency;
     return true;
@@ -1649,7 +1649,7 @@ Processor::retireOne(DynInst &inst)
     }
     if (inst.isStore()) {
         memory_.store(inst.memAddr, inst.storeData);
-        hierarchy_.dcache().access(inst.memAddr, true, cycle_);
+        hierarchy_.dcache().access(inst.memAddr, true);
         TCSIM_ASSERT(!storeQueue_.empty() &&
                      storeQueue_.front() == inst.seq);
         storeQueue_.pop_front();
@@ -1894,7 +1894,6 @@ Processor::attachTracer(obs::Tracer *tracer)
     hierarchy_.icache().setTracer(tracer);
     hierarchy_.dcache().setTracer(tracer);
     hierarchy_.l2().setTracer(tracer);
-    hierarchy_.dram().setTracer(tracer);
 }
 
 void
@@ -1937,8 +1936,6 @@ Processor::intervalCounters() const
     c.writebacks = hierarchy_.icache().writebacks() +
                    hierarchy_.dcache().writebacks() +
                    hierarchy_.l2().writebacks();
-    c.dramBusWaitCycles = hierarchy_.dram().busWaitCycles();
-    c.dramMshrStallCycles = hierarchy_.dram().mshrStallCycles();
     return c;
 }
 
@@ -2135,11 +2132,10 @@ Processor::walk(Steps &steps, workload::BtraceWriter *writer)
             leader_pending = false;
             ++result.instructions;
         }
-        hierarchy_.icache().access(step.pc, false, cycle_);
+        hierarchy_.icache().access(step.pc, false);
         if constexpr (!kControlFlow) {
             if (isa::isMem(op) && step.memAddr != kInvalidAddr)
-                hierarchy_.dcache().access(step.memAddr, isa::isStore(op),
-                                           cycle_);
+                hierarchy_.dcache().access(step.memAddr, isa::isStore(op));
         }
 
         if (isa::isCondBranch(op)) {
@@ -2284,7 +2280,6 @@ Processor::resetStats()
     hierarchy_.icache().resetStats();
     hierarchy_.dcache().resetStats();
     hierarchy_.l2().resetStats();
-    hierarchy_.dram().resetStats();
     if (traceCache_ != nullptr)
         traceCache_->resetStats();
     if (fillUnit_ != nullptr)

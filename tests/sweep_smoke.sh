@@ -1,15 +1,17 @@
 #!/bin/bash
 # End-to-end smoke test for the tcsim_sweep binary, driven by ctest:
 #
-#  1. cold single-process run (populates the artifact cache), and the
-#     same at TCSIM_JOBS=4, which must be byte-identical,
-#  2. warm rerun — must be byte-identical with every cache lookup a
-#     hit (hits change wall-clock only, never results),
+#  1. single-process run, and the same at TCSIM_JOBS=4, which must be
+#     byte-identical,
+#  2. rerun — must be byte-identical, and full units look nothing up
+#     in the artifact cache,
 #  3. 2-shard run with worker 0 SIGKILLed after one unit, --check
 #     reporting the lost unit, a --worklist retry, and a --merge that
 #     must reproduce the single-process document byte for byte,
 #  4. a 2-shard --replay sweep whose merge must equal its
-#     single-process document,
+#     single-process document; that run reads the btraces the shards
+#     stored, and every cache lookup must hit (hits change wall-clock
+#     only, never results),
 #  5. tools/validate_obs.py over every fragment and merged document,
 #  6. `tcsim_regress` self-compare (clean, exit 0) and against a
 #     perturbed current run (regression, exit 5), both reports valid.
@@ -29,22 +31,22 @@ trap 'rm -rf "$scratch"' EXIT
 margs=(--benchmarks compress,li --configs baseline,promotion-t64
        --insts 20000 --warmup 5000 --cache-dir "$scratch/cache")
 
-echo "== cold single-process reference, one job against four =="
+echo "== single-process reference, one job against four =="
 TCSIM_JOBS=1 "$bin" "${margs[@]}" --out "$scratch/single.json"
 TCSIM_JOBS=4 "$bin" "${margs[@]}" --out "$scratch/jobs4.json"
 cmp "$scratch/single.json" "$scratch/jobs4.json"
 
-echo "== warm rerun: byte-identical, all hits =="
-"$bin" "${margs[@]}" --out "$scratch/warm.json" \
+echo "== rerun: byte-identical, no cache lookups for full units =="
+"$bin" "${margs[@]}" --out "$scratch/rerun.json" \
        --timing-out "$scratch/timing.json"
-cmp "$scratch/single.json" "$scratch/warm.json"
+cmp "$scratch/single.json" "$scratch/rerun.json"
 python3 - "$scratch/timing.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["schema"] == "tcsim-bench-timing-v1", doc["schema"]
 cache = doc["cache"]
 assert cache["enabled"], cache
-assert cache["hits"] > 0 and cache["misses"] == 0, cache
+assert cache["hits"] == 0 and cache["misses"] == 0, cache
 EOF
 
 echo "== shard 0/2 with injected SIGKILL =="
@@ -83,8 +85,15 @@ for shard in 0 1; do
 done
 "$bin" "${rargs[@]}" --merge --fragments-dir "$scratch/replay-frags" \
        --out "$scratch/replay-merged.json"
-"$bin" "${rargs[@]}" --out "$scratch/replay-single.json"
+"$bin" "${rargs[@]}" --out "$scratch/replay-single.json" \
+       --timing-out "$scratch/replay-timing.json"
 cmp "$scratch/replay-single.json" "$scratch/replay-merged.json"
+python3 - "$scratch/replay-timing.json" <<'EOF'
+import json, sys
+cache = json.load(open(sys.argv[1]))["cache"]
+assert cache["enabled"], cache
+assert cache["hits"] > 0 and cache["misses"] == 0, cache
+EOF
 
 echo "== fragments and merged documents validate =="
 python3 "$validate" \

@@ -11,12 +11,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bench/artifact_cache.h"
-#include "bench/harness.h"
+#include "bench/sweep.h"
 #include "test_paths.h"
+#include "workload/generator.h"
 #include "workload/profile.h"
 
 namespace
@@ -112,21 +114,31 @@ TEST_F(ArtifactCacheTest, KeyChangeForcesRegeneration)
 
 TEST_F(ArtifactCacheTest, ProgramKeyTracksProfileAndVersion)
 {
-    // Any profile change must change the program-image key, or a
-    // stale image could be replayed for an edited benchmark.
+    // Any profile change must change the key of every artifact derived
+    // from the program, or a stale btrace or BBV profile could be
+    // replayed for an edited benchmark.
+    const auto keys = [](const workload::BenchmarkProfile &profile) {
+        return std::vector<std::string>{
+            btraceArtifactKey(profile, 40000),
+            bbvArtifactKey(profile, 40000, 10000)};
+    };
     workload::BenchmarkProfile profile = workload::benchmarkSuite()[0];
-    const std::string base_key = programArtifactKey(profile);
-    EXPECT_NE(base_key.find("program:v"), std::string::npos);
+    const std::vector<std::string> base_keys = keys(profile);
+    const std::string generator =
+        "gen=v" + std::to_string(workload::kGeneratorVersion) + ":";
+    for (const std::string &key : base_keys)
+        EXPECT_NE(key.find(generator), std::string::npos) << key;
 
     workload::BenchmarkProfile reseeded = profile;
     reseeded.seed += 1;
-    EXPECT_NE(programArtifactKey(reseeded), base_key);
-
     workload::BenchmarkProfile resized = profile;
     resized.numFunctions += 1;
-    EXPECT_NE(programArtifactKey(resized), base_key);
+    for (std::size_t i = 0; i < base_keys.size(); ++i) {
+        EXPECT_NE(keys(reseeded)[i], base_keys[i]);
+        EXPECT_NE(keys(resized)[i], base_keys[i]);
+    }
 
-    EXPECT_EQ(programArtifactKey(profile), base_key); // stable
+    EXPECT_EQ(keys(profile), base_keys); // stable
 }
 
 TEST_F(ArtifactCacheTest, CorruptedArtifactRejectedAndDeleted)

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "memory/cache.h"
-#include "memory/dram.h"
 #include "memory/hierarchy.h"
 #include "obs/trace.h"
 
@@ -121,61 +120,16 @@ TEST(Cache, LegacyDirtyEvictionCostsNothingBelow)
 {
     CacheParams l2_params{"l2", 1024, 2, 64, 6};
     Cache l2(l2_params, nullptr, 50);
-    Cache l1(smallCache(), &l2, 50); // writebackToNext defaults false
+    Cache l1(smallCache(), &l2, 50);
 
     l1.access(0x000, true); // dirty; also fills l2
     l1.access(0x100, false);
     const std::uint64_t l2_accesses_before = l2.accesses();
     l1.access(0x200, false); // evicts dirty 0x000
     EXPECT_EQ(l1.writebacks(), 1u);
-    // Legacy golden-stat path: the victim never reaches the next level.
+    // A writeback is counted, not charged: the victim never reaches
+    // the next level.
     EXPECT_EQ(l2.accesses(), l2_accesses_before + 1); // demand miss only
-    EXPECT_EQ(l1.writebackCycles(), 0u);
-}
-
-TEST(Cache, DirtyEvictionWritesBackToNextLevel)
-{
-    CacheParams l2_params{"l2", 1024, 2, 64, 6};
-    Cache l2(l2_params, nullptr, 50);
-    CacheParams l1_params = smallCache();
-    l1_params.writebackToNext = true;
-    Cache l1(l1_params, &l2, 50);
-
-    l1.access(0x000, true); // dirty; fills l2 via the demand miss
-    l1.access(0x100, false);
-    const std::uint64_t l2_accesses_before = l2.accesses();
-    l1.access(0x200, false); // evicts dirty 0x000
-    EXPECT_EQ(l1.writebacks(), 1u);
-    // Demand miss for 0x200 plus the victim writeback.
-    EXPECT_EQ(l2.accesses(), l2_accesses_before + 2);
-    // 0x000 is still resident in L2, so the writeback hits: 6 cycles.
-    EXPECT_EQ(l1.writebackCycles(), 6u);
-    // The written-back line is now dirty in L2: evicting it from L2
-    // must count an L2 writeback.
-    l2.flush();
-    EXPECT_EQ(l2.writebacks(), 1u);
-}
-
-TEST(Cache, LastLevelWritebackGoesToDram)
-{
-    DramParams dram_params;
-    dram_params.contended = true;
-    dram_params.busBytesPerCycle = 0; // infinite bus
-    dram_params.banks = 0;            // unbanked: flat 50-cycle core
-    dram_params.maxOutstanding = 0;
-    Dram dram(dram_params);
-
-    CacheParams params = smallCache();
-    params.writebackToNext = true;
-    Cache cache(params, nullptr, 50);
-    cache.setBackingDram(&dram);
-
-    cache.access(0x000, true, 0);
-    cache.access(0x100, false, 100);
-    cache.access(0x200, false, 200); // evicts dirty 0x000
-    EXPECT_EQ(dram.reads(), 3u);
-    EXPECT_EQ(dram.writes(), 1u); // the victim writeback
-    EXPECT_EQ(cache.writebackCycles(), 50u);
 }
 
 TEST(Cache, MissRatio)
@@ -268,29 +222,6 @@ TEST(Hierarchy, StatsCoverAllLevels)
     EXPECT_TRUE(dump.has("l1i.misses"));
     EXPECT_TRUE(dump.has("l1d.misses"));
     EXPECT_TRUE(dump.has("l2.misses"));
-    // Flat-latency default: no DRAM device stats in the dump.
-    EXPECT_FALSE(dump.has("dram.reads"));
-}
-
-TEST(Hierarchy, ContendedDramBacksL2)
-{
-    HierarchyParams params;
-    params.dram.contended = true;
-    params.dram.busBytesPerCycle = 4; // 64B line -> 16 bus cycles
-    Hierarchy h(params);
-
-    // Two back-to-back L2 misses at the same cycle serialize on the
-    // bus: the second is strictly slower than the first.
-    const std::uint32_t first = h.dcache().access(0x10000, false, 0);
-    const std::uint32_t second = h.dcache().access(0x20000, false, 0);
-    EXPECT_GT(second, first);
-    EXPECT_EQ(h.dram().reads(), 2u);
-    EXPECT_GT(h.dram().busWaitCycles(), 0u);
-
-    StatDump dump;
-    h.dumpStats(dump);
-    EXPECT_TRUE(dump.has("dram.reads"));
-    EXPECT_TRUE(dump.has("dram.bus_wait_cycles"));
 }
 
 } // namespace

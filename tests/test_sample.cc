@@ -138,8 +138,8 @@ TEST(SampleBbv, ArtifactStoreCorruptRejectRebuild)
     const std::string dir = test::scratchPath("cache");
     std::filesystem::remove_all(dir);
     bench::ArtifactCache cache(dir);
-    const std::string key = bench::bbvArtifactKey("compress", 40000,
-                                                  10000);
+    const std::string key = bench::bbvArtifactKey(
+        workload::findProfile("compress"), 40000, 10000);
     const std::string json = compressProfile().toJson();
 
     ASSERT_TRUE(cache.store("bbv", key, json));

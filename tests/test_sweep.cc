@@ -113,6 +113,7 @@ TEST(SweepUnits, ConfigByNameResolvesPresets)
     EXPECT_FALSE(configByName("nonsense").has_value());
     EXPECT_FALSE(configByName("promotion-t").has_value());
     EXPECT_FALSE(configByName("packing-bogus").has_value());
+    EXPECT_FALSE(configByName("baseline+mem").has_value());
 }
 
 SweepOptions

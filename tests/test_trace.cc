@@ -31,12 +31,6 @@ alu()
     return Instruction{Opcode::Add, 10, 11, 12, 0};
 }
 
-Instruction
-branch(std::int32_t disp = 8)
-{
-    return Instruction{Opcode::Bne, 0, 4, 0, disp};
-}
-
 /** Drives a fill unit with a synthetic retire stream. */
 class FillDriver
 {
@@ -592,8 +586,9 @@ TEST_P(FillProperty, SegmentInvariantsHold)
                 EXPECT_NE(ti.promoted, ti.endsBlock)
                     << "a conditional branch either ends a block or "
                        "is promoted";
-                if (ti.promoted)
+                if (ti.promoted) {
                     EXPECT_EQ(ti.promotedDir, ti.builtTaken);
+                }
             } else {
                 EXPECT_FALSE(ti.endsBlock);
                 EXPECT_FALSE(ti.promoted);
@@ -616,8 +611,9 @@ TEST_P(FillProperty, SegmentInvariantsHold)
         EXPECT_EQ(block_branches, seg.numBlockBranches);
         EXPECT_LE(block_branches, kMaxSegmentBranches);
         EXPECT_EQ(seg.startAddr, seg.insts.front().pc);
-        if (!promotion)
+        if (!promotion) {
             EXPECT_EQ(unit.promotedEmbedded(), 0u);
+        }
 
         switch (seg.reason) {
           case FillReason::MaxSize:

@@ -10,6 +10,8 @@
  *     --threshold <n>       promotion threshold (default 64)
  *     --packing <policy>    atomic | unregulated | cost | n2 | n4
  *     --insts <n>           instruction budget (default 1000000)
+ *     --warmup <n>          simulate n instructions first, then
+ *                           measure [n, n + insts) (default 0)
  *     --disambiguation <d>  conservative | speculative | perfect
  *     --path-assoc          enable trace-cache path associativity
  *     --no-partial-match    disable partial matching
@@ -26,21 +28,8 @@
  *                           fill unit, predictors) directly from
  *                           <file>; prints a byte-identical stats
  *                           block to the recording run
- *
- *   Memory model (contended DRAM backstop; default is the flat
- *   50-cycle latency):
- *     --mem-contended       enable the bus/bank-contended DRAM model
- *                           (also issues dirty-victim writebacks from
- *                           L1d and L2)
- *     --mem-latency <n>     flat / unbanked core latency (default 50)
- *     --mem-bus-bytes <n>   data-bus bytes per cycle; 0 = infinite
- *                           (default 8)
- *     --mem-banks <n>       DRAM banks; 0 = unbanked (default 8)
- *     --mem-row-bytes <n>   open-row size in bytes (default 2048)
- *     --mem-row-hit <n>     open-row hit latency (default 20)
- *     --mem-row-miss <n>    row miss latency (default 50)
- *     --mem-mshrs <n>       outstanding-request limit; 0 = unlimited
- *                           (default 8)
+ *   Neither takes --warmup, --stats, --histogram, --intervals, --trace
+ *   or --profile: those apply to the cycle-level run only.
  *
  *   Observability (src/obs):
  *     --trace <cats>        enable trace points: comma list of
@@ -90,14 +79,10 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--bench <name>|list] [--config <name>] "
                  "[--threshold <n>] [--packing <policy>] [--insts <n>] "
-                 "[--disambiguation <d>] [--path-assoc] "
+                 "[--warmup <n>] [--disambiguation <d>] [--path-assoc] "
                  "[--no-partial-match] [--no-inactive-issue] "
                  "[--static-promotion] [--histogram] [--stats] "
                  "[--record-trace <file>] [--replay-trace <file>] "
-                 "[--mem-contended] [--mem-latency <n>] "
-                 "[--mem-bus-bytes <n>] [--mem-banks <n>] "
-                 "[--mem-row-bytes <n>] [--mem-row-hit <n>] "
-                 "[--mem-row-miss <n>] [--mem-mshrs <n>] "
                  "[--trace <cats>] [--trace-out <path>] "
                  "[--trace-format text|jsonl|chrome] [--intervals <n>] "
                  "[--intervals-out <path>] [--profile]\n",
@@ -151,9 +136,7 @@ main(int argc, char **argv)
     std::string intervals_out = "tcsim-intervals.json";
     std::uint64_t interval_insts = 0;
     bool profile = false;
-    bool mem_contended = false;
     std::string record_trace, replay_trace;
-    memory::DramParams dram;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -217,24 +200,18 @@ main(int argc, char **argv)
             record_trace = value();
         else if (arg == "--replay-trace")
             replay_trace = value();
-        else if (arg == "--mem-contended")
-            mem_contended = true;
-        else if (arg == "--mem-latency")
-            dram.latency = u32("--mem-latency", value());
-        else if (arg == "--mem-bus-bytes")
-            dram.busBytesPerCycle = u32("--mem-bus-bytes", value());
-        else if (arg == "--mem-banks")
-            dram.banks = u32("--mem-banks", value());
-        else if (arg == "--mem-row-bytes")
-            dram.rowBytes = u32("--mem-row-bytes", value());
-        else if (arg == "--mem-row-hit")
-            dram.rowHitLatency = u32("--mem-row-hit", value());
-        else if (arg == "--mem-row-miss")
-            dram.rowMissLatency = u32("--mem-row-miss", value());
-        else if (arg == "--mem-mshrs")
-            dram.maxOutstanding = u32("--mem-mshrs", value());
         else
             usage(argv[0]);
+    }
+
+    const bool control_flow = !record_trace.empty() || !replay_trace.empty();
+    if (!record_trace.empty() && !replay_trace.empty())
+        fatal("--record-trace and --replay-trace are mutually exclusive");
+    if (control_flow &&
+        (warmup > 0 || full_stats || histogram || interval_insts > 0 ||
+         !trace_cats.empty() || profile)) {
+        fatal("--warmup, --stats, --histogram, --intervals, --trace and "
+              "--profile do not apply to --record-trace or --replay-trace");
     }
 
     if (bench == "list") {
@@ -273,8 +250,6 @@ main(int argc, char **argv)
     config.traceCache.pathAssociativity = path_assoc;
     config.partialMatching = !no_partial;
     config.inactiveIssue = !no_inactive;
-    if (mem_contended)
-        config = sim::withContendedMemory(std::move(config), dram);
 
     const workload::BenchmarkProfile &bench_profile =
         workload::findProfile(bench);
@@ -287,9 +262,7 @@ main(int argc, char **argv)
 
     sim::Processor processor(config, program);
 
-    if (!record_trace.empty() && !replay_trace.empty())
-        fatal("--record-trace and --replay-trace are mutually exclusive");
-    if (!record_trace.empty() || !replay_trace.empty()) {
+    if (control_flow) {
         sim::Processor::ControlFlowResult cf;
         if (!record_trace.empty()) {
             workload::BtraceWriter writer(

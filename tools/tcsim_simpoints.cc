@@ -102,7 +102,7 @@ main(int argc, char **argv)
     const workload::Program &program = bench::programFor(bench_name);
     const std::string bbv_json =
         bench::ArtifactCache::process().getOrCreate(
-            "bbv", bench::bbvArtifactKey(bench_name, insts, interval),
+            "bbv", bench::bbvArtifactKey(profile, insts, interval),
             [&] {
                 return sample::profileBbv(program, bench_name, insts,
                                           interval)

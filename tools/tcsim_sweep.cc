@@ -77,9 +77,8 @@
  *                        at long budgets where the rate is smallest)
  *
  * Artifact cache:
- *   --cache-dir <dir>    content-addressed cache for program images
- *                        and the sampled and replay artifacts (also
- *                        via TCSIM_CACHE_DIR)
+ *   --cache-dir <dir>    content-addressed cache for the sampled and
+ *                        replay artifacts (also via TCSIM_CACHE_DIR)
  *   --no-cache           disable the cache even if the env var is set
  *
  * Diagnostics / testing:

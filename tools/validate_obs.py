@@ -29,15 +29,13 @@ DELTA_KEYS = {
     "cond_mispredicts", "promoted_faults", "promotions", "demotions",
     "promoted_retired", "tc_lookups", "tc_hits", "segments_built",
     "icache_misses", "predictions_used", "mem_order_violations",
-    "l2_misses", "writebacks", "dram_bus_wait_cycles",
-    "dram_mshr_stall_cycles",
+    "l2_misses", "writebacks",
 }
 
 RATE_KEYS = {
     "ipc", "fetch_rate", "tc_hit_rate", "mispredict_rate",
     "preds_per_fetch", "faults_per_kinst", "promotions_per_kinst",
     "demotions_per_kinst", "l2_mpki", "writebacks_per_kinst",
-    "bus_wait_frac",
 }
 
 
