@@ -86,15 +86,6 @@ LocalDirStore::get(const std::string &name) const
 }
 
 bool
-LocalDirStore::exists(const std::string &name) const
-{
-    if (!isValidStoreName(name))
-        return false;
-    std::error_code ec;
-    return fs::is_regular_file(pathFor(name), ec);
-}
-
-bool
 LocalDirStore::remove(const std::string &name)
 {
     if (!isValidStoreName(name))
@@ -104,38 +95,19 @@ LocalDirStore::remove(const std::string &name)
     return !fs::exists(pathFor(name), ec);
 }
 
-std::vector<StoreObject>
-LocalDirStore::list(const std::string &prefix) const
+std::vector<std::string>
+LocalDirStore::list() const
 {
-    std::vector<StoreObject> objects;
-    // The prefix's directory part picks the scan root. In-flight temp
-    // files ("<name>.tmp.<pid>.<n>") are listed like any other name;
-    // readers pick their objects by suffix.
-    const std::size_t slash = prefix.find('/');
-    const std::string subdir =
-        slash == std::string::npos ? "" : prefix.substr(0, slash);
-    const std::string root = subdir.empty() ? dir_ : dir_ + "/" + subdir;
-
+    std::vector<std::string> names;
     std::error_code ec;
-    for (fs::directory_iterator it(root, ec), end; !ec && it != end;
+    for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
          it.increment(ec)) {
-        if (!it->is_regular_file(ec))
-            continue;
         std::string name = it->path().filename().string();
-        if (!subdir.empty())
-            name = subdir + "/" + name;
-        if (!isValidStoreName(name) || name.rfind(prefix, 0) != 0)
-            continue;
-        StoreObject object;
-        object.name = std::move(name);
-        object.size = static_cast<std::uint64_t>(it->file_size(ec));
-        objects.push_back(std::move(object));
+        if (it->is_regular_file(ec) && isValidStoreName(name))
+            names.push_back(std::move(name));
     }
-    std::sort(objects.begin(), objects.end(),
-              [](const StoreObject &a, const StoreObject &b) {
-                  return a.name < b.name;
-              });
-    return objects;
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 } // namespace tcsim::bench

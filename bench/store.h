@@ -28,7 +28,6 @@
 #ifndef TCSIM_BENCH_STORE_H
 #define TCSIM_BENCH_STORE_H
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,13 +35,6 @@
 
 namespace tcsim::bench
 {
-
-/** One listing row: an object's name and size. */
-struct StoreObject
-{
-    std::string name;
-    std::uint64_t size = 0;
-};
 
 /** @return whether @p name is a valid store object name. */
 bool isValidStoreName(std::string_view name);
@@ -64,14 +56,14 @@ class LocalDirStore
     /** @return the object's bytes, or empty optional when absent. */
     std::optional<std::string> get(const std::string &name) const;
 
-    bool exists(const std::string &name) const;
-
     /** Remove @p name (used to drop corrupt artifacts). @return true
      * when the object is gone afterwards (also when it never was). */
     bool remove(const std::string &name);
 
-    /** All objects whose name starts with @p prefix, sorted by name. */
-    std::vector<StoreObject> list(const std::string &prefix) const;
+    /** The names of the top-level objects, sorted. In-flight temp
+     * files ("<name>.tmp.<pid>.<n>") are listed like any other name;
+     * readers pick their objects by suffix. */
+    std::vector<std::string> list() const;
 
     const std::string &dir() const { return dir_; }
 

@@ -976,6 +976,93 @@ writeFragment(const std::string &dir, const WorkUnit &unit,
                      /*overwrite=*/true);
 }
 
+FragmentDir
+readFragments(const std::string &dir)
+{
+    FragmentDir out;
+    // list() is sorted by name, so reports are stable run to run.
+    const LocalDirStore store(dir);
+    for (const std::string &name : store.list()) {
+        if (name.size() <= 5 || !name.ends_with(".json"))
+            continue;
+        Fragment fragment;
+        fragment.path = dir + "/" + name;
+        const std::optional<std::string> bytes = store.get(name);
+        const std::optional<json::Value> doc =
+            bytes ? json::parse(*bytes) : std::nullopt;
+        const json::Value *unit_obj = nullptr, *result_obj = nullptr;
+        if (doc && doc->isObject() &&
+            doc->getString("schema") == "tcsim-bench-fragment-v1") {
+            unit_obj = doc->find("unit");
+            result_obj = doc->find("result");
+        }
+        // The name stem is the claimed unit hash; a mismatch means the
+        // object was renamed or half-written and cannot be trusted.
+        if (unit_obj == nullptr || !unit_obj->isObject() ||
+            result_obj == nullptr || !result_obj->isObject() ||
+            name.substr(0, name.size() - 5) != unit_obj->getString("hash") ||
+            !parseResultRecord(*result_obj, fragment.result)) {
+            out.corrupt.push_back(std::move(fragment.path));
+            continue;
+        }
+        fragment.id = unit_obj->getString("id");
+        fragment.hash = unit_obj->getString("hash");
+        if (const json::Value *timing = doc->find("timing");
+            timing != nullptr && timing->isObject()) {
+            fragment.timing.wallSeconds = timing->getDouble("wall_seconds");
+            fragment.timing.cacheHits = timing->getUint64("cache_hits");
+            fragment.timing.cacheMisses = timing->getUint64("cache_misses");
+        }
+        out.fragments.push_back(std::move(fragment));
+    }
+    return out;
+}
+
+SweepRun
+runSweep(const std::vector<WorkUnit> &units, const std::string &fragments_dir,
+         ThreadPool &pool)
+{
+    SweepRun run;
+    if (fragments_dir.empty()) {
+        run.results = runUnits(units, {}, pool);
+        for (std::size_t i = 0; i < units.size(); ++i)
+            run.simulated.push_back(i);
+        return run;
+    }
+
+    std::map<std::string, sim::SimResult> found;
+    for (Fragment &fragment : readFragments(fragments_dir).fragments)
+        found.emplace(fragment.hash, std::move(fragment.result));
+    run.results.resize(units.size());
+    std::vector<WorkUnit> pending;
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        const auto it = found.find(units[i].hash);
+        if (it != found.end()) {
+            run.results[i] = finishResult(units[i], it->second);
+        } else {
+            pending.push_back(units[i]);
+            run.simulated.push_back(i);
+        }
+    }
+    std::fprintf(stderr, "resumed %zu of %zu units from %s\n",
+                 units.size() - pending.size(), units.size(),
+                 fragments_dir.c_str());
+    const std::vector<sim::SimResult> results = runUnits(
+        pending,
+        [&](std::size_t i, const sim::SimResult &result,
+            const UnitTiming &timing) {
+            if (!writeFragment(fragments_dir, pending[i], result, timing)) {
+                std::fprintf(stderr, "cannot write fragment for %s\n",
+                             pending[i].id.c_str());
+                run.fragmentsWritten = false;
+            }
+        },
+        pool);
+    for (std::size_t i = 0; i < pending.size(); ++i)
+        run.results[run.simulated[i]] = results[i];
+    return run;
+}
+
 std::optional<std::string>
 mergeFragments(const SweepOptions &options, const std::string &fragments_dir,
                MergeReport &report)
@@ -987,52 +1074,16 @@ mergeFragments(const SweepOptions &options, const std::string &fragments_dir,
 
     std::vector<sim::SimResult> results(units.size());
     std::vector<bool> filled(units.size(), false);
-    // list() is sorted by name, so reports are stable run to run.
-    const LocalDirStore store(fragments_dir);
-    for (const StoreObject &object : store.list("")) {
-        const std::string &name = object.name;
-        if (name.size() <= 5 || !name.ends_with(".json"))
-            continue;
-        const std::string shown = fragments_dir + "/" + name;
-        const std::optional<std::string> bytes = store.get(name);
-        const std::optional<json::Value> doc =
-            bytes ? json::parse(*bytes) : std::nullopt;
-        if (!doc || !doc->isObject() ||
-            doc->getString("schema") != "tcsim-bench-fragment-v1") {
-            report.corrupt.push_back(shown);
-            continue;
-        }
-        const json::Value *unit_obj = doc->find("unit");
-        const json::Value *result_obj = doc->find("result");
-        if (unit_obj == nullptr || !unit_obj->isObject() ||
-            result_obj == nullptr || !result_obj->isObject()) {
-            report.corrupt.push_back(shown);
-            continue;
-        }
-        const std::string hash = unit_obj->getString("hash");
-        // The name stem is the claimed unit hash; a mismatch means
-        // the object was renamed or half-written and cannot be
-        // trusted.
-        if (name.substr(0, name.size() - 5) != hash) {
-            report.corrupt.push_back(shown);
-            continue;
-        }
-        const auto wanted = by_hash.find(hash);
+    FragmentDir dir = readFragments(fragments_dir);
+    report.corrupt = std::move(dir.corrupt);
+    for (Fragment &fragment : dir.fragments) {
+        const auto wanted = by_hash.find(fragment.hash);
         if (wanted == by_hash.end()) {
-            report.stale.push_back(shown);
-            continue;
-        }
-        if (filled[wanted->second]) {
-            report.duplicates.push_back(shown);
-            continue;
-        }
-        sim::SimResult n;
-        if (!parseResultRecord(*result_obj, n)) {
-            report.corrupt.push_back(shown);
+            report.stale.push_back(std::move(fragment.path));
             continue;
         }
         results[wanted->second] =
-            finishResult(units[wanted->second], std::move(n));
+            finishResult(units[wanted->second], std::move(fragment.result));
         filled[wanted->second] = true;
     }
 

@@ -3,11 +3,13 @@
  * The one execution engine: a deterministic work-unit protocol over
  * the (benchmark, configuration) matrix, one per-unit executor
  * (executeUnit: full, sampled or replay), one fan-out that runs units
- * on the in-process thread pool (runUnits), and a merge layer that
- * combines per-unit result fragments into one canonical results
+ * on the in-process thread pool (runUnits), and a fragment layer that
+ * writes one result fragment per unit, reads them back (one reader,
+ * readFragments) and combines them into one canonical results
  * document. The exhibits (bench/exhibits.h) plan units and render
  * their results; tcsim_sweep renders them as a document, writes them
- * as fragments for --shard / --worklist, or merges fragments.
+ * as fragments (runSweep, which resumes from the fragments already
+ * there), or merges fragments.
  *
  * Determinism contract:
  *
@@ -16,22 +18,24 @@
  *    unit carrying a content hash over everything its result depends on:
  *    unit identity, config fingerprint, generator version, profile
  *    fingerprint and warm-up length. Any change to those regenerates
- *    the hash, so stale fragments are detected instead of merged.
+ *    the hash, so stale fragments are detected instead of merged. The
+ *    hash does not cover the simulator build: a fragments directory
+ *    belongs to one build.
  *
  *  - The canonical results document ("tcsim-bench-results-v1") stores
  *    each unit's SimResult integers and the ratios sim::deriveRatios
- *    computes from them. Both the single-process path (simulate
- *    everything, render) and the sharded path (render from integers
- *    parsed back out of fragments) call the one renderer on the same
- *    integers, so the two documents are byte-identical, at any
- *    TCSIM_JOBS. Wall-clock and cache-stat timing lives in fragments
- *    and the separate timing document, never in the canonical
- *    document.
+ *    computes from them. The single-process path (simulate
+ *    everything, render), the merge and a resumed run (render from
+ *    integers parsed back out of fragments, beside freshly simulated
+ *    ones) all call the one renderer on the same integers, so their
+ *    documents are byte-identical, at any TCSIM_JOBS. Wall-clock and
+ *    cache-stat timing lives only in the fragments' "timing" section,
+ *    never in the canonical document.
  *
  *  - Fragments ("tcsim-bench-fragment-v1") are one file per unit,
  *    named "<hash>.json" and written atomically (temp file + rename),
- *    so a killed worker loses at most its in-flight units and a rerun
- *    only needs the units check() reports missing.
+ *    so a killed run loses at most its in-flight units, and running
+ *    the same command again simulates only those.
  */
 
 #ifndef TCSIM_BENCH_SWEEP_H
@@ -235,21 +239,73 @@ std::string fragmentPath(const std::string &dir, const WorkUnit &unit);
 
 /**
  * Write @p unit's fragment atomically, replacing any fragment already
- * there (a retried unit overwrites a torn one). @return false on I/O
- * error.
+ * there (a re-simulated unit overwrites torn bytes). @return false on
+ * I/O error.
  */
 bool writeFragment(const std::string &dir, const WorkUnit &unit,
                    const sim::SimResult &result, const UnitTiming &timing);
 
-/** What the merge (or check) pass found in a fragments directory. */
+/** One valid fragment, as read back from its file. */
+struct Fragment
+{
+    std::string path;      ///< "<dir>/<hash>.json"
+    std::string id;        ///< the unit id the fragment states
+    std::string hash;      ///< the unit hash, equal to the name's stem
+    sim::SimResult result; ///< canonical integers; ratios not derived
+    UnitTiming timing;     ///< the non-canonical "timing" section
+};
+
+/** The "*.json" files of a fragments directory, sorted by name. */
+struct FragmentDir
+{
+    std::vector<Fragment> fragments; ///< the valid ones
+    std::vector<std::string> corrupt; ///< paths of all the others
+};
+
+/**
+ * The one fragment reader, behind --merge, resume (runSweep) and
+ * tcsim_regress. A "*.json" file is a valid fragment when it parses
+ * as a tcsim-bench-fragment-v1 document with "unit" and "result"
+ * objects, its name's stem equals unit.hash, and its result record
+ * holds every canonical integer; anything else under a "*.json" name
+ * is corrupt. Other names (a writer's "<hash>.json.tmp.<pid>.<n>"
+ * temp files) are skipped, and an absent directory reads as empty.
+ */
+FragmentDir readFragments(const std::string &dir);
+
+/** What runSweep did. */
+struct SweepRun
+{
+    /** One result per unit, in unit order. */
+    std::vector<sim::SimResult> results;
+    /** Positions of the units simulated by this call, ascending; every
+     * other unit's result came from its fragment. */
+    std::vector<std::size_t> simulated;
+    /** False when some fragment could not be written. */
+    bool fragmentsWritten = true;
+};
+
+/**
+ * Run @p units, a selection of one matrix (all of it, or a shard).
+ * With a @p fragments_dir, every unit that has a valid fragment there
+ * (readFragments) takes its result from it, as the merge does, and
+ * every other unit is simulated and its fragment written, replacing
+ * torn bytes under its name; a killed run therefore finishes when run
+ * again, and renderResultsDoc over the results is byte-identical to a
+ * clean run's. Prints the resumed count to stderr. With an empty
+ * @p fragments_dir every unit is simulated and nothing is written.
+ */
+SweepRun runSweep(const std::vector<WorkUnit> &units,
+                  const std::string &fragments_dir,
+                  ThreadPool &pool = sharedPool());
+
+/** What the merge found in a fragments directory. */
 struct MergeReport
 {
     /** Unit ids present in the matrix but with no valid fragment. */
     std::vector<std::string> missing;
     /** Fragment files whose unit hash is not in the matrix. */
     std::vector<std::string> stale;
-    /** Extra valid fragments for an already-filled unit. */
-    std::vector<std::string> duplicates;
     /** Unreadable / unparseable / internally inconsistent files. */
     std::vector<std::string> corrupt;
 
@@ -257,11 +313,10 @@ struct MergeReport
 };
 
 /**
- * Scan @p fragments_dir and assemble the canonical results document
+ * Read @p fragments_dir and assemble the canonical results document
  * for @p options' matrix.
  * @return the document when every unit was found (report still lists
- * stale/duplicate files); empty optional otherwise, with the holes in
- * @p report.
+ * stale files); empty optional otherwise, with the holes in @p report.
  */
 std::optional<std::string> mergeFragments(const SweepOptions &options,
                                           const std::string &fragments_dir,

@@ -86,29 +86,6 @@ parseResultsDoc(const json::Value &doc, const char *which,
     return true;
 }
 
-/** id -> wall_seconds from a tcsim-bench-timing-v1 document. */
-std::map<std::string, double>
-parseTimingDoc(const json::Value *doc)
-{
-    std::map<std::string, double> walls;
-    if (doc == nullptr || !doc->isObject() ||
-        doc->getString("schema") != "tcsim-bench-timing-v1") {
-        return walls;
-    }
-    const json::Value *units = doc->find("units");
-    if (units == nullptr || !units->isArray())
-        return walls;
-    for (const json::Value &unit : units->items()) {
-        if (!unit.isObject() || unit.find("id") == nullptr ||
-            unit.find("wall_seconds") == nullptr) {
-            continue;
-        }
-        // Last write wins; retried units legitimately appear twice.
-        walls[unit.getString("id")] = unit.getDouble("wall_seconds");
-    }
-    return walls;
-}
-
 MetricDelta
 makeMetric(const char *name, double baseline, double current,
            double threshold, bool lower_is_better)
@@ -165,8 +142,8 @@ robustSigma(const std::vector<double> &deltas)
 
 std::optional<RegressionReport>
 compareResults(const json::Value &baseline, const json::Value &current,
-               const json::Value *baseline_timing,
-               const json::Value *current_timing,
+               const WallTimes &baseline_walls,
+               const WallTimes &current_walls,
                const RegressOptions &options, std::string *error)
 {
     std::vector<UnitRecord> base_units, cur_units;
@@ -177,11 +154,6 @@ compareResults(const json::Value &baseline, const json::Value &current,
     std::map<std::string, const UnitRecord *> base_by_id;
     for (const UnitRecord &unit : base_units)
         base_by_id.emplace(unit.id, &unit);
-
-    const std::map<std::string, double> base_walls =
-        parseTimingDoc(baseline_timing);
-    const std::map<std::string, double> cur_walls =
-        parseTimingDoc(current_timing);
 
     RegressionReport report;
 
@@ -202,9 +174,9 @@ compareResults(const json::Value &baseline, const json::Value &current,
             continue;
         }
         Matched pair{it->second, &cur, std::nullopt, std::nullopt};
-        const auto wb = base_walls.find(cur.id);
-        const auto wc = cur_walls.find(cur.id);
-        if (wb != base_walls.end() && wc != cur_walls.end() &&
+        const auto wb = baseline_walls.find(cur.id);
+        const auto wc = current_walls.find(cur.id);
+        if (wb != baseline_walls.end() && wc != current_walls.end() &&
             wb->second > 0.0) {
             pair.wallBase = wb->second;
             pair.wallCur = wc->second;

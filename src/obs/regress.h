@@ -13,13 +13,13 @@
  *    relative threshold, direction-aware (an IPC gain is reported but
  *    never fails the gate; an IPC loss beyond the threshold does).
  *
- *  - Host wall-clock per unit (optional, from the
- *    "tcsim-bench-timing-v1" documents) is NOISY: the gate learns a
- *    noise band from the spread of per-unit relative deltas (robust
- *    sigma via median absolute deviation) and flags only shifts that
- *    clear both the configured threshold and the learned band. A
- *    zero-variance sample (e.g. a self-compare) degenerates to the
- *    plain threshold.
+ *  - Host wall-clock per unit (optional; tcsim_regress reads it from
+ *    the "timing" section of each run's sweep fragments) is NOISY:
+ *    the gate learns a noise band from the spread of per-unit
+ *    relative deltas (robust sigma via median absolute deviation) and
+ *    flags only shifts that clear both the configured threshold and
+ *    the learned band. A zero-variance sample (e.g. a self-compare)
+ *    degenerates to the plain threshold.
  *
  * Units are matched by id ("<benchmark>@<config>@<insts>[@sampled-…]"),
  * not content hash — hashes fold in config/generator fingerprints and
@@ -32,6 +32,7 @@
 #ifndef TCSIM_OBS_REGRESS_H
 #define TCSIM_OBS_REGRESS_H
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,6 +44,9 @@ class Value;
 
 namespace tcsim::obs
 {
+
+/** Per-unit host wall-clock seconds, by unit id. */
+using WallTimes = std::map<std::string, double>;
 
 struct RegressOptions
 {
@@ -73,8 +77,8 @@ struct UnitComparison
     std::string benchmark;
     std::string config;
     std::vector<MetricDelta> metrics;
-    /** Wall-clock delta; present only when both timing docs had the
-     * unit. */
+    /** Wall-clock delta; present only when both runs' wall times had
+     * the unit. */
     std::optional<MetricDelta> wall;
     bool regressed = false;
 };
@@ -89,7 +93,7 @@ struct RegressionReport
      * (coverage loss; fails the gate). */
     std::vector<std::string> missingInCurrent;
     /** Robust sigma of per-unit relative wall deltas (0 when no
-     * timing was supplied or the sample had no spread). */
+     * wall times were supplied or the sample had no spread). */
     double wallNoiseSigma = 0.0;
     /** Effective wall gate: max(wallThreshold, noiseK * sigma). */
     double wallBand = 0.0;
@@ -98,16 +102,16 @@ struct RegressionReport
 
 /**
  * Compare @p current against @p baseline (both parsed
- * tcsim-bench-results-v1 documents). @p baseline_timing /
- * @p current_timing optionally supply per-unit wall-clock
- * (tcsim-bench-timing-v1); pass nullptr to skip wall comparisons.
+ * tcsim-bench-results-v1 documents). @p baseline_walls /
+ * @p current_walls supply per-unit wall-clock; a unit missing from
+ * either (both empty: every unit) gets no wall comparison.
  * @return empty optional when either document is malformed, with
  * @p error set.
  */
 std::optional<RegressionReport>
 compareResults(const json::Value &baseline, const json::Value &current,
-               const json::Value *baseline_timing,
-               const json::Value *current_timing,
+               const WallTimes &baseline_walls,
+               const WallTimes &current_walls,
                const RegressOptions &options, std::string *error);
 
 /** Render @p report as a "tcsim-regression-v1" JSON document. */

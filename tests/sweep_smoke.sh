@@ -3,18 +3,24 @@
 #
 #  1. single-process run, and the same at TCSIM_JOBS=4, which must be
 #     byte-identical,
-#  2. rerun — must be byte-identical, and full units look nothing up
-#     in the artifact cache,
-#  3. 2-shard run with worker 0 SIGKILLed after one unit, --check
-#     reporting the lost unit, a --worklist retry, and a --merge that
-#     must reproduce the single-process document byte for byte,
+#  2. rerun with fragments — byte-identical, and full units look
+#     nothing up in the artifact cache and store nothing there,
+#  3. resume: a fragments directory seeded with shard 0/2's fragments
+#     (one with a sentinel wall time), torn bytes under a shard-1
+#     unit's name, a writer's temp file and another matrix's fragment;
+#     the resumed --out must equal the single-process document and
+#     leave the sentinel alone, a second run must simulate nothing,
+#     and --merge must agree,
 #  4. a 2-shard --replay sweep whose merge must equal its
 #     single-process document; that run reads the btraces the shards
 #     stored, and every cache lookup must hit (hits change wall-clock
 #     only, never results),
-#  5. tools/validate_obs.py over every fragment and merged document,
-#  6. `tcsim_regress` self-compare (clean, exit 0) and against a
-#     perturbed current run (regression, exit 5), both reports valid.
+#  5. a matrix that names one unit twice is an error in every mode,
+#  6. tools/validate_obs.py over every fragment and merged document,
+#  7. `tcsim_regress` self-compare (clean, exit 0) with every unit's
+#     wall time read from fragments, against a perturbed current run
+#     (regression, exit 5), and against a missing or corrupt
+#     fragments directory (exit 2).
 #
 # Usage: sweep_smoke.sh <cmake-build-dir>
 set -eu
@@ -31,48 +37,65 @@ trap 'rm -rf "$scratch"' EXIT
 margs=(--benchmarks compress,li --configs baseline,promotion-t64
        --insts 20000 --warmup 5000 --cache-dir "$scratch/cache")
 
+# Sum one timing counter over every fragment in a directory.
+sum_timing() {
+    python3 - "$1" "$2" <<'EOF'
+import glob, json, sys
+print(sum(json.load(open(f))["timing"][sys.argv[2]]
+          for f in glob.glob(sys.argv[1] + "/*.json")))
+EOF
+}
+
 echo "== single-process reference, one job against four =="
 TCSIM_JOBS=1 "$bin" "${margs[@]}" --out "$scratch/single.json"
 TCSIM_JOBS=4 "$bin" "${margs[@]}" --out "$scratch/jobs4.json"
 cmp "$scratch/single.json" "$scratch/jobs4.json"
 
 echo "== rerun: byte-identical, no cache lookups for full units =="
-"$bin" "${margs[@]}" --out "$scratch/rerun.json" \
-       --timing-out "$scratch/timing.json"
+"$bin" "${margs[@]}" --fragments-dir "$scratch/rerun-frags" \
+       --out "$scratch/rerun.json"
 cmp "$scratch/single.json" "$scratch/rerun.json"
-python3 - "$scratch/timing.json" <<'EOF'
+[ "$(sum_timing "$scratch/rerun-frags" cache_hits)" -eq 0 ]
+[ "$(sum_timing "$scratch/rerun-frags" cache_misses)" -eq 0 ]
+[ -z "$(ls -A "$scratch/cache" 2>/dev/null)" ] || {
+    echo "full units wrote to the artifact cache" >&2; exit 1; }
+
+echo "== resume a killed run from its fragments =="
+frags="$scratch/frags"
+"$bin" "${margs[@]}" --shard 0/2 --fragments-dir "$frags"
+hash_of() {
+    "$bin" "${margs[@]}" --list | awk -v i="$1" '$1 == i { print $2 }'
+}
+h0=$(hash_of 0)
+h1=$(hash_of 1)
+h3=$(hash_of 3)
+python3 - "$frags/$h0.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-assert doc["schema"] == "tcsim-bench-timing-v1", doc["schema"]
-cache = doc["cache"]
-assert cache["enabled"], cache
-assert cache["hits"] == 0 and cache["misses"] == 0, cache
+doc["timing"]["wall_seconds"] = 4242.5
+json.dump(doc, open(sys.argv[1], "w"), indent=2)
 EOF
+cp "$frags/$h0.json" "$scratch/sentinel.json"
+printf '{\n  "schema": "tcsim-bench-frag' > "$frags/$h1.json"
+printf '{\n  "schema": "tcsim-bench-fragment-v1",\n' \
+       > "$frags/$h3.json.tmp.1.0"
+"$bin" --benchmarks compress --configs baseline --insts 10000 \
+       --shard 0/1 --fragments-dir "$frags"
+"$bin" "${margs[@]}" --fragments-dir "$frags" --out "$scratch/resumed.json" \
+       2> "$scratch/resume.log"
+grep -q "resumed 2 of 4 units" "$scratch/resume.log"
+cmp "$scratch/single.json" "$scratch/resumed.json"
+cmp "$scratch/sentinel.json" "$frags/$h0.json"
 
-echo "== shard 0/2 with injected SIGKILL =="
-if "$bin" "${margs[@]}" --shard 0/2 \
-       --fragments-dir "$scratch/frags" --die-after 1; then
-    echo "worker 0 should have been killed" >&2
-    exit 1
-fi
-
-echo "== shard 1/2 runs to completion =="
-"$bin" "${margs[@]}" --shard 1/2 --fragments-dir "$scratch/frags"
-
-echo "== check reports the lost unit =="
-rc=0
-"$bin" "${margs[@]}" --check --fragments-dir "$scratch/frags" \
-       > "$scratch/missing.txt" || rc=$?
-[ "$rc" -eq 2 ] || { echo "expected check exit 2, got $rc" >&2; exit 1; }
-[ -s "$scratch/missing.txt" ] || { echo "no missing units listed" >&2; exit 1; }
-
-echo "== worklist retry fills the hole =="
-"$bin" "${margs[@]}" --worklist "$scratch/missing.txt" \
-       --fragments-dir "$scratch/frags"
-"$bin" "${margs[@]}" --check --fragments-dir "$scratch/frags"
+echo "== running it again simulates nothing =="
+"$bin" "${margs[@]}" --fragments-dir "$frags" --out "$scratch/again.json" \
+       2> "$scratch/again.log"
+grep -q "resumed 4 of 4 units" "$scratch/again.log"
+grep -q "done: 0 units simulated" "$scratch/again.log"
+cmp "$scratch/single.json" "$scratch/again.json"
 
 echo "== merge is byte-identical to single-process =="
-"$bin" "${margs[@]}" --merge --fragments-dir "$scratch/frags" \
+"$bin" "${margs[@]}" --merge --fragments-dir "$frags" \
        --out "$scratch/merged.json"
 cmp "$scratch/single.json" "$scratch/merged.json"
 
@@ -85,26 +108,46 @@ for shard in 0 1; do
 done
 "$bin" "${rargs[@]}" --merge --fragments-dir "$scratch/replay-frags" \
        --out "$scratch/replay-merged.json"
-"$bin" "${rargs[@]}" --out "$scratch/replay-single.json" \
-       --timing-out "$scratch/replay-timing.json"
+"$bin" "${rargs[@]}" --fragments-dir "$scratch/replay-single-frags" \
+       --out "$scratch/replay-single.json"
 cmp "$scratch/replay-single.json" "$scratch/replay-merged.json"
-python3 - "$scratch/replay-timing.json" <<'EOF'
-import json, sys
-cache = json.load(open(sys.argv[1]))["cache"]
-assert cache["enabled"], cache
-assert cache["hits"] > 0 and cache["misses"] == 0, cache
-EOF
+[ "$(sum_timing "$scratch/replay-single-frags" cache_hits)" -gt 0 ]
+[ "$(sum_timing "$scratch/replay-single-frags" cache_misses)" -eq 0 ]
+
+echo "== a matrix that names one unit twice is an error in every mode =="
+for dup in "--benchmarks compress,compress --configs baseline" \
+           "--benchmarks compress --configs baseline,baseline"; do
+    for mode in "--list" "--out $scratch/dup.json" \
+                "--shard 0/1 --fragments-dir $scratch/dup" \
+                "--merge --fragments-dir $scratch/dup"; do
+        rc=0
+        # shellcheck disable=SC2086
+        "$bin" $dup --insts 20000 $mode 2> "$scratch/dup.log" || rc=$?
+        [ "$rc" -eq 1 ] || { echo "$dup $mode: exit $rc" >&2; exit 1; }
+        grep -q "names unit compress@baseline@20000 twice" "$scratch/dup.log"
+    done
+done
+[ ! -e "$scratch/dup.json" ] || { echo "dup.json written" >&2; exit 1; }
+[ ! -e "$scratch/dup" ] || { echo "dup fragments written" >&2; exit 1; }
 
 echo "== fragments and merged documents validate =="
 python3 "$validate" \
-    --fragment "$scratch"/frags/*.json "$scratch"/replay-frags/*.json \
+    --fragment "$frags"/*.json "$scratch"/replay-frags/*.json \
     --results "$scratch/merged.json" "$scratch/replay-merged.json"
 
-echo "== regress self-compare is clean =="
+echo "== regress self-compare is clean, with every unit's wall time =="
 "$regress" --baseline "$scratch/merged.json" \
            --current "$scratch/merged.json" \
+           --baseline-fragments "$frags" --current-fragments "$frags" \
            --out "$scratch/regress-clean.json"
 python3 "$validate" --regression "$scratch/regress-clean.json"
+python3 - "$scratch/regress-clean.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["regressed"] is False, doc
+assert len(doc["units"]) == 4, doc["units"]
+assert all("wall" in u for u in doc["units"]), doc["units"]
+EOF
 
 echo "== regress flags an injected IPC loss with exit 5 =="
 python3 - "$scratch/merged.json" "$scratch/perturbed.json" <<'EOF'
@@ -127,5 +170,17 @@ bad = [u for u in doc["units"] if u["regressed"]]
 assert len(bad) == 1, bad
 assert any(m["name"] == "ipc" and m["regressed"] for m in bad[0]["metrics"])
 EOF
+
+echo "== regress rejects a missing or corrupt fragments directory =="
+mkdir "$scratch/corrupt-frags"
+echo '{ not json' > "$scratch/corrupt-frags/garbage.json"
+for dir in "$scratch/no-such-dir" "$scratch/corrupt-frags"; do
+    rc=0
+    "$regress" --baseline "$scratch/merged.json" \
+               --current "$scratch/merged.json" \
+               --baseline-fragments "$dir" --current-fragments "$frags" \
+               --out "$scratch/regress-none.json" || rc=$?
+    [ "$rc" -eq 2 ] || { echo "$dir: expected exit 2, got $rc" >&2; exit 1; }
+done
 
 echo "sweep smoke OK"

@@ -45,19 +45,16 @@ resultsDoc(const std::vector<std::array<const char *, 2>> &units,
     return out;
 }
 
-std::string
-timingDoc(const std::vector<std::array<const char *, 2>> &units,
+/** Wall seconds by unit id, as tcsim_regress reads them from the
+ * fragments of a resultsDoc() run. */
+WallTimes
+wallTimes(const std::vector<std::array<const char *, 2>> &units,
           const std::vector<double> &walls)
 {
-    std::string out = "{\n  \"schema\": \"tcsim-bench-timing-v1\",\n"
-                      "  \"units\": [\n";
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        out += std::string("    {\"id\": \"") + units[i][0] + "@" +
-               units[i][1] + "@8000\", \"wall_seconds\": " +
-               std::to_string(walls[i]) + "}";
-        out += i + 1 < units.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
+    WallTimes out;
+    for (std::size_t i = 0; i < units.size(); ++i)
+        out[std::string(units[i][0]) + "@" + units[i][1] + "@8000"] =
+            walls[i];
     return out;
 }
 
@@ -71,16 +68,14 @@ const std::vector<std::array<const char *, 2>> kUnits = {
 TEST(Regress, SelfCompareIsCleanWithZeroVarianceBand)
 {
     const std::string doc = resultsDoc(kUnits, 2.0, 10.0, 0.05);
-    const std::string timing = timingDoc(kUnits, {1.0, 2.0, 3.0, 4.0});
+    const WallTimes walls = wallTimes(kUnits, {1.0, 2.0, 3.0, 4.0});
     const std::optional<json::Value> results = json::parse(doc);
-    const std::optional<json::Value> timing_doc = json::parse(timing);
-    ASSERT_TRUE(results && timing_doc);
+    ASSERT_TRUE(results);
 
     RegressOptions options;
     std::string error;
-    const std::optional<RegressionReport> report =
-        compareResults(*results, *results, &*timing_doc, &*timing_doc,
-                       options, &error);
+    const std::optional<RegressionReport> report = compareResults(
+        *results, *results, walls, walls, options, &error);
     ASSERT_TRUE(report.has_value()) << error;
     EXPECT_FALSE(report->regressed);
     EXPECT_EQ(report->units.size(), kUnits.size());
@@ -111,7 +106,7 @@ TEST(Regress, IpcLossFlaggedGainNot)
         ASSERT_TRUE(baseline && current);
         std::string error;
         const auto report =
-            compareResults(*baseline, *current, nullptr, nullptr,
+            compareResults(*baseline, *current, {}, {},
                            RegressOptions{}, &error);
         ASSERT_TRUE(report.has_value()) << error;
         EXPECT_FALSE(report->regressed) << "an IPC gain must not fail";
@@ -119,8 +114,8 @@ TEST(Regress, IpcLossFlaggedGainNot)
     std::optional<json::Value> current = json::parse(cur);
     ASSERT_TRUE(baseline && current);
     std::string error;
-    const auto report = compareResults(*baseline, *current, nullptr,
-                                       nullptr, RegressOptions{}, &error);
+    const auto report = compareResults(*baseline, *current, {}, {},
+                                       RegressOptions{}, &error);
     ASSERT_TRUE(report.has_value()) << error;
     EXPECT_TRUE(report->regressed);
     ASSERT_EQ(report->units.size(), kUnits.size());
@@ -141,12 +136,12 @@ TEST(Regress, MispredictRateIsLowerIsBetter)
     ASSERT_TRUE(baseline && current);
     std::string error;
     // 0.05 -> 0.06 is a 20% relative increase in mispredicts: fails.
-    auto report = compareResults(*baseline, *current, nullptr, nullptr,
+    auto report = compareResults(*baseline, *current, {}, {},
                                  RegressOptions{}, &error);
     ASSERT_TRUE(report.has_value()) << error;
     EXPECT_TRUE(report->regressed);
     // The reverse direction (fewer mispredicts) passes.
-    report = compareResults(*current, *baseline, nullptr, nullptr,
+    report = compareResults(*current, *baseline, {}, {},
                             RegressOptions{}, &error);
     ASSERT_TRUE(report.has_value()) << error;
     EXPECT_FALSE(report->regressed);
@@ -163,7 +158,7 @@ TEST(Regress, MissingUnitsAreAsymmetric)
     ASSERT_TRUE(baseline && current);
     std::string error;
     // Coverage loss (baseline unit missing from current) fails.
-    auto report = compareResults(*baseline, *current, nullptr, nullptr,
+    auto report = compareResults(*baseline, *current, {}, {},
                                  RegressOptions{}, &error);
     ASSERT_TRUE(report.has_value()) << error;
     EXPECT_TRUE(report->regressed);
@@ -171,7 +166,7 @@ TEST(Regress, MissingUnitsAreAsymmetric)
     EXPECT_EQ(report->missingInCurrent[0], "li@promotion-t64@8000");
     EXPECT_TRUE(report->missingInBaseline.empty());
     // New coverage (current unit with no baseline) passes.
-    report = compareResults(*current, *baseline, nullptr, nullptr,
+    report = compareResults(*current, *baseline, {}, {},
                             RegressOptions{}, &error);
     ASSERT_TRUE(report.has_value()) << error;
     EXPECT_FALSE(report->regressed);
@@ -190,21 +185,19 @@ TEST(Regress, WallBandLearnsNoiseFromSpread)
     for (const char *bench : benches)
         units.push_back({bench, "baseline"});
     const std::string base_doc = resultsDoc(units, 2.0, 10.0, 0.05);
-    const std::string base_timing =
-        timingDoc(units, {1, 1, 1, 1, 1, 1, 1, 1});
+    const WallTimes base_walls =
+        wallTimes(units, {1, 1, 1, 1, 1, 1, 1, 1});
     // Deltas: -60%..+80% around the baseline — noisy host timing.
-    const std::string cur_timing = timingDoc(
-        units, {0.4, 1.8, 0.6, 1.6, 0.5, 1.5, 0.7, 1.3});
+    const WallTimes cur_walls =
+        wallTimes(units, {0.4, 1.8, 0.6, 1.6, 0.5, 1.5, 0.7, 1.3});
     std::optional<json::Value> results = json::parse(base_doc);
-    std::optional<json::Value> tb = json::parse(base_timing);
-    std::optional<json::Value> tc = json::parse(cur_timing);
-    ASSERT_TRUE(results && tb && tc);
+    ASSERT_TRUE(results);
     RegressOptions options;
     options.wallThreshold = 0.20;
     options.noiseK = 3.0;
     std::string error;
-    const auto report = compareResults(*results, *results, &*tb, &*tc,
-                                       options, &error);
+    const auto report = compareResults(*results, *results, base_walls,
+                                       cur_walls, options, &error);
     ASSERT_TRUE(report.has_value()) << error;
     EXPECT_GT(report->wallNoiseSigma, 0.0);
     EXPECT_GT(report->wallBand, options.wallThreshold);
@@ -230,8 +223,8 @@ TEST(Regress, ReportRendersAndReparses)
     std::optional<json::Value> current = json::parse(cur);
     ASSERT_TRUE(baseline && current);
     std::string error;
-    const auto report = compareResults(*baseline, *current, nullptr,
-                                       nullptr, RegressOptions{}, &error);
+    const auto report = compareResults(*baseline, *current, {}, {},
+                                       RegressOptions{}, &error);
     ASSERT_TRUE(report.has_value()) << error;
     const std::string rendered =
         renderRegressionReport(*report, RegressOptions{});

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the local-directory blob store: name validation, atomic
- * first-wins put semantics and listing.
+ * first-wins put semantics and the sorted top-level listing.
  */
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -51,13 +52,11 @@ TEST_F(LocalStoreTest, PutGetExistsRemoveRoundTrip)
 {
     LocalDirStore store(dir_);
     const std::string payload("bytes\0with nul", 14);
-    EXPECT_FALSE(store.exists("a.json"));
     EXPECT_FALSE(store.get("a.json").has_value());
     ASSERT_TRUE(store.put("a.json", payload));
-    EXPECT_TRUE(store.exists("a.json"));
     EXPECT_EQ(store.get("a.json"), payload);
     EXPECT_TRUE(store.remove("a.json"));
-    EXPECT_FALSE(store.exists("a.json"));
+    EXPECT_FALSE(store.get("a.json").has_value());
     EXPECT_TRUE(store.remove("a.json")); // already gone is success
 }
 
@@ -78,26 +77,20 @@ TEST_F(LocalStoreTest, RejectsTraversalNames)
     LocalDirStore store(dir_);
     EXPECT_FALSE(store.put("../escape.json", "x"));
     EXPECT_FALSE(store.get("../escape.json").has_value());
-    EXPECT_FALSE(store.exists("../escape.json"));
     EXPECT_FALSE(
         std::filesystem::exists(testing::TempDir() + "/escape.json"));
 }
 
-TEST_F(LocalStoreTest, ListIsPrefixFilteredAndSorted)
+TEST_F(LocalStoreTest, ListIsSorted)
 {
     LocalDirStore store(dir_);
+    EXPECT_TRUE(store.list().empty()); // no directory yet
     ASSERT_TRUE(store.put("bb.json", "2"));
     ASSERT_TRUE(store.put("aa.json", "1"));
     ASSERT_TRUE(store.put("log-w1.json", "log"));
-    const auto all = store.list("");
-    ASSERT_EQ(all.size(), 3u);
-    EXPECT_EQ(all[0].name, "aa.json");
-    EXPECT_EQ(all[1].name, "bb.json");
-    EXPECT_EQ(all[2].name, "log-w1.json");
-    EXPECT_EQ(all[0].size, 1u);
-    const auto logs = store.list("log-");
-    ASSERT_EQ(logs.size(), 1u);
-    EXPECT_EQ(logs[0].name, "log-w1.json");
+    const std::vector<std::string> expected = {"aa.json", "bb.json",
+                                               "log-w1.json"};
+    EXPECT_EQ(store.list(), expected);
 }
 
 TEST_F(LocalStoreTest, SubdirObjectsWork)
@@ -105,9 +98,8 @@ TEST_F(LocalStoreTest, SubdirObjectsWork)
     LocalDirStore store(dir_);
     ASSERT_TRUE(store.put("prog/cafe.art", "payload"));
     EXPECT_EQ(store.get("prog/cafe.art"), "payload");
-    const auto listed = store.list("prog/");
-    ASSERT_EQ(listed.size(), 1u);
-    EXPECT_EQ(listed[0].name, "prog/cafe.art");
+    // list() names top-level objects only.
+    EXPECT_TRUE(store.list().empty());
 }
 
 } // namespace

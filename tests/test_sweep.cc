@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the sharded sweep engine: stable unit enumeration and
- * content hashing, the byte-identity of a sharded merge against the
- * single-process document, and the merge layer's classification of
- * missing, stale and corrupt fragments.
+ * content hashing, the byte-identity of a sharded merge and of a
+ * resumed run against the single-process document, and the fragment
+ * reader's classification of missing, stale and corrupt fragments.
  */
 
 #include <filesystem>
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/harness.h"
+#include "bench/store.h"
 #include "bench/sweep.h"
 #include "sim/config.h"
 #include "sim/processor.h"
@@ -242,7 +243,6 @@ TEST_F(SweepMergeTest, TwoShardMergeIsByteIdentical)
     ASSERT_TRUE(merged.has_value());
     EXPECT_TRUE(report.complete());
     EXPECT_TRUE(report.stale.empty());
-    EXPECT_TRUE(report.duplicates.empty());
     EXPECT_EQ(*merged, single); // byte-identical
 }
 
@@ -274,7 +274,7 @@ TEST_F(SweepMergeTest, ServerProfileShardedMergeIsByteIdentical)
 {
     // Server-class profiles must hold the same determinism contract
     // as the legacy suite: any shard layout (TCSIM_JOBS, --shard i/n,
-    // worklists) reproduces the single-process document byte for
+    // resumed runs) reproduces the single-process document byte for
     // byte. Each unit is executed twice — as two independent workers
     // would — and both the integers and the merged bytes must agree.
     SweepOptions options;
@@ -463,6 +463,116 @@ TEST_F(SweepMergeTest, RenamedFragmentIsCorruptNotTrusted)
     EXPECT_FALSE(mergeFragments(options, dir_, report).has_value());
     ASSERT_EQ(report.corrupt.size(), 1u);
     EXPECT_EQ(report.corrupt[0], fragmentPath(dir_, units[1]));
+}
+
+/** A fragments directory per test, as SweepMergeTest has. */
+class SweepResume : public SweepMergeTest
+{
+  protected:
+    /**
+     * Leave @p options' matrix the way a run killed after shard 0/2's
+     * units leaves it, beside what other writers leave, then resume:
+     * only the units without a valid fragment may be simulated, the
+     * document must equal a clean run's, and a second resume must
+     * simulate nothing.
+     */
+    void expectResumeFinishesKilledRun(const SweepOptions &options)
+    {
+        const std::vector<WorkUnit> units = enumerateUnits(options);
+        ASSERT_GE(units.size(), 4u);
+        std::vector<sim::SimResult> integers;
+        for (const WorkUnit &unit : units)
+            integers.push_back(executeUnit(unit));
+        const std::string clean = renderResultsDoc(units, integers);
+        const LocalDirStore store(dir_);
+
+        // Shard 0/2's fragments; unit 0's wall time is a sentinel.
+        // Timing is non-canonical, so that fragment stays valid.
+        std::vector<std::size_t> lacking;
+        for (std::size_t i = 0; i < units.size(); ++i) {
+            if (i % 2 == 1) {
+                lacking.push_back(i);
+                continue;
+            }
+            UnitTiming timing;
+            timing.wallSeconds = i == 0 ? 4242.5 : 0.25;
+            ASSERT_TRUE(writeFragment(dir_, units[i], integers[i], timing));
+        }
+        const auto sentinel = store.get(units[0].hash + ".json");
+        // Torn bytes under unit 1's name; a writer's temp file for
+        // unit 3, which a reader must not take for its fragment.
+        std::ofstream(fragmentPath(dir_, units[1]))
+            << "{\n  \"schema\": \"tcsim-bench-frag";
+        const std::string temp = fragmentPath(dir_, units[3]) + ".tmp.1.0";
+        std::ofstream(temp)
+            << renderFragment(units[3], integers[3], UnitTiming{});
+        // A valid fragment of another matrix.
+        SweepOptions other_options = options;
+        other_options.insts *= 2;
+        const WorkUnit other = enumerateUnits(other_options)[0];
+        ASSERT_TRUE(writeFragment(dir_, other, integers[0], UnitTiming{}));
+        const auto other_bytes = store.get(other.hash + ".json");
+        ASSERT_TRUE(sentinel && other_bytes);
+
+        const SweepRun run = runSweep(units, dir_);
+        EXPECT_TRUE(run.fragmentsWritten);
+        EXPECT_EQ(run.simulated, lacking);
+        EXPECT_EQ(renderResultsDoc(units, run.results), clean);
+        EXPECT_EQ(store.get(units[0].hash + ".json"), sentinel);
+        EXPECT_EQ(store.get(other.hash + ".json"), other_bytes);
+        EXPECT_TRUE(std::filesystem::exists(temp));
+        // The torn bytes were replaced: every unit, and the other
+        // matrix's unit, now has a valid fragment.
+        const FragmentDir after = readFragments(dir_);
+        EXPECT_TRUE(after.corrupt.empty());
+        EXPECT_EQ(after.fragments.size(), units.size() + 1);
+
+        const SweepRun again = runSweep(units, dir_);
+        EXPECT_TRUE(again.simulated.empty());
+        EXPECT_EQ(renderResultsDoc(units, again.results), clean);
+    }
+};
+
+TEST_F(SweepResume, FinishesAKilledRunByteIdentical)
+{
+    expectResumeFinishesKilledRun(smallMatrix());
+}
+
+TEST_F(SweepResume, SampledRunResumesByteIdentical)
+{
+    expectResumeFinishesKilledRun(sampledMatrix());
+}
+
+TEST_F(SweepResume, ReplayRunResumesByteIdentical)
+{
+    SweepOptions options = smallMatrix();
+    options.benchmarks = {"compress", "server-oltp"};
+    options.replay = true;
+    expectResumeFinishesKilledRun(options);
+}
+
+TEST_F(SweepResume, ShardsResumeAndMergeByteIdentical)
+{
+    // A shard resumes only its own units: a fragment of the other
+    // shard is neither re-simulated nor needed.
+    const SweepOptions options = smallMatrix();
+    const std::vector<WorkUnit> units = enumerateUnits(options);
+    ASSERT_EQ(units.size(), 4u);
+    std::vector<sim::SimResult> integers;
+    for (const WorkUnit &unit : units)
+        integers.push_back(executeUnit(unit));
+    ASSERT_TRUE(writeFragment(dir_, units[0], integers[0], UnitTiming{}));
+    ASSERT_TRUE(writeFragment(dir_, units[1], integers[1], UnitTiming{}));
+
+    const SweepRun shard1 = runSweep({units[1], units[3]}, dir_);
+    EXPECT_EQ(shard1.simulated, std::vector<std::size_t>{1});
+    const SweepRun shard0 = runSweep({units[0], units[2]}, dir_);
+    EXPECT_EQ(shard0.simulated, std::vector<std::size_t>{1});
+
+    MergeReport report;
+    const auto merged = mergeFragments(options, dir_, report);
+    ASSERT_TRUE(merged.has_value());
+    EXPECT_EQ(*merged, renderResultsDoc(units, integers));
 }
 
 } // namespace

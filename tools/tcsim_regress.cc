@@ -6,12 +6,13 @@
  * (benchmark, config) unit and writes a tcsim-regression-v1 verdict.
  * Simulated metrics (IPC, effective fetch rate, conditional
  * mispredict rate) are deterministic and gated by a plain relative
- * threshold; per-unit wall-clock (optional, from the timing
- * documents) is noisy and gated by max(threshold, k × robust sigma)
- * where the sigma is learned from the spread of per-unit deltas.
+ * threshold; per-unit wall-clock (optional, from the "timing" section
+ * of each run's sweep fragments) is noisy and gated by
+ * max(threshold, k × robust sigma) where the sigma is learned from the
+ * spread of per-unit deltas.
  *
  *   tcsim_regress --baseline old.json --current new.json
- *     [--baseline-timing old_t.json --current-timing new_t.json]
+ *     [--baseline-fragments old_frags --current-fragments new_frags]
  *     [--out report.json] [--rel-threshold f] [--wall-threshold f]
  *     [--noise-k f]
  *
@@ -19,16 +20,18 @@
  *   0  clean — no unit regressed
  *   5  regression detected (or baseline units missing from current)
  *   1  usage error
- *   2  a document could not be read or parsed
+ *   2  a document could not be read or parsed, or a fragments
+ *      directory is absent, holds no valid fragment or holds a
+ *      corrupt one
  *   3  the report could not be written
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 
+#include "bench/sweep.h"
 #include "common/atomic_file.h"
 #include "common/json.h"
 #include "common/parse.h"
@@ -44,7 +47,8 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s --baseline f --current f\n"
-                 "  [--baseline-timing f --current-timing f] [--out f]\n"
+                 "  [--baseline-fragments d --current-fragments d] "
+                 "[--out f]\n"
                  "  [--rel-threshold f] [--wall-threshold f] "
                  "[--noise-k f]\n",
                  argv0);
@@ -61,13 +65,34 @@ loadDoc(const std::string &path, const char *what)
     return doc;
 }
 
+/** Unit id -> wall seconds from the fragments in @p dir, through the
+ * sweep's fragment reader; empty optional (after saying why) when the
+ * directory holds a corrupt fragment or no valid one. */
+std::optional<obs::WallTimes>
+loadWalls(const std::string &dir)
+{
+    const bench::FragmentDir read = bench::readFragments(dir);
+    for (const std::string &path : read.corrupt)
+        std::fprintf(stderr, "corrupt fragment: %s\n", path.c_str());
+    if (!read.corrupt.empty())
+        return std::nullopt;
+    if (read.fragments.empty()) {
+        std::fprintf(stderr, "no valid fragment in '%s'\n", dir.c_str());
+        return std::nullopt;
+    }
+    obs::WallTimes walls;
+    for (const bench::Fragment &fragment : read.fragments)
+        walls.emplace(fragment.id, fragment.timing.wallSeconds);
+    return walls;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::string baseline_path, current_path;
-    std::string baseline_timing_path, current_timing_path;
+    std::string baseline_fragments, current_fragments;
     std::string out_path = "-";
     obs::RegressOptions options;
 
@@ -82,10 +107,10 @@ main(int argc, char **argv)
             baseline_path = next();
         } else if (arg == "--current") {
             current_path = next();
-        } else if (arg == "--baseline-timing") {
-            baseline_timing_path = next();
-        } else if (arg == "--current-timing") {
-            current_timing_path = next();
+        } else if (arg == "--baseline-fragments") {
+            baseline_fragments = next();
+        } else if (arg == "--current-fragments") {
+            current_fragments = next();
         } else if (arg == "--out") {
             out_path = next();
         } else if (arg == "--rel-threshold") {
@@ -101,8 +126,8 @@ main(int argc, char **argv)
     }
     if (baseline_path.empty() || current_path.empty())
         usage(argv[0]);
-    if (baseline_timing_path.empty() != current_timing_path.empty()) {
-        std::fprintf(stderr, "--baseline-timing and --current-timing "
+    if (baseline_fragments.empty() != current_fragments.empty()) {
+        std::fprintf(stderr, "--baseline-fragments and --current-fragments "
                              "must be given together\n");
         return 1;
     }
@@ -113,22 +138,20 @@ main(int argc, char **argv)
         loadDoc(current_path, "current");
     if (!baseline || !current)
         return 2;
-    std::optional<json::Value> baseline_timing, current_timing;
-    if (!baseline_timing_path.empty()) {
-        baseline_timing = loadDoc(baseline_timing_path,
-                                  "baseline timing");
-        current_timing = loadDoc(current_timing_path, "current timing");
-        if (!baseline_timing || !current_timing)
+    obs::WallTimes baseline_walls, current_walls;
+    if (!baseline_fragments.empty()) {
+        std::optional<obs::WallTimes> base = loadWalls(baseline_fragments);
+        std::optional<obs::WallTimes> cur = loadWalls(current_fragments);
+        if (!base || !cur)
             return 2;
+        baseline_walls = std::move(*base);
+        current_walls = std::move(*cur);
     }
 
     std::string error;
     const std::optional<obs::RegressionReport> report =
-        obs::compareResults(
-            *baseline, *current,
-            baseline_timing ? &*baseline_timing : nullptr,
-            current_timing ? &*current_timing : nullptr, options,
-            &error);
+        obs::compareResults(*baseline, *current, baseline_walls,
+                            current_walls, options, &error);
     if (!report) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return 2;

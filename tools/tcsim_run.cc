@@ -46,6 +46,8 @@
  *                           (default tcsim-intervals.json)
  *     --profile             print per-phase host-time accounting and
  *                           sim MIPS after the run
+ *   --trace-out and --trace-format need --trace, and --intervals-out
+ *   needs --intervals.
  *   Numeric flags take decimal integers only; "4M" is an error.
  */
 
@@ -54,6 +56,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -133,7 +136,7 @@ main(int argc, char **argv)
     bool path_assoc = false, no_partial = false, no_inactive = false;
     bool static_promotion = false, histogram = false, full_stats = false;
     std::string trace_cats, trace_out, trace_format;
-    std::string intervals_out = "tcsim-intervals.json";
+    std::optional<std::string> intervals_out; // tcsim-intervals.json
     std::uint64_t interval_insts = 0;
     bool profile = false;
     std::string record_trace, replay_trace;
@@ -213,6 +216,13 @@ main(int argc, char **argv)
         fatal("--warmup, --stats, --histogram, --intervals, --trace and "
               "--profile do not apply to --record-trace or --replay-trace");
     }
+
+    // An output flag without the flag that produces its output would
+    // be dropped silently.
+    if (trace_cats.empty() && (!trace_out.empty() || !trace_format.empty()))
+        fatal("--trace-out and --trace-format need --trace");
+    if (interval_insts == 0 && intervals_out)
+        fatal("--intervals-out needs --intervals");
 
     if (bench == "list") {
         for (const auto &bench_profile : workload::benchmarkSuite())
@@ -397,10 +407,12 @@ main(int argc, char **argv)
     std::printf("\n");
 
     if (intervals != nullptr) {
-        if (!intervals->writeJsonFile(intervals_out, r.benchmark, r.config))
-            fatal("cannot write intervals to '%s'", intervals_out.c_str());
+        const std::string path =
+            intervals_out.value_or("tcsim-intervals.json");
+        if (!intervals->writeJsonFile(path, r.benchmark, r.config))
+            fatal("cannot write intervals to '%s'", path.c_str());
         std::printf("  intervals        %zu samples -> %s\n",
-                    intervals->samples().size(), intervals_out.c_str());
+                    intervals->samples().size(), path.c_str());
     }
     if (!trace_cats.empty()) {
         tracer.flush();

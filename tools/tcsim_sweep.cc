@@ -1,42 +1,55 @@
 /**
  * @file
- * tcsim_sweep: the sharded sweep driver.
+ * tcsim_sweep: runs, shards and merges the sweep matrix.
  *
- * One binary, five modes over the same deterministically enumerated
+ * One binary, four modes over the same deterministically enumerated
  * (benchmark, configuration) work-unit matrix:
  *
  *   tcsim_sweep --list
  *       Print every work unit (index, content hash, id) plus the
  *       matrix hash, without simulating.
  *
- *   tcsim_sweep [--shard i/N | --worklist <file>] --fragments-dir <dir>
- *       Worker mode: simulate the selected units (all units when
- *       neither selector is given) and write one atomic "<hash>.json"
- *       fragment per unit.
+ *   tcsim_sweep [--fragments-dir <dir>] [--out <file>]
+ *   tcsim_sweep --shard i/N --fragments-dir <dir>
+ *       Simulate the matrix, or with --shard every unit whose index is
+ *       i mod N. With --fragments-dir, each unit that already has a
+ *       valid fragment in <dir> takes its result from it, and every
+ *       other unit is simulated and written as one atomic
+ *       "<hash>.json" fragment, so running a killed command again
+ *       finishes it. --out writes the canonical tcsim-bench-results-v1
+ *       document: byte-identical whether every unit was simulated in
+ *       this run, some came from <dir>, or the shards were merged.
+ *       A fragments directory belongs to one simulator build: unit
+ *       hashes cover a unit's inputs, not the code that simulates it.
  *
- *   tcsim_sweep --out <file>
- *       Single-process mode: simulate the whole matrix in-process and
- *       write the canonical tcsim-bench-results-v1 document. Byte-
- *       identical to sharding the same matrix and merging.
+ *   tcsim_sweep --merge --fragments-dir <dir> [--out <file>]
+ *       Combine the shards' fragments into the canonical document
+ *       (stdout without --out). Reports stale and corrupt fragments,
+ *       and fails (exit 2) listing the missing units when the matrix
+ *       is not fully covered.
  *
- *   tcsim_sweep --merge --fragments-dir <dir> --out <file>
- *       Combine fragments into the canonical results document.
- *       Reports stale/duplicate/corrupt fragments and fails (exit 2)
- *       listing missing units when the matrix is not fully covered.
- *
- *   tcsim_sweep --check --fragments-dir <dir> [--missing-out <file>]
- *       Like --merge but writes nothing: prints the hashes of missing
- *       units to stdout (one per line, consumed by run_benches.sh to
- *       build retry worklists); exit 0 when complete, 2 otherwise.
- *       --missing-out additionally writes those hashes to a file
- *       atomically — a ready-to-use retry worklist.
+ *   tcsim_sweep --error-out <file>
+ *       Sampling-error report (sampled matrices): run the matrix
+ *       sampled and each unit's window [0, insts) cold on the full
+ *       model, and write the tcsim-sampling-error-v1 comparison.
+ *   --error-tolerance f  per-unit IPC / fetch-rate relative-error
+ *                        bound (default 0.05); exit 4 when any unit
+ *                        exceeds it
+ *   --mispredict-tolerance f
+ *                        per-unit mispredict-rate ABSOLUTE error bound
+ *                        (default 0.08, i.e. 8 percentage points —
+ *                        per-region predictor warm-up bias shifts the
+ *                        sampled rate by a few points regardless of
+ *                        the base rate, so a relative bound diverges
+ *                        at long budgets where the rate is smallest)
  *
  * Every simulating mode runs its units on the in-process thread pool
  * (TCSIM_JOBS workers, default all cores) through runUnits, the runner
  * tcsim_exhibits uses too; the documents are identical at any job
- * count.
+ * count. A flag the chosen mode would ignore is an error, and so is a
+ * matrix that names one unit twice.
  *
- * Matrix options (must match between workers and the merger):
+ * Matrix options (must match between shards and the merger):
  *   --benchmarks a,b,c   subset of the suite (default: all)
  *   --configs x,y        preset names (default: icache, baseline,
  *                        promotion-t64, packing-unregulated,
@@ -61,42 +74,22 @@
  *                        icache activity) are meaningful; cycles stay
  *                        zero. Excludes --warmup and sampled mode.
  *
- * Sampling-error report (single-process only):
- *   --error-out <file>   run the matrix sampled and each unit's window
- *                        [0, insts) cold on the full model, write the
- *                        tcsim-sampling-error-v1 comparison
- *   --error-tolerance f  per-unit IPC / fetch-rate relative-error
- *                        bound (default 0.05); exit 4 when any unit
- *                        exceeds it
- *   --mispredict-tolerance f
- *                        per-unit mispredict-rate ABSOLUTE error bound
- *                        (default 0.08, i.e. 8 percentage points —
- *                        per-region predictor warm-up bias shifts the
- *                        sampled rate by a few points regardless of
- *                        the base rate, so a relative bound diverges
- *                        at long budgets where the rate is smallest)
- *
- * Artifact cache:
+ * Artifact cache (accepted in every mode):
  *   --cache-dir <dir>    content-addressed cache for the sampled and
  *                        replay artifacts (also via TCSIM_CACHE_DIR)
  *   --no-cache           disable the cache even if the env var is set
  *
- * Diagnostics / testing:
- *   --timing-out <file>  non-canonical timing+cache-stats JSON
- *                        (tcsim-bench-timing-v1)
- *   --die-after <k>      raise SIGKILL once k units have completed
- *                        (and written their fragments), before the
- *                        next one does (crash-recovery testing)
  * Numeric flags take decimal integers (the tolerances: numbers) only.
+ * Exit codes: 0 done, 1 usage or matrix error, 2 merge incomplete,
+ * 3 an output could not be written, 4 sampling error over tolerance.
  */
 
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -116,16 +109,13 @@ constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--list | --shard i/N | --worklist f | "
-                 "--merge | --check]\n"
+                 "usage: %s [--list | --shard i/N | --merge | --error-out f]\n"
                  "  [--fragments-dir d] [--out f] "
                  "[--benchmarks a,b] [--configs x,y]\n"
                  "  [--insts n] [--warmup n] "
                  "[--cache-dir d] [--no-cache]\n"
                  "  [--sampled-interval n --sampled-max-k k] [--replay]\n"
-                 "  [--error-out f] [--error-tolerance f] "
-                 "[--mispredict-tolerance f]\n"
-                 "  [--missing-out f] [--timing-out f] [--die-after k]\n",
+                 "  [--error-tolerance f] [--mispredict-tolerance f]\n",
                  argv0);
     std::exit(1);
 }
@@ -148,61 +138,33 @@ splitCommas(const std::string &text)
     return out;
 }
 
+/** @return whether @p mode ("" when simulating) uses @p flag, one of
+ * the mode and output flags. */
+bool
+modeUses(const std::string &mode, const std::string &flag)
+{
+    if (flag == mode)
+        return true;
+    if (mode == "--merge")
+        return flag == "--fragments-dir" || flag == "--out";
+    if (mode == "--error-out")
+        return flag == "--error-tolerance" ||
+               flag == "--mispredict-tolerance";
+    if (mode.empty())
+        return flag == "--shard" || flag == "--fragments-dir" ||
+               flag == "--out";
+    return false; // --list
+}
+
 void
 printReport(const bench::MergeReport &report)
 {
     for (const std::string &file : report.stale)
         std::fprintf(stderr, "stale fragment: %s\n", file.c_str());
-    for (const std::string &file : report.duplicates)
-        std::fprintf(stderr, "duplicate fragment: %s\n", file.c_str());
     for (const std::string &file : report.corrupt)
         std::fprintf(stderr, "corrupt fragment: %s\n", file.c_str());
     for (const std::string &id : report.missing)
         std::fprintf(stderr, "missing unit: %s\n", id.c_str());
-}
-
-void
-writeTimingDoc(const std::string &path,
-               const std::vector<bench::WorkUnit> &units,
-               const std::vector<bench::UnitTiming> &timings,
-               double total_seconds)
-{
-    const bench::ArtifactCacheStats cache =
-        bench::ArtifactCache::process().stats();
-    std::string out = "{\n";
-    out += "  \"schema\": \"tcsim-bench-timing-v1\",\n";
-    out += "  \"total_wall_seconds\": " +
-           std::to_string(total_seconds) + ",\n";
-    out += "  \"cache\": {\n";
-    out += "    \"enabled\": ";
-    out += bench::ArtifactCache::process().enabled() ? "true" : "false";
-    out += ",\n";
-    out += "    \"hits\": " + std::to_string(cache.hits) + ",\n";
-    out += "    \"misses\": " + std::to_string(cache.misses) + ",\n";
-    out += "    \"stores\": " + std::to_string(cache.stores) + ",\n";
-    out += "    \"rejected\": " + std::to_string(cache.rejected) + "\n";
-    out += "  },\n";
-    out += "  \"units\": [\n";
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        out += "    {\"id\": \"" + units[i].id + "\", ";
-        out += "\"hash\": \"" + units[i].hash + "\", ";
-        out += "\"wall_seconds\": " +
-               std::to_string(timings[i].wallSeconds) + "}";
-        out += i + 1 < units.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n";
-    out += "}\n";
-    if (!writeFileAtomic(path, out))
-        std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-}
-
-/** --die-after: die the hard way, with no destructors or atexit
- * handlers. */
-void
-dieNow(long die_after)
-{
-    std::fprintf(stderr, "--die-after %ld: raising SIGKILL\n", die_after);
-    raise(SIGKILL);
 }
 
 } // namespace
@@ -210,16 +172,17 @@ dieNow(long die_after)
 int
 main(int argc, char **argv)
 {
-    bool list = false, merge = false, check = false;
+    bool list = false, merge = false;
     unsigned shard_index = 0, shard_count = 0;
-    std::string worklist_path, fragments_dir, out_path, timing_out;
-    std::string error_out, missing_out;
+    std::string fragments_dir, out_path, error_out;
     double error_tolerance = 0.05;
     double mispredict_tolerance = 0.08;
-    long die_after = -1;
     bool no_cache = false;
     bench::SweepOptions options;
     std::vector<std::string> config_names;
+    // The mode and output flags given, in order; the matrix and cache
+    // flags apply in every mode.
+    std::vector<std::string> given;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -246,15 +209,18 @@ main(int argc, char **argv)
                 requireUint("--sampled-max-k", next(), kU32Max));
         } else if (arg == "--replay") {
             options.replay = true;
+        } else if (arg == "--cache-dir") {
+            setenv("TCSIM_CACHE_DIR", next(), 1);
+        } else if (arg == "--no-cache") {
+            no_cache = true;
         } else if (arg == "--list") {
             list = true;
+            given.push_back(arg);
         } else if (arg == "--merge") {
             merge = true;
-        } else if (arg == "--check") {
-            check = true;
-        } else if (arg == "--missing-out") {
-            missing_out = next();
+            given.push_back(arg);
         } else if (arg == "--shard") {
+            given.push_back(arg);
             const std::string spec = next();
             const std::size_t slash = spec.find('/');
             const std::optional<std::uint64_t> index =
@@ -270,35 +236,58 @@ main(int argc, char **argv)
             }
             shard_index = static_cast<unsigned>(*index);
             shard_count = static_cast<unsigned>(*count);
-        } else if (arg == "--worklist") {
-            worklist_path = next();
         } else if (arg == "--fragments-dir") {
+            given.push_back(arg);
             fragments_dir = next();
         } else if (arg == "--out") {
+            given.push_back(arg);
             out_path = next();
         } else if (arg == "--error-out") {
+            given.push_back(arg);
             error_out = next();
         } else if (arg == "--error-tolerance") {
+            given.push_back(arg);
             error_tolerance = requireDouble("--error-tolerance", next());
         } else if (arg == "--mispredict-tolerance") {
+            given.push_back(arg);
             mispredict_tolerance =
                 requireDouble("--mispredict-tolerance", next());
-        } else if (arg == "--cache-dir") {
-            setenv("TCSIM_CACHE_DIR", next(), 1);
-        } else if (arg == "--no-cache") {
-            no_cache = true;
-        } else if (arg == "--timing-out") {
-            timing_out = next();
-        } else if (arg == "--die-after") {
-            die_after = static_cast<long>(requireUint(
-                "--die-after", next(),
-                std::numeric_limits<long>::max()));
         } else {
             usage(argv[0]);
         }
     }
     if (no_cache)
         unsetenv("TCSIM_CACHE_DIR");
+
+    // Each mode uses some of the mode and output flags; any other one
+    // is an error, not silently ignored.
+    std::string mode; // empty: simulate
+    if (list)
+        mode = "--list";
+    else if (merge)
+        mode = "--merge";
+    else if (!error_out.empty())
+        mode = "--error-out";
+    for (const std::string &flag : given) {
+        if (modeUses(mode, flag))
+            continue;
+        if (mode.empty())
+            std::fprintf(stderr, "%s needs --error-out\n", flag.c_str());
+        else
+            std::fprintf(stderr, "%s does not apply with %s\n",
+                         flag.c_str(), mode.c_str());
+        return 1;
+    }
+    if (shard_count > 0 && !out_path.empty()) {
+        std::fprintf(stderr, "--out does not apply with --shard: merge "
+                             "the shards' fragments with --merge\n");
+        return 1;
+    }
+    if ((merge || shard_count > 0) && fragments_dir.empty()) {
+        std::fprintf(stderr, "%s needs --fragments-dir\n",
+                     merge ? "--merge" : "--shard");
+        return 1;
+    }
     if (options.sampled.enabled &&
         (options.sampled.interval == 0 || options.sampled.maxK == 0)) {
         std::fprintf(stderr, "--sampled-interval and --sampled-max-k must "
@@ -308,6 +297,11 @@ main(int argc, char **argv)
     if (options.replay && (options.sampled.enabled || options.warmup != 0)) {
         std::fprintf(stderr, "--replay cannot combine with --warmup or "
                              "sampled execution\n");
+        return 1;
+    }
+    if (!error_out.empty() && !options.sampled.enabled) {
+        std::fprintf(stderr, "--error-out needs --sampled-interval / "
+                             "--sampled-max-k\n");
         return 1;
     }
     for (const std::string &name : config_names) {
@@ -320,14 +314,18 @@ main(int argc, char **argv)
         options.configs.push_back(std::move(*config));
     }
 
-    if (!error_out.empty() && !options.sampled.enabled) {
-        std::fprintf(stderr, "--error-out needs --sampled-interval / "
-                             "--sampled-max-k\n");
-        return 1;
-    }
-
     const std::vector<bench::WorkUnit> units =
         bench::enumerateUnits(options);
+    // One hash names one fragment and one merged slot, so a repeated
+    // unit would be simulated twice here and missing from a merge.
+    std::set<std::string> hashes;
+    for (const bench::WorkUnit &unit : units) {
+        if (!hashes.insert(unit.hash).second) {
+            std::fprintf(stderr, "the matrix names unit %s twice\n",
+                         unit.id.c_str());
+            return 1;
+        }
+    }
 
     if (list) {
         std::printf("matrix %s (%zu units)\n",
@@ -338,36 +336,11 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (merge || check) {
-        if (fragments_dir.empty()) {
-            std::fprintf(stderr, "--%s needs --fragments-dir\n",
-                         merge ? "merge" : "check");
-            return 1;
-        }
+    if (merge) {
         bench::MergeReport report;
         const std::optional<std::string> doc =
             bench::mergeFragments(options, fragments_dir, report);
         printReport(report);
-        if (check) {
-            // Missing hashes: the launcher's retry worklist, on
-            // stdout and (with --missing-out) as a file.
-            std::string worklist;
-            for (const bench::WorkUnit &unit : units) {
-                for (const std::string &id : report.missing) {
-                    if (id == unit.id) {
-                        std::printf("%s\n", unit.hash.c_str());
-                        worklist += unit.hash + "\n";
-                    }
-                }
-            }
-            if (!missing_out.empty() &&
-                !writeFileAtomic(missing_out, worklist)) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             missing_out.c_str());
-                return 3;
-            }
-            return report.complete() ? 0 : 2;
-        }
         if (!doc)
             return 2;
         if (out_path.empty())
@@ -400,94 +373,32 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Worker / single-process execution modes.
-    std::vector<bench::WorkUnit> selected;
-    if (shard_count > 0) {
-        for (const bench::WorkUnit &unit : units) {
-            if (unit.index % shard_count == shard_index)
-                selected.push_back(unit);
-        }
-    } else if (!worklist_path.empty()) {
-        std::ifstream in(worklist_path);
-        if (!in) {
-            std::fprintf(stderr, "cannot read %s\n",
-                         worklist_path.c_str());
-            return 1;
-        }
-        std::string line;
-        while (std::getline(in, line)) {
-            while (!line.empty() &&
-                   (line.back() == '\r' || line.back() == ' '))
-                line.pop_back();
-            if (line.empty() || line[0] == '#')
-                continue;
-            const bench::WorkUnit *found = nullptr;
-            for (const bench::WorkUnit &unit : units) {
-                if (unit.hash == line || unit.id == line) {
-                    found = &unit;
-                    break;
-                }
-            }
-            if (found == nullptr) {
-                std::fprintf(stderr,
-                             "worklist entry '%s' is not in the matrix\n",
-                             line.c_str());
-                return 1;
-            }
-            selected.push_back(*found);
-        }
-    } else {
-        selected = units;
+    std::vector<bench::WorkUnit> shard;
+    for (const bench::WorkUnit &unit : units) {
+        if (shard_count > 0 && unit.index % shard_count == shard_index)
+            shard.push_back(unit);
     }
-
-    const bool sharded = shard_count > 0 || !worklist_path.empty();
-    if (sharded && fragments_dir.empty()) {
-        std::fprintf(stderr, "worker modes need --fragments-dir\n");
-        return 1;
-    }
-
-    if (die_after == 0)
-        dieNow(die_after);
     using Clock = std::chrono::steady_clock;
     const Clock::time_point run_start = Clock::now();
-    std::vector<bench::UnitTiming> timings(selected.size());
-    long completed = 0;
-    bool fragment_failed = false;
-    const std::vector<sim::SimResult> results = bench::runUnits(
-        selected, [&](std::size_t i, const sim::SimResult &result,
-                      const bench::UnitTiming &timing) {
-            timings[i] = timing;
-            if (!fragments_dir.empty() &&
-                !bench::writeFragment(fragments_dir, selected[i], result,
-                                      timing)) {
-                std::fprintf(stderr, "cannot write fragment for %s\n",
-                             selected[i].id.c_str());
-                fragment_failed = true;
-            }
-            if (++completed == die_after)
-                dieNow(die_after);
-        });
+    const bench::SweepRun run =
+        bench::runSweep(shard_count > 0 ? shard : units, fragments_dir);
     const double total_seconds =
         std::chrono::duration<double>(Clock::now() - run_start).count();
-    if (fragment_failed)
+    if (!run.fragmentsWritten)
         return 3;
-
-    if (!sharded && !out_path.empty()) {
-        const std::string doc = bench::renderResultsDoc(units, results);
-        if (!writeFileAtomic(out_path, doc)) {
-            std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-            return 3;
-        }
+    if (!out_path.empty() &&
+        !writeFileAtomic(out_path,
+                         bench::renderResultsDoc(units, run.results))) {
+        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        return 3;
     }
-    if (!timing_out.empty())
-        writeTimingDoc(timing_out, selected, timings, total_seconds);
 
     const bench::ArtifactCacheStats cache =
         bench::ArtifactCache::process().stats();
     std::fprintf(stderr,
-                 "done: %ld units in %.2fs (cache: %llu hits, %llu "
-                 "misses, %llu stores, %llu rejected)\n",
-                 completed, total_seconds,
+                 "done: %zu units simulated in %.2fs (cache: %llu hits, "
+                 "%llu misses, %llu stores, %llu rejected)\n",
+                 run.simulated.size(), total_seconds,
                  static_cast<unsigned long long>(cache.hits),
                  static_cast<unsigned long long>(cache.misses),
                  static_cast<unsigned long long>(cache.stores),
