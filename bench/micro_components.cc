@@ -2,14 +2,18 @@
  * @file
  * google-benchmark microbenchmarks of the hot simulator components:
  * cache lookups, multiple-branch prediction, fill-unit throughput,
- * functional execution, and whole-processor simulation speed.
+ * functional execution, the core's completion calendar, and
+ * whole-processor simulation speed.
  */
+
+#include <random>
 
 #include <benchmark/benchmark.h>
 
 #include "bpred/bias_table.h"
 #include "bpred/hybrid.h"
 #include "bpred/multi.h"
+#include "core/completion_calendar.h"
 #include "core/rename_overlay.h"
 #include "memory/cache.h"
 #include "sim/processor.h"
@@ -284,6 +288,46 @@ BM_FunctionalExecution(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FunctionalExecution);
+
+void
+BM_CompletionCalendar(benchmark::State &state)
+{
+    // The detailed core's completion traffic, per event: each cycle
+    // drains the calendar, then fires three operations with the preset
+    // latencies in roughly core's mix: ALU 1 cycle, multiply 3, divide
+    // 12, and loads of 3 (dcache hit), 9 (L2 hit) or 59 (memory).
+    std::mt19937 rng(static_cast<std::uint32_t>(state.range(0)));
+    std::vector<std::uint32_t> latencies(4096);
+    for (std::uint32_t &latency : latencies) {
+        const std::uint32_t r = rng() % 1000;
+        latency = r < 600   ? 1
+                  : r < 680 ? 3
+                  : r < 690 ? 12
+                  : r < 980 ? 3
+                  : r < 985 ? 9
+                            : 59;
+    }
+    core::CompletionCalendar calendar;
+    Cycle cycle = 0;
+    InstSeqNum seq = 1;
+    std::size_t next = 0;
+    std::uint64_t drained = 0;
+    for (auto _ : state) {
+        ++cycle;
+        calendar.drainThrough(cycle, [&](InstSeqNum done) {
+            drained += done;
+        });
+        for (unsigned i = 0; i < 3; ++i) {
+            // Older instructions fire later: seqs arrive out of order.
+            calendar.schedule(cycle + latencies[next], seq + (next & 7));
+            next = (next + 1) & (latencies.size() - 1);
+            seq += 1;
+        }
+    }
+    benchmark::DoNotOptimize(drained);
+    state.SetItemsProcessed(state.iterations() * 3);
+}
+BENCHMARK(BM_CompletionCalendar)->Arg(1);
 
 void
 BM_ProcessorSimulation(benchmark::State &state)

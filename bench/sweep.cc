@@ -119,6 +119,8 @@ appendResultRecord(std::string &out, const WorkUnit &unit,
         num("sampled_interval", unit.sampled.interval);
         num("sampled_max_k", unit.sampled.maxK);
     }
+    if (unit.replay)
+        num("replay", 1);
     kv("hash", "\"" + unit.hash + "\"");
     num("instructions", n.instructions);
     num("cycles", n.cycles);

@@ -43,7 +43,10 @@ struct ReadyEntry
 };
 
 /** A FIFO of ready entries on a power-of-two ring that doubles when
- * full (stale entries can outnumber the unit's table entries). */
+ * full (stale entries can outnumber the unit's table entries). A
+ * rotation can be deferred: the next push_back() or settle() applies
+ * it, so a queue that only rotates for many cycles moves its entries
+ * once. */
 class ReadyQueue
 {
   public:
@@ -54,11 +57,20 @@ class ReadyQueue
 
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
+    /** The first entry; no rotation may be pending (see settle()). */
     ReadyEntry &front() { return ring_[head_ & mask_]; }
+
+    /** The @p i-th entry from the front, counting a pending rotation. */
+    const ReadyEntry &
+    at(std::size_t i) const
+    {
+        return ring_[(head_ + (pending_ + i) % size_) & mask_];
+    }
 
     void
     push_back(const ReadyEntry &entry)
     {
+        settle();
         if (size_ == ring_.size())
             grow();
         ring_[(head_ + size_) & mask_] = entry;
@@ -68,7 +80,7 @@ class ReadyQueue
     void
     pop_front()
     {
-        TCSIM_ASSERT(size_ > 0);
+        TCSIM_ASSERT(size_ > 0 && pending_ == 0);
         ++head_;
         --size_;
     }
@@ -83,11 +95,27 @@ class ReadyQueue
         }
     }
 
+    /** rotate(@p n), applied at the next push_back() or settle(). The
+     * queue must not be empty. */
+    void deferRotate(std::size_t n) { pending_ += n; }
+
+    /** Apply the deferred rotation (mod the size, which cannot change
+     * while one is pending). */
+    void
+    settle()
+    {
+        if (pending_ != 0) {
+            rotate(pending_ % size_);
+            pending_ = 0;
+        }
+    }
+
     void
     clear()
     {
         head_ = 0;
         size_ = 0;
+        pending_ = 0;
     }
 
   private:
@@ -106,6 +134,7 @@ class ReadyQueue
     std::size_t mask_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
+    std::size_t pending_ = 0; ///< deferred rotation
 };
 
 /** Occupancy tracking plus per-unit ready queues. */
@@ -131,16 +160,17 @@ class NodeTables
     bool
     allocate(std::uint8_t &unit)
     {
+        std::uint32_t u = allocNext_;
         for (std::uint32_t i = 0; i < params_.numUnits; ++i) {
-            const std::uint32_t u =
-                (allocNext_ + i) % params_.numUnits;
             if (occupancy_[u] < params_.entriesPerUnit) {
                 ++occupancy_[u];
                 ++totalOccupied_;
                 unit = static_cast<std::uint8_t>(u);
-                allocNext_ = (u + 1) % params_.numUnits;
+                allocNext_ = u + 1 == params_.numUnits ? 0 : u + 1;
                 return true;
             }
+            if (++u == params_.numUnits)
+                u = 0;
         }
         return false;
     }

@@ -45,6 +45,8 @@ recordId(const json::Value &record)
               "-k" + std::to_string(record.getUint64("sampled_max_k")) +
               "-w" + std::to_string(record.getUint64("warmup"));
     }
+    if (record.find("replay") != nullptr)
+        id += "@replay";
     return id;
 }
 

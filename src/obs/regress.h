@@ -21,7 +21,8 @@
  *    the learned band. A zero-variance sample (e.g. a self-compare)
  *    degenerates to the plain threshold.
  *
- * Units are matched by id ("<benchmark>@<config>@<insts>[@sampled-…]"),
+ * Units are matched by id
+ * ("<benchmark>@<config>@<insts>[@sampled-…|@replay]"),
  * not content hash — hashes fold in config/generator fingerprints and
  * legitimately change across commits, which is exactly when you want
  * to compare. A unit present in the baseline but missing from the

@@ -63,6 +63,8 @@ Processor::Processor(const ProcessorConfig &config,
     robStorage_.resize(std::bit_ceil(std::uint64_t{2} * config_.robEntries));
     robMask_ = robStorage_.size() - 1;
     slotVersion_.assign(robStorage_.size(), 0);
+    slotWatchers_.assign(robStorage_.size(), 0);
+    unitParks_.resize(nodeTables_.numUnits());
     memDepTable_.assign(4096, 0);
     oracleRing_.resize(1024); // power of two; grows by doubling
     loadAddrIndex_.resize(kAddrIndexBuckets);
@@ -219,6 +221,7 @@ Processor::growRobStorage()
     robMask_ = new_mask;
     // Slots moved: restart the versions and drop every cached park.
     slotVersion_.assign(robStorage_.size(), 0);
+    slotWatchers_.assign(robStorage_.size(), 0);
     ++parkGen_;
 }
 
@@ -854,6 +857,7 @@ Processor::enqueueReady(DynInst &inst)
         return;
     inst.inReadyQueue = true;
     nodeTables_.markReady(inst.rsTable, inst.seq);
+    unitParks_[inst.rsTable].gen = 0; // a fresh entry: count afresh
 }
 
 // ----------------------------------------------------------------------
@@ -975,30 +979,87 @@ Processor::tryScheduleMemory(DynInst &inst)
 }
 
 void
+Processor::dropWatchers(std::uint64_t slot)
+{
+    for (std::uint64_t mask = slotWatchers_[slot]; mask != 0;
+         mask &= mask - 1) {
+        for (std::size_t unit = std::countr_zero(mask);
+             unit < unitParks_.size(); unit += 64) {
+            unitParks_[unit].gen = 0;
+        }
+    }
+    slotWatchers_[slot] = 0;
+}
+
+void
+Processor::verifyConfirmedParks(std::uint8_t unit)
+{
+    const core::ReadyQueue &queue = nodeTables_.readyQueue(unit);
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+        const core::ReadyEntry &entry = queue.at(i);
+        const DynInst *load = instFor(entry.seq);
+        TCSIM_ASSERT(entry.parkGen == parkGen_ &&
+                         slotVersion_[entry.parkSlot] == entry.slotVersion &&
+                         load != nullptr && loadParked(*load) &&
+                         !slowLoadDisambiguation(*load),
+                     "confirmed park no longer holds (unit %u, load seq "
+                     "%llu)",
+                     static_cast<unsigned>(unit),
+                     static_cast<unsigned long long>(entry.seq));
+    }
+}
+
+void
 Processor::scheduleStage()
 {
+    // Each unit makes up to 8 attempts a cycle: it pops entries, fires
+    // the first that can go and re-pushes the rest.
+    constexpr unsigned kAttempts = 8;
     for (std::uint32_t unit = 0; unit < nodeTables_.numUnits(); ++unit) {
         core::ReadyQueue &queue = nodeTables_.readyQueue(
             static_cast<std::uint8_t>(unit));
+        if (queue.empty())
+            continue;
+        UnitParks &parks = unitParks_[unit];
+        if (parks.gen != parkGen_) {
+            parks.gen = parkGen_;
+            parks.unconfirmed = queue.size();
+        } else if (parks.unconfirmed == 0) {
+            // Every entry is a confirmed park: the scan would pop and
+            // re-push kAttempts of them (mod the queue size) and fire
+            // none. Rotate later instead (DESIGN.md section 7,
+            // "Confirmed parks").
+            if (verifyIndexed_)
+                verifyConfirmedParks(static_cast<std::uint8_t>(unit));
+            queue.deferRotate(kAttempts);
+            continue;
+        }
+        queue.settle();
         const std::size_t queued = queue.size();
         unsigned attempts = 0;
-        for (std::size_t seen = 0; !queue.empty() && attempts < 8; ++seen) {
+        for (std::size_t seen = 0; !queue.empty() && attempts < kAttempts;
+             ++seen) {
             if (seen == queued) {
                 // Every entry was seen this cycle without a fire:
                 // stale ones are gone and the rest now wait for a
                 // later cycle, so the remaining attempts would only
                 // pop and re-push them. Rotate by that many instead.
-                queue.rotate((8 - attempts) % queue.size());
+                queue.rotate((kAttempts - attempts) % queue.size());
                 break;
             }
-            core::ReadyEntry entry = queue.front();
-            queue.pop_front();
+            // The entry stays in place until its fate is known: an
+            // entry that waits on moves to the back by rotate(1), the
+            // pop and re-push it stands for.
+            core::ReadyEntry &entry = queue.front();
+            if (parks.unconfirmed > 0)
+                --parks.unconfirmed;
             if (entry.parkGen == parkGen_ &&
                 slotVersion_[entry.parkSlot] == entry.slotVersion) {
                 // Cached park: nothing that loadParked reads has
                 // changed since this load last failed to schedule, so
                 // it fails again; skip it without touching the
-                // DynInst (DESIGN.md section 7, "Cached parks").
+                // DynInst (DESIGN.md section 7, "Cached parks"). Back
+                // in the queue it is confirmed.
                 if (verifyIndexed_) {
                     const DynInst *load = instFor(entry.seq);
                     TCSIM_ASSERT(load != nullptr && loadParked(*load) &&
@@ -1008,28 +1069,34 @@ Processor::scheduleStage()
                                  static_cast<unsigned long long>(
                                      entry.seq));
                 }
-                queue.push_back(entry);
+                queue.rotate(1);
                 ++attempts;
                 continue;
             }
             DynInst *di = instFor(entry.seq);
-            if (di == nullptr || di->fired || !di->inReadyQueue)
-                continue; // stale or already handled
+            if (di == nullptr || di->fired || !di->inReadyQueue) {
+                queue.pop_front(); // stale or already handled
+                continue;
+            }
             if (di->readyCycle > cycle_) {
-                queue.push_back(entry);
+                queue.rotate(1);
+                parks.gen = 0; // an unconfirmed entry at the back
                 ++attempts;
                 continue;
             }
 
             if (isa::isMem(di->inst.op)) {
                 if (!tryScheduleMemory(*di)) {
-                    // A blocked load, now parked: cache the park.
+                    // A blocked load, now parked: cache the park, and
+                    // watch its slot for the unit's confirmation.
                     di->readyCycle = cycle_ + 1;
                     entry.parkGen = parkGen_;
                     entry.parkSlot =
                         static_cast<std::uint32_t>(di->parkedOn & robMask_);
                     entry.slotVersion = slotVersion_[entry.parkSlot];
-                    queue.push_back(entry);
+                    slotWatchers_[entry.parkSlot] |= std::uint64_t{1}
+                                                     << (unit % 64);
+                    queue.rotate(1);
                     ++attempts;
                     continue;
                 }
@@ -1056,6 +1123,7 @@ Processor::scheduleStage()
                 executeInst(*di);
             }
 
+            queue.pop_front();
             di->fired = true;
             if (di->isLoad()) {
                 // Fired loads enter the violation-check index.
@@ -1063,10 +1131,7 @@ Processor::scheduleStage()
             }
             di->inReadyQueue = false;
             nodeTables_.release(di->rsTable);
-            completionHeap_.emplace_back(di->completeCycle, di->seq);
-            std::push_heap(completionHeap_.begin(),
-                           completionHeap_.end(),
-                           std::greater<>());
+            completions_.schedule(di->completeCycle, di->seq);
             break; // this unit started its one op for the cycle
         }
     }
@@ -1282,24 +1347,19 @@ Processor::resolveControl(DynInst &inst)
 void
 Processor::completeStage()
 {
-    while (!completionHeap_.empty() &&
-           completionHeap_.front().first <= cycle_) {
-        std::pop_heap(completionHeap_.begin(), completionHeap_.end(),
-                      std::greater<>());
-        const auto [when, seq] = completionHeap_.back();
-        completionHeap_.pop_back();
-        (void)when;
-
+    // Every cycle since the last drain: a run() that stopped at its
+    // budget skipped this stage once.
+    completions_.drainThrough(cycle_, [this](InstSeqNum seq) {
         DynInst *di = instFor(seq);
         if (di == nullptr || di->executed || !di->fired)
-            continue; // squashed or stale
+            return; // squashed or stale
         di->executed = true;
         bumpSlotVersion(seq);
         di->resolveCycle = cycle_;
         wakeDependents(*di);
         if (isa::isControl(di->inst.op))
             resolveControl(*di);
-    }
+    });
 }
 
 // ----------------------------------------------------------------------

@@ -42,6 +42,7 @@
 
 #include "bpred/hybrid.h"
 #include "bpred/multi.h"
+#include "core/completion_calendar.h"
 #include "core/dyninst.h"
 #include "core/node_tables.h"
 #include "fetch/fetch_engine.h"
@@ -333,8 +334,22 @@ class Processor
     core::DynInst &allocInst();
     void growRobStorage();
     /** An event that can change loadParked's answer for the store in
-     * @p seq's slot: drops the ready-queue parks cached on it. */
-    void bumpSlotVersion(InstSeqNum seq) { ++slotVersion_[seq & robMask_]; }
+     * @p seq's slot: drops the ready-queue parks cached on it, and the
+     * confirmation of every unit with a confirmed park there. */
+    void
+    bumpSlotVersion(InstSeqNum seq)
+    {
+        const std::uint64_t slot = seq & robMask_;
+        ++slotVersion_[slot];
+        if (slotWatchers_[slot] != 0)
+            dropWatchers(slot);
+    }
+    /** Void the park count of every unit watching @p slot and clear
+     * the slot's mask. */
+    void dropWatchers(std::uint64_t slot);
+    /** Every entry of @p unit's queue is a confirmed park (verify mode:
+     * assert that each still holds). */
+    void verifyConfirmedParks(std::uint8_t unit);
     /** Unpark every load (see memOrderEpoch_) and drop every cached
      * park. */
     void
@@ -464,6 +479,26 @@ class Processor
      * bumped at every squash, memOrderEpoch_ bump and ring growth.
      * Starts at 1: a fresh entry's 0 never matches. */
     std::uint64_t parkGen_ = 1;
+    /**
+     * Confirmed parks, per unit (DESIGN.md section 7, "Confirmed
+     * parks"). A queue entry is confirmed once a scan re-pushes it as
+     * a cached park that holds. While @c gen equals parkGen_, the
+     * first @c unconfirmed entries of the unit's queue are not known
+     * to be confirmed and the rest are; when none is left, every entry
+     * still holds and the unit's scan would only rotate its queue.
+     * Setting @c gen to 0 makes the next scan count afresh: a push, or
+     * a slot bump under one of the unit's confirmed parks, does it.
+     */
+    struct UnitParks
+    {
+        std::uint64_t gen = 0;
+        std::size_t unconfirmed = 0;
+    };
+    std::vector<UnitParks> unitParks_;
+    /** Per slot, the units with a confirmed park on the slot's store:
+     * bit b stands for every unit u with u % 64 == b. bumpSlotVersion
+     * resets their counts and clears the mask. */
+    std::vector<std::uint64_t> slotWatchers_;
     std::deque<InstSeqNum> robOrder_;
     InstSeqNum nextSeq_ = 1;
     core::NodeTables nodeTables_;
@@ -534,8 +569,9 @@ class Processor
     bool recoveryPending_ = false;
     RecoveryRequest recovery_;
 
-    /** Completion events: (completeCycle, seq) min-heap. */
-    std::vector<std::pair<Cycle, InstSeqNum>> completionHeap_;
+    /** Completion events by completeCycle, drained in (cycle, seq)
+     * order. */
+    core::CompletionCalendar completions_;
 
     // ------------------------------------------------------------------
     // Run state and statistics.

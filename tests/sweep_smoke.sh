@@ -17,10 +17,11 @@
 #     only, never results),
 #  5. a matrix that names one unit twice is an error in every mode,
 #  6. tools/validate_obs.py over every fragment and merged document,
+#     and its rejection of a fragment renamed away from its hash,
 #  7. `tcsim_regress` self-compare (clean, exit 0) with every unit's
-#     wall time read from fragments, against a perturbed current run
-#     (regression, exit 5), and against a missing or corrupt
-#     fragments directory (exit 2).
+#     wall time read from fragments, for the cycle and the replay
+#     matrix, against a perturbed current run (regression, exit 5),
+#     and against a missing or corrupt fragments directory (exit 2).
 #
 # Usage: sweep_smoke.sh <cmake-build-dir>
 set -eu
@@ -135,6 +136,17 @@ python3 "$validate" \
     --fragment "$frags"/*.json "$scratch"/replay-frags/*.json \
     --results "$scratch/merged.json" "$scratch/replay-merged.json"
 
+echo "== a fragment renamed away from its hash does not validate =="
+mkdir "$scratch/renamed"
+for f in "$frags"/*.json; do
+    cp "$f" "$scratch/renamed/0000000000000000.json"
+    break
+done
+rc=0
+python3 "$validate" --fragment "$scratch/renamed/0000000000000000.json" ||
+    rc=$?
+[ "$rc" -ne 0 ] || { echo "renamed fragment validated" >&2; exit 1; }
+
 echo "== regress self-compare is clean, with every unit's wall time =="
 "$regress" --baseline "$scratch/merged.json" \
            --current "$scratch/merged.json" \
@@ -147,6 +159,19 @@ doc = json.load(open(sys.argv[1]))
 assert doc["regressed"] is False, doc
 assert len(doc["units"]) == 4, doc["units"]
 assert all("wall" in u for u in doc["units"]), doc["units"]
+EOF
+"$regress" --baseline "$scratch/replay-merged.json" \
+           --current "$scratch/replay-merged.json" \
+           --baseline-fragments "$scratch/replay-frags" \
+           --current-fragments "$scratch/replay-frags" \
+           --out "$scratch/regress-replay.json"
+python3 - "$scratch/regress-replay.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["regressed"] is False, doc
+assert len(doc["units"]) == 4, doc["units"]
+assert all(u["id"].endswith("@replay") and "wall" in u
+           for u in doc["units"]), doc["units"]
 EOF
 
 echo "== regress flags an injected IPC loss with exit 5 =="

@@ -3,6 +3,8 @@
  * Direct tests for the node-table (reservation station) bookkeeping.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/node_tables.h"
@@ -59,6 +61,46 @@ TEST(NodeTables, ReadyQueuesAreFifoPerUnit)
     tables.readyQueue(0).pop_front();
     EXPECT_EQ(tables.readyQueue(0).front().seq, 12u);
     EXPECT_EQ(tables.readyQueue(1).front().seq, 21u);
+}
+
+TEST(ReadyQueue, DeferredRotationThenPushMatchesRotatingFirst)
+{
+    // Every queue length around the 8 attempts a scan makes, and a
+    // ring that is full when the push arrives (it must grow).
+    for (std::uint32_t n = 1; n <= 12; ++n) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        ReadyQueue deferred(n), eager(n);
+        for (InstSeqNum seq = 1; seq <= n; ++seq) {
+            deferred.push_back(ReadyEntry{seq});
+            eager.push_back(ReadyEntry{seq});
+        }
+        for (int cycle = 0; cycle < 3; ++cycle) {
+            deferred.deferRotate(8);
+            eager.rotate(8 % n);
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(deferred.at(i).seq, eager.at(i).seq);
+        deferred.push_back(ReadyEntry{100});
+        eager.push_back(ReadyEntry{100});
+        ASSERT_EQ(deferred.size(), eager.size());
+        while (!eager.empty()) {
+            EXPECT_EQ(deferred.front().seq, eager.front().seq);
+            deferred.pop_front();
+            eager.pop_front();
+        }
+    }
+}
+
+TEST(ReadyQueue, SettleAppliesTheDeferredRotation)
+{
+    ReadyQueue queue(4);
+    for (InstSeqNum seq = 1; seq <= 3; ++seq)
+        queue.push_back(ReadyEntry{seq});
+    queue.deferRotate(8); // 8 mod 3 = 2
+    queue.settle();
+    EXPECT_EQ(queue.front().seq, 3u);
+    queue.settle(); // nothing left to apply
+    EXPECT_EQ(queue.front().seq, 3u);
 }
 
 TEST(NodeTables, ClearResetsEverything)

@@ -22,10 +22,13 @@ namespace
 using namespace tcsim;
 using namespace tcsim::obs;
 
+/** A results document over @p units; @p replay marks every record as
+ * an `@replay` unit's. */
 std::string
 resultsDoc(const std::vector<std::array<const char *, 2>> &units,
            double ipc, double fetch, double mispredict,
-           int perturb_index = -1, double ipc_scale = 1.0)
+           int perturb_index = -1, double ipc_scale = 1.0,
+           bool replay = false)
 {
     std::string out = "{\n  \"schema\": \"tcsim-bench-results-v1\",\n"
                       "  \"results\": [\n";
@@ -34,7 +37,8 @@ resultsDoc(const std::vector<std::array<const char *, 2>> &units,
             static_cast<int>(i) == perturb_index ? ipc * ipc_scale : ipc;
         out += std::string("    {\"benchmark\": \"") + units[i][0] +
                "\", \"config\": \"" + units[i][1] +
-               "\", \"insts\": 8000, \"warmup\": 0, \"ipc\": " +
+               "\", \"insts\": 8000, \"warmup\": 0, " +
+               (replay ? "\"replay\": 1, " : "") + "\"ipc\": " +
                std::to_string(unit_ipc) +
                ", \"effective_fetch_rate\": " + std::to_string(fetch) +
                ", \"cond_mispredict_rate\": " +
@@ -49,12 +53,12 @@ resultsDoc(const std::vector<std::array<const char *, 2>> &units,
  * fragments of a resultsDoc() run. */
 WallTimes
 wallTimes(const std::vector<std::array<const char *, 2>> &units,
-          const std::vector<double> &walls)
+          const std::vector<double> &walls, bool replay = false)
 {
     WallTimes out;
     for (std::size_t i = 0; i < units.size(); ++i)
-        out[std::string(units[i][0]) + "@" + units[i][1] + "@8000"] =
-            walls[i];
+        out[std::string(units[i][0]) + "@" + units[i][1] + "@8000" +
+            (replay ? "@replay" : "")] = walls[i];
     return out;
 }
 
@@ -172,6 +176,47 @@ TEST(Regress, MissingUnitsAreAsymmetric)
     EXPECT_FALSE(report->regressed);
     ASSERT_EQ(report->missingInBaseline.size(), 1u);
     EXPECT_TRUE(report->missingInCurrent.empty());
+}
+
+TEST(Regress, ReplayUnitsTakeWallTimesFromReplayFragments)
+{
+    // Fragments name replay units "...@replay"; the records' replay
+    // key must rebuild that id, or no unit finds its wall time.
+    const std::string doc =
+        resultsDoc(kUnits, 2.0, 10.0, 0.05, -1, 1.0, /*replay=*/true);
+    std::optional<json::Value> results = json::parse(doc);
+    ASSERT_TRUE(results);
+    const WallTimes walls = wallTimes(kUnits, {1, 2, 3, 4}, true);
+    std::string error;
+    const auto report = compareResults(*results, *results, walls, walls,
+                                       RegressOptions{}, &error);
+    ASSERT_TRUE(report.has_value()) << error;
+    EXPECT_FALSE(report->regressed);
+    ASSERT_EQ(report->units.size(), kUnits.size());
+    for (const UnitComparison &unit : report->units) {
+        EXPECT_TRUE(unit.id.ends_with("@replay")) << unit.id;
+        EXPECT_TRUE(unit.wall.has_value()) << unit.id;
+    }
+}
+
+TEST(Regress, ReplayDocumentDoesNotPairWithCycleDocument)
+{
+    // Same benchmarks, configs and budget, but replay units report
+    // approximate front-end counters only: none may be compared with
+    // a cycle unit.
+    std::optional<json::Value> cycle =
+        json::parse(resultsDoc(kUnits, 2.0, 10.0, 0.05));
+    std::optional<json::Value> replay = json::parse(
+        resultsDoc(kUnits, 2.0, 10.0, 0.05, -1, 1.0, /*replay=*/true));
+    ASSERT_TRUE(cycle && replay);
+    std::string error;
+    const auto report = compareResults(*cycle, *replay, {}, {},
+                                       RegressOptions{}, &error);
+    ASSERT_TRUE(report.has_value()) << error;
+    EXPECT_TRUE(report->units.empty());
+    EXPECT_EQ(report->missingInCurrent.size(), kUnits.size());
+    EXPECT_EQ(report->missingInBaseline.size(), kUnits.size());
+    EXPECT_TRUE(report->regressed); // the cycle coverage is gone
 }
 
 TEST(Regress, WallBandLearnsNoiseFromSpread)

@@ -102,6 +102,17 @@ constexpr GoldenRow kGolden[] = {
      0xf2a6858cb5e7e93aull},
     {"go", "perfect", 512, 60000ull, 20162ull, 7378ull, 605ull, 13ull, 0ull,
      0x869c6be58e4788b4ull},
+    // perfbench core's programs and configs, long enough for loads to
+    // park for dozens of cycles behind unknown-address stores; captured
+    // before the completion calendar and confirmed parks.
+    {"gcc", "baseline", 512, 300000ull, 113612ull, 47418ull, 4362ull, 0ull, 0ull,
+     0xf773cd5cd9e35c2full},
+    {"gcc", "promo-pack", 512, 300000ull, 112829ull, 47420ull, 5304ull, 42ull, 0ull,
+     0xad325a6b5eef4687ull},
+    {"go", "baseline", 512, 300000ull, 198302ull, 44946ull, 5058ull, 0ull, 0ull,
+     0x0617e17437dbcc0bull},
+    {"go", "promo-pack", 512, 300000ull, 196878ull, 44944ull, 5779ull, 61ull, 0ull,
+     0xe54fc2e515db87b5ull},
 };
 
 /** FNV-1a over the whole statistics dump: each name, then the bit

@@ -20,6 +20,7 @@ Exits 0 when every named file validates, 1 otherwise.
 
 import argparse
 import json
+import os
 import sys
 
 CATEGORIES = {"fetch", "tc", "fill", "promote", "bpred", "mem", "core"}
@@ -167,6 +168,8 @@ RESULT_ARRAYS = {"fetches_needing_preds", "cycle_cat", "fetch_hist"}
 
 # Present only on sampled-execution records (both or neither).
 SAMPLED_SCALARS = {"sampled_interval": "int", "sampled_max_k": "int"}
+# Present, as 1, only on `@replay` records.
+REPLAY_KEY = "replay"
 MAX_RETIRE_GROUP = 64  # presets retire at most 16 instructions a cycle
 
 
@@ -174,9 +177,12 @@ def check_result_record(path, where, record):
     if not isinstance(record, dict):
         return fail(path, f"{where}: not an object")
     sampled = "sampled_interval" in record
+    replay = REPLAY_KEY in record
     expected = set(RESULT_SCALARS) | RESULT_ARRAYS
     if sampled:
         expected |= set(SAMPLED_SCALARS)
+    if replay:
+        expected.add(REPLAY_KEY)
     if set(record) != expected:
         diff = expected.symmetric_difference(record)
         return fail(path, f"{where}: keys differ: {sorted(diff)}")
@@ -184,6 +190,12 @@ def check_result_record(path, where, record):
         for key in SAMPLED_SCALARS:
             if not isinstance(record[key], int) or record[key] <= 0:
                 return fail(path, f"{where}: {key}={record[key]!r}")
+    if replay and (record[REPLAY_KEY] != 1 or sampled or
+                   record.get("warmup") != 0):
+        # tcsim_sweep refuses --replay with --warmup or sampled
+        # execution, so only a cold, unsampled unit can be a replay.
+        return fail(path, f"{where}: replay={record[REPLAY_KEY]!r} on a "
+                    "sampled or warmed record, or not 1")
     for key, kind in RESULT_SCALARS.items():
         value = record[key]
         if kind == "int" and not isinstance(value, int):
@@ -239,20 +251,21 @@ def validate_fragment(path):
                 "warmup"):
         if key not in unit:
             return fail(path, f"unit missing {key}")
-    expected_id = f"{unit['benchmark']}@{unit['config']}@{unit['insts']}"
-    if "sampled_interval" in unit:
-        expected_id += (f"@sampled-i{unit['sampled_interval']}"
-                        f"-k{unit['sampled_max_k']}-w{unit['warmup']}")
-    elif unit["warmup"] == 0 and unit["id"] == expected_id + "@replay":
-        # tcsim_sweep refuses --replay with --warmup or sampled
-        # execution, so only a cold, unsampled unit can be a replay.
-        expected_id += "@replay"
-    if unit["id"] != expected_id:
-        return fail(path, f"unit id {unit['id']!r} != {expected_id!r}")
+    # The fragment reader trusts a fragment only under its own name.
+    if os.path.basename(path) != f"{unit['hash']}.json":
+        return fail(path, f"file name is not the unit hash {unit['hash']}")
     if not check_result_record(path, "result", doc.get("result")):
         return False
     if doc["result"]["hash"] != unit["hash"]:
         return fail(path, "result hash != unit hash")
+    expected_id = f"{unit['benchmark']}@{unit['config']}@{unit['insts']}"
+    if "sampled_interval" in unit:
+        expected_id += (f"@sampled-i{unit['sampled_interval']}"
+                        f"-k{unit['sampled_max_k']}-w{unit['warmup']}")
+    elif REPLAY_KEY in doc["result"]:
+        expected_id += "@replay"
+    if unit["id"] != expected_id:
+        return fail(path, f"unit id {unit['id']!r} != {expected_id!r}")
     timing = doc.get("timing")
     if not isinstance(timing, dict) or \
             set(timing) != {"wall_seconds", "cache_hits", "cache_misses"}:
