@@ -1,17 +1,16 @@
 /**
  * @file
- * Content-addressed artifact cache for expensive deterministic
- * byproducts of the sampled and replay units: BBV profiles,
- * architectural checkpoints, functional-warming checkpoints and
- * recorded btraces. Full units look nothing up; a program is
- * generated once per process (bench::programFor), which costs less
- * than reading and parsing a cached image.
+ * Content-addressed artifact cache for the one expensive
+ * deterministic byproduct of the replay units: the recorded btrace of
+ * a benchmark, shared by every configuration. Full units look nothing
+ * up; a program is generated once per process (bench::programFor),
+ * which costs less than reading and parsing a cached image.
  *
  * Every artifact is addressed by a canonical key string that encodes
- * everything its bytes depend on (generator version, profile
- * fingerprint, config fingerprint, budget, position). The cache file
- * name is the FNV-1a hash of the key; the key itself plus a payload
- * checksum are embedded in a wrapper header, so
+ * everything its bytes depend on (btraceArtifactKey: btrace format
+ * version, generator version, profile fingerprint, budget). The cache
+ * file name is the FNV-1a hash of the key; the key itself plus a
+ * payload checksum are embedded in a wrapper header, so
  *
  *  - a key-hash collision can never return the wrong artifact (the
  *    embedded key is compared before the payload is trusted), and

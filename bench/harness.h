@@ -12,7 +12,6 @@
  *    --warmup n` does. Both must be decimal integers.
  *  - TCSIM_JOBS: worker threads for the fan-out (default:
  *    hardware_concurrency); results are bit-identical at any count.
- *  - TCSIM_CACHE_DIR: the artifact cache (bench/artifact_cache.h).
  *  - TCSIM_VERIFY_WINDOW_INDEX: when set, the simulator runs the
  *    original O(window) reference scans beside every indexed lookup
  *    (store-order violations, load forwarding/disambiguation,

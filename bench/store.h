@@ -3,10 +3,9 @@
  * Local-directory blob store shared by the sweep fragments and the
  * artifact cache.
  *
- * Everything the sweep persists — result fragments and cached
- * artifacts (BBV profiles, architectural checkpoints, warm states,
- * btraces) — is a named blob under content-hashed names
- * in a directory. LocalDirStore is the one place that writes them:
+ * Everything the sweep persists — result fragments and cached btrace
+ * artifacts — is a named blob under content-hashed names in a
+ * directory. LocalDirStore is the one place that writes them:
  *
  *  - put() is atomic (writeFileAtomic, common/atomic_file.h): it writes
  *    a temp file unique to the process and the call, then renames it

@@ -1,8 +1,6 @@
 #include "bench/sweep.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,10 +15,8 @@
 #include "common/fnv.h"
 #include "common/json.h"
 #include "common/log.h"
-#include "obs/bbv.h"
-#include "sample/simpoints.h"
+#include "common/parse.h"
 #include "sim/processor.h"
-#include "workload/archstate.h"
 #include "workload/btrace.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
@@ -56,10 +52,6 @@ constexpr std::pair<const char *, std::uint64_t sim::SimResult::*>
         {"icache_misses", &sim::SimResult::icacheMisses},
         {"promoted_retired", &sim::SimResult::promotedRetired},
 };
-
-/** Version of every component's saveState format inside warm-state
- * checkpoints; bump it so stale "warmstate" artifacts regenerate. */
-constexpr unsigned kPredStateVersion = 1;
 
 /** Hash input of full units with a warm-up: version 1 imported a
  * separate run's predictor state and measured [0, insts); its
@@ -115,10 +107,6 @@ appendResultRecord(std::string &out, const WorkUnit &unit,
     kv("config", "\"" + json::escape(unit.config.name) + "\"");
     num("insts", unit.insts);
     num("warmup", unit.warmup);
-    if (unit.sampled.enabled) {
-        num("sampled_interval", unit.sampled.interval);
-        num("sampled_max_k", unit.sampled.maxK);
-    }
     if (unit.replay)
         num("replay", 1);
     kv("hash", "\"" + unit.hash + "\"");
@@ -170,22 +158,33 @@ appendResultRecord(std::string &out, const WorkUnit &unit,
     out += '}';
 }
 
-/** Parse one canonical array member into @p values; false on shape
- * mismatch. */
+/** Parse one canonical counter into @p out: a JSON number whose
+ * lexeme is a decimal integer below 2^64 ("-1", "3.75e2" and
+ * "18446744073709551616" are not). */
 bool
-parseArray(const json::Value &record, const char *key,
-           std::uint64_t *values, unsigned count)
+parseCounter(const json::Value *value, std::uint64_t &out)
 {
-    const json::Value *array = record.find(key);
+    if (value == nullptr || !value->isNumber())
+        return false;
+    const std::optional<std::uint64_t> parsed = parseUint(value->asString());
+    if (!parsed)
+        return false;
+    out = *parsed;
+    return true;
+}
+
+/** Parse one canonical array of counters into @p values; false on
+ * shape mismatch or a non-counter item. */
+bool
+parseArray(const json::Value *array, std::uint64_t *values, unsigned count)
+{
     if (array == nullptr || !array->isArray() ||
         array->items().size() != count) {
         return false;
     }
     for (unsigned i = 0; i < count; ++i) {
-        const json::Value &item = array->items()[i];
-        if (!item.isNumber())
+        if (!parseCounter(&array->items()[i], values[i]))
             return false;
-        values[i] = item.asUint64();
     }
     return true;
 }
@@ -195,14 +194,12 @@ bool
 parseResultRecord(const json::Value &record, sim::SimResult &n)
 {
     for (const auto &[key, field] : kScalars) {
-        const json::Value *value = record.find(key);
-        if (value == nullptr || !value->isNumber())
+        if (!parseCounter(record.find(key), n.*field))
             return false;
-        n.*field = value->asUint64();
     }
-    if (!parseArray(record, "fetches_needing_preds", n.fetchesNeedingPreds,
-                    4) ||
-        !parseArray(record, "cycle_cat", n.cycleCat, kNumCycleCats)) {
+    if (!parseArray(record.find("fetches_needing_preds"),
+                    n.fetchesNeedingPreds, 4) ||
+        !parseArray(record.find("cycle_cat"), n.cycleCat, kNumCycleCats)) {
         return false;
     }
     const json::Value *hist = record.find("fetch_hist");
@@ -211,85 +208,13 @@ parseResultRecord(const json::Value &record, sim::SimResult &n)
         return false;
     }
     for (unsigned r = 0; r < kNumFetchReasons; ++r) {
-        const json::Value &row = hist->items()[r];
-        if (!row.isArray() || row.items().size() != kFetchHistWidth)
+        if (!parseArray(&hist->items()[r], n.fetchHist[r], kFetchHistWidth))
             return false;
-        for (unsigned w = 0; w < kFetchHistWidth; ++w) {
-            if (!row.items()[w].isNumber())
-                return false;
-            n.fetchHist[r][w] = row.items()[w].asUint64();
-        }
     }
     return true;
 }
 
-/**
- * Cache key for a sampled-execution warm-state checkpoint: the full
- * microarchitectural state (predictors, bias table, indirect targets,
- * cache tags, trace-cache contents) exported after functionally
- * warming the prefix [0, @p pos). Independent of unit.warmup (the
- * functional pass always covers the whole prefix); keyed by the
- * warming-scheme version so a change to the warming algorithm
- * invalidates old checkpoints.
- */
-std::string
-warmingStateKey(const WorkUnit &unit, std::uint64_t pos)
-{
-    const workload::BenchmarkProfile &profile =
-        workload::findProfile(unit.benchmark);
-    std::string key = "warmstate:v";
-    key += std::to_string(sample::kSampledWarmingVersion);
-    key += ":pred=v";
-    key += std::to_string(kPredStateVersion);
-    key += ":gen=v";
-    key += std::to_string(workload::kGeneratorVersion);
-    key += ":prog=";
-    key += hashHex(workload::profileFingerprint(profile));
-    key += ":cfg=";
-    key += hashHex(sim::configFingerprint(unit.config));
-    key += ":pos=";
-    key += std::to_string(pos);
-    return key;
-}
-
-/** Program-only key prefix shared by the config-independent artifacts
- * (BBV profiles, architectural checkpoints, btraces). */
-std::string
-programKeyPrefix(const workload::BenchmarkProfile &profile)
-{
-    std::string key = "gen=v";
-    key += std::to_string(workload::kGeneratorVersion);
-    key += ":prog=";
-    key += hashHex(workload::profileFingerprint(profile));
-    return key;
-}
-
-std::string
-archCkptKey(const workload::BenchmarkProfile &profile, std::uint64_t pos)
-{
-    std::string key = "archckpt:v1:";
-    key += programKeyPrefix(profile);
-    key += ":pos=";
-    key += std::to_string(pos);
-    return key;
-}
-
 } // namespace
-
-std::string
-bbvArtifactKey(const workload::BenchmarkProfile &profile,
-               std::uint64_t insts, std::uint64_t interval)
-{
-    std::string key = "bbv:v";
-    key += std::to_string(sample::kBbvFormatVersion);
-    key += ':';
-    key += programKeyPrefix(profile);
-    key += ":insts=";
-    key += std::to_string(insts);
-    key += ":interval=";
-    key += std::to_string(interval);
-    return key;
-}
 
 std::string
 btraceArtifactKey(const workload::BenchmarkProfile &profile,
@@ -297,8 +222,10 @@ btraceArtifactKey(const workload::BenchmarkProfile &profile,
 {
     std::string key = "btrace:v";
     key += std::to_string(workload::kBtraceFormatVersion);
-    key += ':';
-    key += programKeyPrefix(profile);
+    key += ":gen=v";
+    key += std::to_string(workload::kGeneratorVersion);
+    key += ":prog=";
+    key += hashHex(workload::profileFingerprint(profile));
     key += ":insts=";
     key += std::to_string(insts);
     return key;
@@ -375,31 +302,13 @@ enumerateUnits(const SweepOptions &options)
             unit.insts = options.insts != 0 ? options.insts
                                             : profile.defaultMaxInsts;
             unit.warmup = options.warmup;
-            unit.sampled = options.sampled;
             unit.replay = options.replay;
-            if (unit.replay &&
-                (unit.sampled.enabled || unit.warmup != 0)) {
+            if (unit.replay && unit.warmup != 0) {
                 fatal("replay sweep: --replay is a front-end analysis "
-                      "pass and cannot combine with --warmup or "
-                      "sampled execution");
+                      "pass and cannot combine with --warmup");
             }
             unit.id = benchmark + "@" + config.name + "@" +
                       std::to_string(unit.insts);
-            if (unit.sampled.enabled) {
-                if (unit.sampled.interval == 0 || unit.sampled.maxK == 0 ||
-                    unit.insts % unit.sampled.interval != 0) {
-                    fatal("sampled sweep: interval must be positive, "
-                          "divide the budget (%llu %% %llu != 0), and "
-                          "max_k must be positive",
-                          static_cast<unsigned long long>(unit.insts),
-                          static_cast<unsigned long long>(
-                              unit.sampled.interval));
-                }
-                unit.id += "@sampled-i" +
-                           std::to_string(unit.sampled.interval) + "-k" +
-                           std::to_string(unit.sampled.maxK) + "-w" +
-                           std::to_string(unit.warmup);
-            }
             if (unit.replay)
                 unit.id += "@replay";
             std::uint64_t hash = fnv1a(unit.id);
@@ -408,21 +317,8 @@ enumerateUnits(const SweepOptions &options)
                 hash, workload::profileFingerprint(profile));
             hash = fnv1aAppendScalar(hash, config_fp);
             hash = fnv1aAppendScalar(hash, unit.warmup);
-            if (!unit.sampled.enabled && !unit.replay && unit.warmup > 0)
+            if (unit.warmup > 0)
                 hash = fnv1aAppendScalar(hash, kFullWarmupVersion);
-            if (unit.sampled.enabled) {
-                // The sampled result additionally depends on the BBV
-                // artifact format, the clustering algorithm and its
-                // parameters; hash them so stale fragments regenerate.
-                hash = fnv1aAppendScalar(hash, unit.sampled.interval);
-                hash = fnv1aAppendScalar(hash, unit.sampled.maxK);
-                hash = fnv1aAppendScalar(hash, sample::kBbvFormatVersion);
-                hash = fnv1aAppendScalar(hash,
-                                         sample::kSimpointsAlgoVersion);
-                hash = fnv1aAppendScalar(hash, sample::kSimpointSeed);
-                hash = fnv1aAppendScalar(
-                    hash, sample::kSampledWarmingVersion);
-            }
             if (unit.replay) {
                 // Replay results depend on the trace encoding; hash
                 // the format version so fragments from an older
@@ -457,193 +353,6 @@ finishResult(const WorkUnit &unit, sim::SimResult result)
     result.config = unit.config.name;
     sim::deriveRatios(result);
     return result;
-}
-
-/** Accumulate @p region's integers into @p total scaled by @p weight
- * (exact integer math; ratios are derived once at the end). */
-void
-accumulateWeighted(sim::SimResult &total, const sim::SimResult &region,
-                   std::uint64_t weight)
-{
-    for (const auto &[key, field] : kScalars)
-        total.*field += weight * region.*field;
-    for (unsigned i = 0; i < 4; ++i)
-        total.fetchesNeedingPreds[i] +=
-            weight * region.fetchesNeedingPreds[i];
-    for (unsigned c = 0; c < kNumCycleCats; ++c)
-        total.cycleCat[c] += weight * region.cycleCat[c];
-    for (unsigned r = 0; r < kNumFetchReasons; ++r)
-        for (unsigned w = 0; w < kFetchHistWidth; ++w)
-            total.fetchHist[r][w] += weight * region.fetchHist[r][w];
-}
-
-/**
- * The sampled execution pipeline for one unit. Every stage is cached
- * through the artifact cache and regenerated deterministically on a
- * miss, so results are identical hit or miss and across shards.
- */
-sim::SimResult
-executeSampledUnit(const WorkUnit &unit)
-{
-    TCSIM_ASSERT(unit.sampled.enabled);
-    const workload::Program &program = programFor(unit.benchmark);
-    const workload::BenchmarkProfile &profile =
-        workload::findProfile(unit.benchmark);
-    ArtifactCache &cache = ArtifactCache::process();
-
-    // 1. BBV profile: functional pass, configuration-independent,
-    //    shared by every config in the matrix via the cache.
-    const std::string bbv_json =
-        cache.getOrCreate(
-            "bbv",
-            bbvArtifactKey(profile, unit.insts, unit.sampled.interval),
-            [&] {
-            return sample::profileBbv(program, unit.benchmark, unit.insts,
-                                      unit.sampled.interval)
-                .toJson();
-        });
-    const std::optional<obs::BbvDocument> bbv =
-        obs::BbvDocument::fromJson(bbv_json);
-    if (!bbv || bbv->totalInsts != unit.insts ||
-        bbv->intervalInsts != unit.sampled.interval) {
-        fatal("BBV profile for %s is malformed or mismatched "
-              "(early halt below the budget?)",
-              unit.id.c_str());
-    }
-
-    // 2. Deterministic clustering: a pure single-threaded function of
-    //    the BBV artifact — bit-identical regardless of TCSIM_JOBS or
-    //    shard count.
-    const sample::SimpointPlan plan = sample::selectSimpoints(
-        *bbv, hashHex(workload::profileFingerprint(profile)),
-        unit.sampled.maxK);
-
-    // 3. Architectural checkpoints at each region's detailed warm-up
-    //    start (config-independent). All misses are produced by ONE
-    //    monotone walker pass instead of one pass per position.
-    std::vector<std::uint64_t> positions;
-    for (const sample::Simpoint &pt : plan.points) {
-        const std::uint64_t start = pt.startInsts;
-        const std::uint64_t detail_start =
-            start > unit.warmup ? start - unit.warmup : 0;
-        if (detail_start > 0)
-            positions.push_back(detail_start);
-    }
-    std::sort(positions.begin(), positions.end());
-    positions.erase(std::unique(positions.begin(), positions.end()),
-                    positions.end());
-
-    std::map<std::uint64_t, std::string> ckpt_blobs;
-    std::vector<std::uint64_t> missing;
-    for (const std::uint64_t pos : positions) {
-        std::optional<std::string> blob;
-        if (cache.enabled())
-            blob = cache.load("archckpt", archCkptKey(profile, pos));
-        if (blob)
-            ckpt_blobs.emplace(pos, std::move(*blob));
-        else
-            missing.push_back(pos);
-    }
-    if (!missing.empty()) {
-        workload::ArchStateWalker walker(program);
-        for (const std::uint64_t pos : missing) {
-            walker.advanceTo(pos);
-            std::string blob = walker.capture().serialize();
-            if (cache.enabled())
-                cache.store("archckpt", archCkptKey(profile, pos),
-                            blob);
-            ckpt_blobs.emplace(pos, std::move(blob));
-        }
-    }
-    const auto ckptAt = [&](std::uint64_t pos) -> workload::ArchCheckpoint {
-        const auto it = ckpt_blobs.find(pos);
-        TCSIM_ASSERT(it != ckpt_blobs.end());
-        auto ckpt = workload::ArchCheckpoint::deserialize(it->second);
-        if (!ckpt || ckpt->instIndex != pos) {
-            fatal("architectural checkpoint at %llu for %s is corrupt",
-                  static_cast<unsigned long long>(pos), unit.id.c_str());
-        }
-        return std::move(*ckpt);
-    };
-
-    // 4. Warm-state checkpoints at the same positions: ONE shared
-    //    functional-warming pass per (program, config) walks the whole
-    //    prefix once, training predictors and the bias table, feeding
-    //    the fill unit (which builds the trace cache) and touching
-    //    cache tags at functional-executor speed, and exports the full
-    //    warm microarchitectural state at each region's detailed
-    //    warm-up start. The pass is monotone — functionalWarmup()
-    //    resumes on a never-cycled processor — so its cost is one
-    //    functional traversal of the program, not one per region.
-    //    Checkpoints are pure functions of (program, config, position,
-    //    warming version) and flow through the artifact cache like
-    //    everything else.
-    std::map<std::uint64_t, std::string> warm_blobs;
-    {
-        std::vector<std::uint64_t> warm_missing;
-        for (const std::uint64_t pos : positions) {
-            std::optional<std::string> blob;
-            if (cache.enabled())
-                blob = cache.load("warmstate", warmingStateKey(unit, pos));
-            if (blob)
-                warm_blobs.emplace(pos, std::move(*blob));
-            else
-                warm_missing.push_back(pos);
-        }
-        if (!warm_missing.empty()) {
-            sim::Processor warmer(unit.config, program);
-            for (const std::uint64_t pos : warm_missing) {
-                warmer.functionalWarmup(pos);
-                std::ostringstream os;
-                warmer.exportWarmState(os);
-                std::string blob = std::move(os).str();
-                if (cache.enabled())
-                    cache.store("warmstate", warmingStateKey(unit, pos),
-                                blob);
-                warm_blobs.emplace(pos, std::move(blob));
-            }
-        }
-    }
-
-    // 5. Simulate each representative region on the detailed model
-    //    and combine by cluster weight. Each region's processor is
-    //    warm-started architecturally from the cached checkpoint with
-    //    the prefix-warmed microarchitectural state imported on top
-    //    (regions ALWAYS import the blob — also right after generating
-    //    it — so a cache hit replays exactly the cold path), then runs
-    //    the unit's warm-up budget of DETAILED instructions (smoothing
-    //    the residual gap between functional warming and real pipeline
-    //    behavior), and only then opens the stats window (resetStats)
-    //    for the region proper. This layered warm-up is what keeps
-    //    per-region cold-start bias inside the error tolerance without
-    //    paying detailed-simulation cost for it.
-    sim::SimResult combined;
-    for (const sample::Simpoint &pt : plan.points) {
-        const std::uint64_t start = pt.startInsts;
-        const std::uint64_t stop = start + plan.intervalInsts;
-        const std::uint64_t detail_start =
-            start > unit.warmup ? start - unit.warmup : 0;
-
-        sim::Processor proc(unit.config, program);
-        if (detail_start > 0) {
-            proc.warmStart(ckptAt(detail_start));
-            const auto it = warm_blobs.find(detail_start);
-            TCSIM_ASSERT(it != warm_blobs.end());
-            std::istringstream is(it->second);
-            if (!proc.importWarmState(is)) {
-                fatal("functional-warming checkpoint at %llu for %s "
-                      "rejected by a processor with the same "
-                      "configuration (format bug)",
-                      static_cast<unsigned long long>(detail_start),
-                      unit.id.c_str());
-            }
-        }
-        if (detail_start < start)
-            proc.run(start);
-        proc.resetStats();
-        accumulateWeighted(combined, proc.run(stop), pt.weightNum);
-    }
-    return finishResult(unit, std::move(combined));
 }
 
 /**
@@ -736,8 +445,6 @@ executeUnit(const WorkUnit &unit)
 {
     if (unit.replay)
         return executeReplayUnit(unit);
-    if (unit.sampled.enabled)
-        return executeSampledUnit(unit);
     sim::Processor proc(unit.config, programFor(unit.benchmark));
     if (unit.warmup > 0) {
         proc.run(unit.warmup);
@@ -780,132 +487,6 @@ runUnits(const std::vector<WorkUnit> &units, const UnitDone &done,
 }
 
 std::string
-samplingErrorReport(const SweepOptions &options, double tolerance,
-                    double mispredict_tolerance, bool *all_within_out)
-{
-    TCSIM_ASSERT(options.sampled.enabled,
-                 "samplingErrorReport needs a sampled matrix");
-    const std::vector<WorkUnit> units = enumerateUnits(options);
-    // The reference is the cold full run of the same window [0, insts).
-    SweepOptions full_options = options;
-    full_options.sampled = SampledParams{};
-    full_options.warmup = 0;
-    const std::vector<WorkUnit> full_units = enumerateUnits(full_options);
-
-    std::vector<double> sampled_walls(units.size());
-    std::vector<double> full_walls(units.size());
-    const std::vector<sim::SimResult> sampled_results = runUnits(
-        units, [&](std::size_t i, const sim::SimResult &,
-                   const UnitTiming &timing) {
-            sampled_walls[i] = timing.wallSeconds;
-        });
-    const std::vector<sim::SimResult> full_results = runUnits(
-        full_units, [&](std::size_t i, const sim::SimResult &,
-                        const UnitTiming &timing) {
-            full_walls[i] = timing.wallSeconds;
-        });
-    const auto stats = [](const sim::SimResult &r, double wall) {
-        return "{\"ipc\": " + formatDouble(r.ipc) + ", \"fetch_rate\": " +
-               formatDouble(r.effectiveFetchRate) +
-               ", \"mispredict_rate\": " +
-               formatDouble(r.condMispredictRate) +
-               ", \"wall_seconds\": " + formatDouble(wall) + "}";
-    };
-
-    std::string out = "{\n";
-    out += "  \"schema\": \"tcsim-sampling-error-v1\",\n";
-    out += "  \"matrix_hash\": \"" + matrixHash(units) + "\",\n";
-    out += "  \"tolerance\": " + formatDouble(tolerance) + ",\n";
-    out += "  \"mispredict_tolerance\": " +
-           formatDouble(mispredict_tolerance) + ",\n";
-    out += "  \"units\": [\n";
-
-    bool all_within = true;
-    double full_wall_total = 0.0;
-    double sampled_wall_total = 0.0;
-    double max_err_ipc = 0.0;
-    double max_err_fetch = 0.0;
-    double max_err_mispredict = 0.0;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-        const WorkUnit &unit = units[i];
-        const sim::SimResult &s = sampled_results[i];
-        const sim::SimResult &f = full_results[i];
-        const double sampled_wall = sampled_walls[i];
-        const double full_wall = full_walls[i];
-
-        const auto rel_err = [](double estimate, double reference) {
-            if (reference == 0.0)
-                return estimate == 0.0 ? 0.0 : 1.0;
-            return std::abs(estimate - reference) / reference;
-        };
-        const double err_ipc = rel_err(s.ipc, f.ipc);
-        const double err_fetch =
-            rel_err(s.effectiveFetchRate, f.effectiveFetchRate);
-        const double err_mispredict =
-            rel_err(s.condMispredictRate, f.condMispredictRate);
-        // The mispredict gate is ABSOLUTE (the rate is already a
-        // fraction): per-region predictor warm-up bias shifts the
-        // sampled rate by a few points regardless of the base rate,
-        // so relative error diverges exactly when the full run's
-        // rate gets small — at long budgets where prediction is best.
-        const double abs_err_mispredict =
-            std::abs(s.condMispredictRate - f.condMispredictRate);
-        const bool within = err_ipc <= tolerance &&
-                            err_fetch <= tolerance &&
-                            abs_err_mispredict <= mispredict_tolerance;
-        all_within = all_within && within;
-        max_err_ipc = std::max(max_err_ipc, err_ipc);
-        max_err_fetch = std::max(max_err_fetch, err_fetch);
-        max_err_mispredict =
-            std::max(max_err_mispredict, abs_err_mispredict);
-        full_wall_total += full_wall;
-        sampled_wall_total += sampled_wall;
-
-        out += "    {\n";
-        out += "      \"id\": \"" + json::escape(unit.id) + "\",\n";
-        out += "      \"sampled\": " + stats(s, sampled_wall) + ",\n";
-        out += "      \"full\": " + stats(f, full_wall) + ",\n";
-        out += "      \"rel_err\": {\"ipc\": " + formatDouble(err_ipc) +
-               ", \"fetch_rate\": " + formatDouble(err_fetch) +
-               ", \"mispredict_rate\": " + formatDouble(err_mispredict) +
-               "},\n";
-        out += "      \"abs_err_mispredict_rate\": " +
-               formatDouble(abs_err_mispredict) + ",\n";
-        out += "      \"speedup\": " +
-               formatDouble(sampled_wall > 0.0 ? full_wall / sampled_wall
-                                               : 0.0) +
-               ",\n";
-        out += std::string("      \"within_tolerance\": ") +
-               (within ? "true" : "false") + "\n";
-        out += i + 1 < units.size() ? "    },\n" : "    }\n";
-    }
-
-    out += "  ],\n";
-    out += "  \"aggregate\": {\n";
-    out += "    \"max_rel_err_ipc\": " + formatDouble(max_err_ipc) + ",\n";
-    out += "    \"max_rel_err_fetch_rate\": " + formatDouble(max_err_fetch) +
-           ",\n";
-    out += "    \"max_abs_err_mispredict_rate\": " +
-           formatDouble(max_err_mispredict) + ",\n";
-    out += "    \"full_wall_seconds\": " + formatDouble(full_wall_total) +
-           ",\n";
-    out += "    \"sampled_wall_seconds\": " +
-           formatDouble(sampled_wall_total) + ",\n";
-    out += "    \"speedup\": " +
-           formatDouble(sampled_wall_total > 0.0
-                            ? full_wall_total / sampled_wall_total
-                            : 0.0) +
-           "\n";
-    out += "  },\n";
-    out += std::string("  \"all_within_tolerance\": ") +
-           (all_within ? "true" : "false") + "\n";
-    out += "}\n";
-    if (all_within_out != nullptr)
-        *all_within_out = all_within;
-    return out;
-}
-
-std::string
 renderFragment(const WorkUnit &unit, const sim::SimResult &result,
                const UnitTiming &timing)
 {
@@ -918,14 +499,8 @@ renderFragment(const WorkUnit &unit, const sim::SimResult &result,
     out += "    \"benchmark\": \"" + json::escape(unit.benchmark) + "\",\n";
     out += "    \"config\": \"" + json::escape(unit.config.name) + "\",\n";
     out += "    \"insts\": " + std::to_string(unit.insts) + ",\n";
-    out += "    \"warmup\": " + std::to_string(unit.warmup);
-    if (unit.sampled.enabled) {
-        out += ",\n    \"sampled_interval\": " +
-               std::to_string(unit.sampled.interval);
-        out += ",\n    \"sampled_max_k\": " +
-               std::to_string(unit.sampled.maxK);
-    }
-    out += "\n  },\n";
+    out += "    \"warmup\": " + std::to_string(unit.warmup) + "\n";
+    out += "  },\n";
     out += "  \"result\": ";
     appendResultRecord(out, unit, result, "  ");
     out += ",\n";

@@ -2,7 +2,7 @@
  * @file
  * The one execution engine: a deterministic work-unit protocol over
  * the (benchmark, configuration) matrix, one per-unit executor
- * (executeUnit: full, sampled or replay), one fan-out that runs units
+ * (executeUnit: full or replay), one fan-out that runs units
  * on the in-process thread pool (runUnits), and a fragment layer that
  * writes one result fragment per unit, reads them back (one reader,
  * readFragments) and combines them into one canonical results
@@ -55,30 +55,6 @@
 namespace tcsim::bench
 {
 
-/**
- * SimPoint-style sampled execution parameters (the `sampled` config
- * dimension). When enabled, a unit is not simulated end to end:
- * a cached functional BBV profile of the benchmark is clustered
- * (deterministic seeded k-means, k swept in [1, maxK]) and only the
- * representative region of each cluster runs on the detailed model,
- * warm-started from cached architectural checkpoints plus the warm
- * microarchitectural state exported by one shared functional-warming
- * pass over the region's whole prefix; when the unit has a warmup
- * budget, a detailed warm-up pass over the `warmup` instructions
- * preceding the region smooths the rest of the gap to a real
- * pipeline before the stats window opens. Region stats combine as
- * exact integers weighted by cluster population.
- */
-struct SampledParams
-{
-    bool enabled = false;
-    /** BBV interval length in instructions; must divide the unit's
-     * instruction budget so cluster weights stay exact rationals. */
-    std::uint64_t interval = 0;
-    /** k-means sweeps k in [1, maxK] with a BIC-style score. */
-    std::uint32_t maxK = 0;
-};
-
 /** One (benchmark, configuration) cell of the sweep matrix. */
 struct WorkUnit
 {
@@ -87,16 +63,13 @@ struct WorkUnit
     sim::ProcessorConfig config;
     std::uint64_t insts = 0;  ///< resolved measurement budget
     /** Full units simulate [0, warmup), reset their statistics and
-     * measure [warmup, warmup + insts), as `tcsim_run --warmup` does;
-     * sampled units run `warmup` detailed instructions per region. */
+     * measure [warmup, warmup + insts), as `tcsim_run --warmup` does. */
     std::uint64_t warmup = 0;
-    SampledParams sampled;    ///< sampled-execution dimension
     /** Replay the front end from a cached tcsim-btrace-v1 artifact
      * instead of cycle-simulating (timing stats stay zero). */
     bool replay = false;
-    /** "<benchmark>@<config>@<insts>", plus
-     * "@sampled-i<interval>-k<maxK>-w<warmup>" when sampled, plus
-     * "@replay" when replaying from a btrace artifact. */
+    /** "<benchmark>@<config>@<insts>", plus "@replay" when replaying
+     * from a btrace artifact. */
     std::string id;
     std::string hash; ///< 16-hex content hash (see file comment)
 };
@@ -112,8 +85,6 @@ struct SweepOptions
     std::uint64_t insts = 0;
     /** Warm-up instructions per unit (0 = cold start). */
     std::uint64_t warmup = 0;
-    /** Sampled-execution dimension applied to every unit. */
-    SampledParams sampled;
     /**
      * Replay dimension applied to every unit: drive the front end
      * (fetch engine, fill unit, predictors) from a recorded
@@ -121,7 +92,7 @@ struct SweepOptions
      * The trace is config-independent and flows through the artifact
      * cache ("btrace" kind, see btraceArtifactKey), so one recording
      * pass serves every configuration in the matrix. Mutually
-     * exclusive with warmup and sampled execution.
+     * exclusive with warmup.
      */
     bool replay = false;
 };
@@ -154,14 +125,11 @@ struct UnitTiming
 
 /**
  * Simulate one unit: the detailed model after the warm-up (full
- * units); the BBV -> k-means -> warm-started representative-region
- * pipeline, combining region integers as sum(weight_num * stat)
- * (sampled units; "bbv" profiles and "archckpt" checkpoints are
- * shared by every config, "warmstate" checkpoints are per-config); or
- * the front end driven from the benchmark's cached btrace (replay
- * units). Every stage is a deterministic pure function and cache hits
- * only skip a producer, so results are identical hit or miss, at any
- * job count and across shards. Safe to call concurrently.
+ * units), or the front end driven from the benchmark's cached btrace
+ * (replay units). Recording a btrace is a deterministic pure function
+ * and a cache hit only skips it, so results are identical hit or
+ * miss, at any job count and across shards. Safe to call
+ * concurrently.
  */
 sim::SimResult executeUnit(const WorkUnit &unit);
 
@@ -182,15 +150,6 @@ std::vector<sim::SimResult> runUnits(const std::vector<WorkUnit> &units,
                                      ThreadPool &pool = sharedPool());
 
 /**
- * @return the content key @p profile's BBV profile artifact is
- * cached under (config-independent: generator version + profile
- * fingerprint + budget + interval). Shared by the sweep engine and
- * the tcsim_simpoints CLI so both hit the same cache entry.
- */
-std::string bbvArtifactKey(const workload::BenchmarkProfile &profile,
-                           std::uint64_t insts, std::uint64_t interval);
-
-/**
  * @return the content key @p profile's recorded btrace artifact is
  * cached under (config-independent: btrace format version + generator
  * version + profile fingerprint + budget — the oracle control-flow
@@ -199,26 +158,6 @@ std::string bbvArtifactKey(const workload::BenchmarkProfile &profile,
  */
 std::string btraceArtifactKey(const workload::BenchmarkProfile &profile,
                               std::uint64_t insts);
-
-/**
- * Run @p options' matrix sampled, and each unit's window [0, insts)
- * cold on the full detailed model, compare derived stats, and render
- * the `tcsim-sampling-error-v1` report (per-unit and aggregate
- * relative error for IPC / effective fetch rate / mispredict rate,
- * wall-clock for both paths, and the speedup).
- * options.sampled must be enabled. When @p all_within_out is
- * non-null it receives whether every unit passed the gate: IPC and
- * fetch-rate relative errors <= @p tolerance AND mispredict-rate
- * ABSOLUTE error <= @p mispredict_tolerance. The mispredict bound is
- * absolute (the rate is already a fraction) because per-region
- * predictor warm-up bias shifts the sampled rate by a few points
- * independent of the base rate, so relative error diverges exactly
- * when the full run predicts well.
- */
-std::string samplingErrorReport(const SweepOptions &options,
-                                double tolerance,
-                                double mispredict_tolerance,
-                                bool *all_within_out);
 
 /** Render one fragment document (canonical record + timing). */
 std::string renderFragment(const WorkUnit &unit,
@@ -267,7 +206,8 @@ struct FragmentDir
  * tcsim_regress. A "*.json" file is a valid fragment when it parses
  * as a tcsim-bench-fragment-v1 document with "unit" and "result"
  * objects, its name's stem equals unit.hash, and its result record
- * holds every canonical integer; anything else under a "*.json" name
+ * holds every canonical integer, each a decimal integer below 2^64, in
+ * arrays of the canonical shapes; anything else under a "*.json" name
  * is corrupt. Other names (a writer's "<hash>.json.tmp.<pid>.<n>"
  * temp files) are skipped, and an absent directory reads as empty.
  */

@@ -2,10 +2,7 @@
 
 #include <bit>
 #include <cstring>
-#include <istream>
-#include <ostream>
 
-#include "common/binio.h"
 #include "common/bitutils.h"
 #include "common/log.h"
 #include "isa/instruction.h"
@@ -94,71 +91,6 @@ BranchBiasTable::advice(Addr pc) const
         result.direction = entry.promotedDir();
     }
     return result;
-}
-
-namespace
-{
-
-using binio::readScalar;
-using binio::writeScalar;
-
-constexpr char kStateMagic[8] = {'T', 'C', 'B', 'I', 'A', 'S', 'v', '1'};
-
-} // namespace
-
-void
-BranchBiasTable::saveState(std::ostream &os) const
-{
-    binio::writeMagic(os, kStateMagic);
-    writeScalar<std::uint32_t>(os, params_.entries);
-    writeScalar<std::uint32_t>(os, params_.promoteThreshold);
-    writeScalar<std::uint32_t>(os, params_.counterMax);
-    writeScalar<std::uint64_t>(os, promotions_);
-    writeScalar<std::uint64_t>(os, demotions_);
-    for (const Entry &entry : entries_) {
-        // The checkpoint keeps the original 64-bit tag field so blobs
-        // written before the 8-byte entry packing stay loadable; the
-        // in-memory empty sentinel maps to the wide all-ones one.
-        writeScalar<std::uint64_t>(os, entry.tag == Entry::kNoTag
-                                           ? ~std::uint64_t{0}
-                                           : entry.tag);
-        writeScalar<std::uint32_t>(os, entry.meta);
-    }
-}
-
-bool
-BranchBiasTable::restoreState(std::istream &is)
-{
-    if (!binio::expectMagic(is, kStateMagic))
-        return false;
-    std::uint32_t entries = 0, threshold = 0, counter_max = 0;
-    if (!readScalar(is, entries) || !readScalar(is, threshold) ||
-        !readScalar(is, counter_max) || entries != params_.entries ||
-        threshold != params_.promoteThreshold ||
-        counter_max != params_.counterMax) {
-        return false;
-    }
-    std::uint64_t promotions = 0, demotions = 0;
-    if (!readScalar(is, promotions) || !readScalar(is, demotions))
-        return false;
-    std::vector<Entry> loaded(params_.entries);
-    for (Entry &entry : loaded) {
-        std::uint64_t tag = 0;
-        if (!readScalar(is, tag) || !readScalar(is, entry.meta))
-            return false;
-        if (tag == ~std::uint64_t{0})
-            entry.tag = Entry::kNoTag;
-        else if (tag >= Entry::kNoTag)
-            return false; // cannot represent in the packed entry
-        else
-            entry.tag = static_cast<std::uint32_t>(tag);
-        if (entry.count() > params_.counterMax)
-            return false;
-    }
-    entries_ = std::move(loaded);
-    promotions_ = promotions;
-    demotions_ = demotions;
-    return true;
 }
 
 } // namespace tcsim::bpred

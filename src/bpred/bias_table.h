@@ -18,7 +18,6 @@
 #define TCSIM_BPRED_BIAS_TABLE_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "common/stats.h"
@@ -78,14 +77,6 @@ class BranchBiasTable
         dump.add("bias_table.demotions", static_cast<double>(demotions_));
     }
 
-    /**
-     * Serialize the training state (tags, counts, promoted bits) for
-     * warm-start checkpoints. restore() rejects a blob whose geometry
-     * or threshold parameters differ from this table's.
-     */
-    void saveState(std::ostream &os) const;
-    bool restoreState(std::istream &is);
-
   private:
     /**
      * One table slot, packed to 8 bytes (8 per cache line vs. 2 for
@@ -97,8 +88,7 @@ class BranchBiasTable
      * 0xFFFFFFFF is reserved as the empty sentinel. The
      * consecutive-outcome count and the three flags share one word:
      * count in bits [0,28), lastOutcome/promoted/promotedDir in bits
-     * 28/29/30. Counter semantics are unchanged, and the TCBIASv1
-     * checkpoint format still carries 64-bit tags on disk.
+     * 28/29/30.
      */
     struct Entry
     {

@@ -1,51 +1,11 @@
 #include "bpred/hybrid.h"
 
-#include <istream>
-#include <ostream>
-
-#include "common/binio.h"
 #include "common/bitutils.h"
 #include "common/log.h"
 #include "isa/instruction.h"
 
 namespace tcsim::bpred
 {
-
-namespace
-{
-
-constexpr char kHybridMagic[8] = {'T', 'C', 'H', 'Y', 'B', 'R', 'I', 'D'};
-
-void
-saveCounterTable(std::ostream &os,
-                 const std::vector<SaturatingCounter> &counters)
-{
-    binio::writeScalar<std::uint64_t>(os, counters.size());
-    for (const SaturatingCounter &counter : counters)
-        binio::writeScalar<std::uint8_t>(
-            os, static_cast<std::uint8_t>(counter.value()));
-}
-
-/** Read without mutating @p counters; values land in @p values. */
-bool
-readCounterTable(std::istream &is,
-                 const std::vector<SaturatingCounter> &counters,
-                 std::vector<std::uint8_t> &values)
-{
-    std::uint64_t count = 0;
-    if (!binio::readScalar(is, count) || count != counters.size())
-        return false;
-    values.resize(counters.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (!binio::readScalar(is, values[i]) ||
-            values[i] > counters[i].maxValue()) {
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
 
 HybridPredictor::HybridPredictor(const HybridParams &params)
     : params_(params)
@@ -105,55 +65,6 @@ HybridPredictor::update(Addr pc, const HybridCtx &ctx, bool taken)
     std::uint32_t &local = localHistory_[bhtIndex(pc)];
     local = ((local << 1) | static_cast<std::uint32_t>(taken)) &
             localMask_;
-}
-
-void
-HybridPredictor::saveState(std::ostream &os) const
-{
-    binio::writeMagic(os, kHybridMagic);
-    binio::writeScalar<std::uint32_t>(os, params_.historyBits);
-    binio::writeScalar<std::uint32_t>(os, params_.localHistoryBits);
-    binio::writeScalar<std::uint32_t>(os, params_.bhtEntries);
-    saveCounterTable(os, gshare_);
-    saveCounterTable(os, pasPattern_);
-    saveCounterTable(os, selector_);
-    for (std::uint32_t history : localHistory_)
-        binio::writeScalar<std::uint32_t>(os, history);
-}
-
-bool
-HybridPredictor::restoreState(std::istream &is)
-{
-    if (!binio::expectMagic(is, kHybridMagic))
-        return false;
-    std::uint32_t history_bits = 0, local_bits = 0, bht_entries = 0;
-    if (!binio::readScalar(is, history_bits) ||
-        !binio::readScalar(is, local_bits) ||
-        !binio::readScalar(is, bht_entries) ||
-        history_bits != params_.historyBits ||
-        local_bits != params_.localHistoryBits ||
-        bht_entries != params_.bhtEntries) {
-        return false;
-    }
-    std::vector<std::uint8_t> gshare, pas, selector;
-    if (!readCounterTable(is, gshare_, gshare) ||
-        !readCounterTable(is, pasPattern_, pas) ||
-        !readCounterTable(is, selector_, selector)) {
-        return false;
-    }
-    std::vector<std::uint32_t> local(localHistory_.size());
-    for (std::uint32_t &history : local) {
-        if (!binio::readScalar(is, history) || (history & ~localMask_))
-            return false;
-    }
-    for (std::size_t i = 0; i < gshare_.size(); ++i)
-        gshare_[i].set(gshare[i]);
-    for (std::size_t i = 0; i < pasPattern_.size(); ++i)
-        pasPattern_[i].set(pas[i]);
-    for (std::size_t i = 0; i < selector_.size(); ++i)
-        selector_[i].set(selector[i]);
-    localHistory_ = std::move(local);
-    return true;
 }
 
 } // namespace tcsim::bpred

@@ -11,7 +11,6 @@
 #define TCSIM_BPRED_HYBRID_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "common/saturating_counter.h"
@@ -53,14 +52,6 @@ class HybridPredictor
      * outcome. Local history is updated here (at retire).
      */
     void update(Addr pc, const HybridCtx &ctx, bool taken);
-
-    /**
-     * Serialize the component tables and local histories for
-     * warm-start checkpoints. restoreState() rejects a blob from a
-     * different geometry and returns false, leaving tables untouched.
-     */
-    void saveState(std::ostream &os) const;
-    bool restoreState(std::istream &is);
 
   private:
     std::uint32_t gshareIndex(Addr pc, std::uint64_t ghist) const;

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/binio.h"
 #include "common/bitutils.h"
 #include "common/log.h"
 #include "common/types.h"
@@ -50,30 +49,6 @@ class IndirectPredictor
     update(Addr pc, Addr target)
     {
         targets_[indexOf(pc)] = target;
-    }
-
-    /**
-     * Serialize / reload the target table for warm-start checkpoints.
-     * restoreState() rejects a blob from a different table size.
-     */
-    void
-    saveState(std::ostream &os) const
-    {
-        binio::writeScalar(os, entries_);
-        for (const Addr target : targets_)
-            binio::writeScalar(os, target);
-    }
-    bool
-    restoreState(std::istream &is)
-    {
-        std::uint32_t entries = 0;
-        if (!binio::readScalar(is, entries) || entries != entries_)
-            return false;
-        for (Addr &target : targets_) {
-            if (!binio::readScalar(is, target))
-                return false;
-        }
-        return true;
     }
 
   private:

@@ -1,65 +1,11 @@
 #include "bpred/multi.h"
 
-#include <istream>
-#include <ostream>
-
-#include "common/binio.h"
 #include "common/bitutils.h"
 #include "common/log.h"
 #include "isa/instruction.h"
 
 namespace tcsim::bpred
 {
-
-namespace
-{
-
-constexpr char kTreeMagic[8] = {'T', 'C', 'M', 'B', 'T', 'R', 'E', 'E'};
-constexpr char kSplitMagic[8] = {'T', 'C', 'M', 'B', 'S', 'P', 'L', 'T'};
-
-/** Serialize a counter vector as one byte per counter value. */
-void
-saveCounters(std::ostream &os,
-             const std::vector<SaturatingCounter> &counters)
-{
-    binio::writeScalar<std::uint64_t>(os, counters.size());
-    for (const SaturatingCounter &counter : counters)
-        binio::writeScalar<std::uint8_t>(
-            os, static_cast<std::uint8_t>(counter.value()));
-}
-
-/**
- * Read a counter-vector record saved by saveCounters into @p values,
- * validating the element count and range against @p counters without
- * modifying them (so a failed restore leaves the tables untouched).
- */
-bool
-readCounterBytes(std::istream &is,
-                 const std::vector<SaturatingCounter> &counters,
-                 std::vector<std::uint8_t> &values)
-{
-    std::uint64_t count = 0;
-    if (!binio::readScalar(is, count) || count != counters.size())
-        return false;
-    values.resize(counters.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (!binio::readScalar(is, values[i]) ||
-            values[i] > counters[i].maxValue()) {
-            return false;
-        }
-    }
-    return true;
-}
-
-void
-applyCounterBytes(std::vector<SaturatingCounter> &counters,
-                  const std::vector<std::uint8_t> &values)
-{
-    for (std::size_t i = 0; i < counters.size(); ++i)
-        counters[i].set(values[i]);
-}
-
-} // namespace
 
 TreeMbp::TreeMbp(std::uint32_t entries)
     : entries_(entries), indexMask_(entries - 1)
@@ -93,29 +39,6 @@ TreeMbp::update(const MbpCtx &ctx, bool taken)
     const std::size_t base =
         static_cast<std::size_t>(indexOf(ctx.fetchAddr, ctx.history)) * 7;
     counters_[base + counterOf(ctx.position, ctx.path)].update(taken);
-}
-
-void
-TreeMbp::saveState(std::ostream &os) const
-{
-    binio::writeMagic(os, kTreeMagic);
-    binio::writeScalar<std::uint32_t>(os, entries_);
-    saveCounters(os, counters_);
-}
-
-bool
-TreeMbp::restoreState(std::istream &is)
-{
-    if (!binio::expectMagic(is, kTreeMagic))
-        return false;
-    std::uint32_t entries = 0;
-    if (!binio::readScalar(is, entries) || entries != entries_)
-        return false;
-    std::vector<std::uint8_t> values;
-    if (!readCounterBytes(is, counters_, values))
-        return false;
-    applyCounterBytes(counters_, values);
-    return true;
 }
 
 SplitMbp::SplitMbp(std::uint32_t first, std::uint32_t second,
@@ -154,37 +77,6 @@ SplitMbp::update(const MbpCtx &ctx, bool taken)
     tables_[ctx.position]
            [indexOf(ctx.fetchAddr, ctx.history, ctx.position)]
                .update(taken);
-}
-
-void
-SplitMbp::saveState(std::ostream &os) const
-{
-    binio::writeMagic(os, kSplitMagic);
-    for (const auto &table : tables_)
-        binio::writeScalar<std::uint32_t>(
-            os, static_cast<std::uint32_t>(table.size()));
-    for (const auto &table : tables_)
-        saveCounters(os, table);
-}
-
-bool
-SplitMbp::restoreState(std::istream &is)
-{
-    if (!binio::expectMagic(is, kSplitMagic))
-        return false;
-    for (const auto &table : tables_) {
-        std::uint32_t size = 0;
-        if (!binio::readScalar(is, size) || size != table.size())
-            return false;
-    }
-    std::vector<std::uint8_t> values[3];
-    for (unsigned t = 0; t < 3; ++t) {
-        if (!readCounterBytes(is, tables_[t], values[t]))
-            return false;
-    }
-    for (unsigned t = 0; t < 3; ++t)
-        applyCounterBytes(tables_[t], values[t]);
-    return true;
 }
 
 } // namespace tcsim::bpred

@@ -29,7 +29,6 @@
 #define TCSIM_BPRED_MULTI_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -68,14 +67,6 @@ class MultipleBranchPredictor
 
     /** Train with the resolved outcome of a retired branch. */
     virtual void update(const MbpCtx &ctx, bool taken) = 0;
-
-    /**
-     * Serialize the counter state for warm-start checkpoints.
-     * restoreState() rejects a blob from a different organization or
-     * geometry and returns false, leaving the tables untouched.
-     */
-    virtual void saveState(std::ostream &os) const = 0;
-    virtual bool restoreState(std::istream &is) = 0;
 };
 
 /** The baseline 16K x 7-counter tree predictor (Figure 3). */
@@ -88,8 +79,6 @@ class TreeMbp : public MultipleBranchPredictor
     bool predict(Addr fetch_addr, std::uint64_t history,
                  unsigned position, unsigned path) const override;
     void update(const MbpCtx &ctx, bool taken) override;
-    void saveState(std::ostream &os) const override;
-    bool restoreState(std::istream &is) override;
 
   private:
     std::uint32_t indexOf(Addr fetch_addr, std::uint64_t history) const;
@@ -115,8 +104,6 @@ class SplitMbp : public MultipleBranchPredictor
     bool predict(Addr fetch_addr, std::uint64_t history,
                  unsigned position, unsigned path) const override;
     void update(const MbpCtx &ctx, bool taken) override;
-    void saveState(std::ostream &os) const override;
-    bool restoreState(std::istream &is) override;
 
   private:
     std::uint32_t indexOf(Addr fetch_addr, std::uint64_t history,

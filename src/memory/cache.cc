@@ -1,5 +1,4 @@
 #include "memory/cache.h"
-#include "common/binio.h"
 #include "common/bitutils.h"
 
 
@@ -136,48 +135,6 @@ Cache::resetStats()
     accesses_ = 0;
     misses_ = 0;
     writebacks_ = 0;
-}
-
-void
-Cache::saveState(std::ostream &os) const
-{
-    binio::writeScalar(os, params_.sizeBytes);
-    binio::writeScalar(os, params_.assoc);
-    binio::writeScalar(os, params_.lineBytes);
-    binio::writeScalar(os, tick_);
-    for (const Line &line : lines_) {
-        binio::writeScalar(os, line.tag);
-        binio::writeScalar<std::uint8_t>(os, line.valid ? 1 : 0);
-        binio::writeScalar<std::uint8_t>(os, line.dirty ? 1 : 0);
-        binio::writeScalar(os, line.lruStamp);
-    }
-}
-
-bool
-Cache::restoreState(std::istream &is)
-{
-    std::uint32_t size_bytes = 0, assoc = 0, line_bytes = 0;
-    if (!binio::readScalar(is, size_bytes) ||
-        !binio::readScalar(is, assoc) ||
-        !binio::readScalar(is, line_bytes) ||
-        size_bytes != params_.sizeBytes || assoc != params_.assoc ||
-        line_bytes != params_.lineBytes) {
-        return false;
-    }
-    if (!binio::readScalar(is, tick_))
-        return false;
-    for (Line &line : lines_) {
-        std::uint8_t valid = 0, dirty = 0;
-        if (!binio::readScalar(is, line.tag) ||
-            !binio::readScalar(is, valid) ||
-            !binio::readScalar(is, dirty) ||
-            !binio::readScalar(is, line.lruStamp)) {
-            return false;
-        }
-        line.valid = valid != 0;
-        line.dirty = dirty != 0;
-    }
-    return true;
 }
 
 } // namespace tcsim::memory

@@ -11,7 +11,6 @@
 #define TCSIM_MEMORY_CACHE_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -94,16 +93,6 @@ class Cache
 
     void resetStats();
 
-    /**
-     * Serialize / reload the tag array (tags, valid/dirty bits, LRU
-     * state) for warm-start checkpoints. Statistics counters are NOT
-     * part of the state — checkpoint consumers open their measurement
-     * window with resetStats() anyway. restoreState() rejects a blob
-     * from a different geometry.
-     */
-    void saveState(std::ostream &os) const;
-    bool restoreState(std::istream &is);
-
     /** Attach a tracer for `mem` trace points (null disables). */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 
@@ -139,8 +128,8 @@ class Cache
     /**
      * Repeat-line memo: the line address of the previous access and
      * the lines_ index of the way it touched. access() re-checks that
-     * way's valid bit and tag before trusting it, so flush(),
-     * restoreState() and evictions need not clear it.
+     * way's valid bit and tag before trusting it, so flush() and
+     * evictions need not clear it.
      */
     Addr lastLine_ = kInvalidAddr;
     std::size_t lastWay_ = 0;

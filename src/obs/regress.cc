@@ -39,12 +39,6 @@ recordId(const json::Value &record)
     std::string id = record.getString("benchmark") + "@" +
                      record.getString("config") + "@" +
                      std::to_string(record.getUint64("insts"));
-    if (record.find("sampled_interval") != nullptr) {
-        id += "@sampled-i" +
-              std::to_string(record.getUint64("sampled_interval")) +
-              "-k" + std::to_string(record.getUint64("sampled_max_k")) +
-              "-w" + std::to_string(record.getUint64("warmup"));
-    }
     if (record.find("replay") != nullptr)
         id += "@replay";
     return id;

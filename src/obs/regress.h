@@ -22,7 +22,7 @@
  *    degenerates to the plain threshold.
  *
  * Units are matched by id
- * ("<benchmark>@<config>@<insts>[@sampled-…|@replay]"),
+ * ("<benchmark>@<config>@<insts>[@replay]"),
  * not content hash — hashes fold in config/generator fingerprints and
  * legitimately change across commits, which is exactly when you want
  * to compare. A unit present in the baseline but missing from the

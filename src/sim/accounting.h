@@ -173,7 +173,7 @@ struct SimResult
  * Set @p result's ratios (IPC, effective fetch rate, mispredict rate,
  * mean resolution time, prediction classes) from its integer fields;
  * a zero denominator gives 0. Processor::makeResult and the sweep's
- * sampled, replay and merged results all derive them here.
+ * replay and merged results all derive them here.
  */
 void deriveRatios(SimResult &result);
 

@@ -4,11 +4,8 @@
 #include <bit>
 #include <cstdlib>
 #include <cstdio>
-#include <istream>
-#include <ostream>
 #include <tuple>
 
-#include "common/binio.h"
 #include "common/fnv.h"
 #include "common/log.h"
 #include "core/rename_overlay.h"
@@ -2000,26 +1997,6 @@ Processor::intervalCounters() const
 }
 
 void
-Processor::warmStart(const workload::ArchCheckpoint &ckpt)
-{
-    TCSIM_ASSERT(cycle_ == 0 && retiredInsts_ == 0 && robOrder_.empty(),
-                 "warmStart requires a pristine processor");
-    TCSIM_ASSERT(!ckpt.halted, "cannot warm-start at a halted program");
-
-    // Reposition the oracle at the checkpoint.
-    oracle_->memory().clear();
-    for (const auto &[index, bytes] : ckpt.pages)
-        oracle_->memory().writePage(index, bytes.data());
-    for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
-        oracle_->setReg(static_cast<RegIndex>(r), ckpt.regs[r]);
-    oracle_->restoreExecPoint(ckpt.pc, ckpt.instIndex, ckpt.halted);
-
-    archHistory_ = ckpt.history;
-    archRas_.assign(ckpt.ras.begin(), ckpt.ras.end());
-    syncToOracle();
-}
-
-void
 Processor::syncToOracle()
 {
     // Committed mirrors.
@@ -2344,100 +2321,6 @@ Processor::resetStats()
         traceCache_->resetStats();
     if (fillUnit_ != nullptr)
         fillUnit_->resetStats();
-}
-
-namespace
-{
-
-constexpr char kPredStateMagic[8] = {'T', 'C', 'P', 'R', 'E', 'D', 'v', '1'};
-
-} // namespace
-
-void
-Processor::exportPredictorState(std::ostream &os) const
-{
-    binio::writeMagic(os, kPredStateMagic);
-    binio::writeScalar<std::uint8_t>(os, mbp_ ? 1 : 0);
-    if (mbp_ != nullptr)
-        mbp_->saveState(os);
-    binio::writeScalar<std::uint8_t>(os, hybrid_ ? 1 : 0);
-    if (hybrid_ != nullptr)
-        hybrid_->saveState(os);
-    binio::writeScalar<std::uint8_t>(os, fillUnit_ ? 1 : 0);
-    if (fillUnit_ != nullptr)
-        fillUnit_->saveTrainingState(os);
-}
-
-bool
-Processor::importPredictorState(std::istream &is)
-{
-    if (!binio::expectMagic(is, kPredStateMagic))
-        return false;
-    std::uint8_t have_mbp = 0, have_hybrid = 0, have_bias = 0;
-    if (!binio::readScalar(is, have_mbp) ||
-        (have_mbp != 0) != (mbp_ != nullptr)) {
-        return false;
-    }
-    if (mbp_ != nullptr && !mbp_->restoreState(is))
-        return false;
-    if (!binio::readScalar(is, have_hybrid) ||
-        (have_hybrid != 0) != (hybrid_ != nullptr)) {
-        return false;
-    }
-    if (hybrid_ != nullptr && !hybrid_->restoreState(is))
-        return false;
-    if (!binio::readScalar(is, have_bias) ||
-        (have_bias != 0) != (fillUnit_ != nullptr)) {
-        return false;
-    }
-    if (fillUnit_ != nullptr && !fillUnit_->restoreTrainingState(is))
-        return false;
-    return true;
-}
-
-namespace
-{
-
-constexpr char kWarmStateMagic[8] = {'T', 'C', 'W', 'A', 'R', 'M', 'v', '1'};
-
-} // namespace
-
-void
-Processor::exportWarmState(std::ostream &os) const
-{
-    binio::writeMagic(os, kWarmStateMagic);
-    exportPredictorState(os);
-    frontEnd_.indirect.saveState(os);
-    hierarchy_.icache().saveState(os);
-    hierarchy_.dcache().saveState(os);
-    hierarchy_.l2().saveState(os);
-    binio::writeScalar<std::uint8_t>(os, traceCache_ ? 1 : 0);
-    if (traceCache_ != nullptr)
-        traceCache_->saveState(os);
-}
-
-bool
-Processor::importWarmState(std::istream &is)
-{
-    if (!binio::expectMagic(is, kWarmStateMagic))
-        return false;
-    if (!importPredictorState(is))
-        return false;
-    if (!frontEnd_.indirect.restoreState(is))
-        return false;
-    if (!hierarchy_.icache().restoreState(is) ||
-        !hierarchy_.dcache().restoreState(is) ||
-        !hierarchy_.l2().restoreState(is)) {
-        return false;
-    }
-    std::uint8_t have_tc = 0;
-    if (!binio::readScalar(is, have_tc) ||
-        (have_tc != 0) != (traceCache_ != nullptr)) {
-        return false;
-    }
-    if (traceCache_ != nullptr && !traceCache_->restoreState(is))
-        return false;
-    return true;
 }
 
 SimResult

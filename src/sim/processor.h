@@ -35,7 +35,6 @@
 
 #include <array>
 #include <deque>
-#include <iosfwd>
 #include <utility>
 #include <memory>
 #include <vector>
@@ -54,7 +53,6 @@
 #include "sim/config.h"
 #include "trace/fill_unit.h"
 #include "trace/trace_cache.h"
-#include "workload/archstate.h"
 #include "workload/btrace.h"
 #include "workload/executor.h"
 #include "workload/program.h"
@@ -100,48 +98,11 @@ class Processor
     SimResult makeResult() const;
 
     /**
-     * Serialize the trainable predictor state (multiple branch
-     * predictor, hybrid predictor, fill-unit bias table) for
-     * warm-start checkpoints. importPredictorState() rejects a blob
-     * whose front-end organization or table geometry differs from
-     * this processor's configuration and returns false; on failure
-     * the processor must be discarded (components restored before the
-     * mismatch keep the imported state).
-     */
-    void exportPredictorState(std::ostream &os) const;
-    bool importPredictorState(std::istream &is);
-
-    /**
-     * Serialize the FULL warm microarchitectural state: the predictor
-     * state above plus the indirect-target table, the cache tag
-     * arrays (I/D/L2) and the trace-cache contents. This is what a
-     * sampled-simulation region needs to start as if the whole prefix
-     * had executed; produced by a functional-warming pass (see
-     * functionalWarmup) and imported into a fresh processor of the
-     * same configuration. Same failure contract as
-     * importPredictorState().
-     */
-    void exportWarmState(std::ostream &os) const;
-    bool importWarmState(std::istream &is);
-
-    /**
      * Zero all statistics while keeping microarchitectural state
      * (caches, predictors, bias table, in-flight window): run a
      * warm-up phase, reset, then measure a steady-state window.
      */
     void resetStats();
-
-    /**
-     * Warm-start a pristine processor at an architectural checkpoint
-     * (sampled simulation): the oracle, committed mirrors (registers,
-     * memory, history, RAS) and speculative front-end state are all
-     * repositioned at ckpt.instIndex as if the prefix had retired,
-     * with cold caches and predictors. run(N) afterwards treats N as
-     * an absolute retired-instruction index, so a representative
-     * region [S, S+L) is `warmStart(ckpt_at_S); run(S + L)`. Must be
-     * called before any cycle has been simulated.
-     */
-    void warmStart(const workload::ArchCheckpoint &ckpt);
 
     /**
      * Functionally fast-forward committed state from the current
@@ -152,10 +113,8 @@ class Processor
      * training, indirect-target updates, fill-unit trace construction
      * (which also fills the trace cache and trains the bias table) —
      * and touches the instruction/data cache tags, without simulating
-     * any pipeline cycles. Warms exactly the state exportWarmState()
-     * captures. Callable repeatedly with ascending @p until on a
-     * never-cycled processor, so one warming pass can emit checkpoints
-     * at several positions. Fatal if the program halts before
+     * any pipeline cycles. Callable repeatedly with ascending @p until
+     * on a never-cycled processor. Fatal if the program halts before
      * @p until.
      */
     void functionalWarmup(std::uint64_t until);
@@ -285,8 +244,8 @@ class Processor
     /**
      * Reposition the committed mirrors, the oracle ring and the
      * speculative front end at the oracle's current position (after
-     * warmStart or functionalWarmup moved it); archHistory_ and
-     * archRas_ must already hold that position's values.
+     * functionalWarmup moved it); archHistory_ and archRas_ must
+     * already hold that position's values.
      */
     void syncToOracle();
     void extendOracle(std::uint64_t upto_idx);
@@ -297,8 +256,7 @@ class Processor
     enum class WalkMode : std::uint8_t
     {
         /** functionalWarmup: touch the dcache too; no trace-cache
-         * lookups and no counting, so the walk leaves exactly the
-         * state exportWarmState() captures. */
+         * lookups and no counting. */
         Warm,
         /** recordTrace / replayTrace: look up the trace cache once per
          * fetch leader, count, and fold the outcome hash. */

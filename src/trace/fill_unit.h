@@ -106,21 +106,6 @@ class FillUnit
     const bpred::BranchBiasTable &biasTable() const { return biasTable_; }
 
     /**
-     * Serialize / reload the bias-table training state for warm-start
-     * checkpoints (segment-assembly state is transient and excluded).
-     */
-    void
-    saveTrainingState(std::ostream &os) const
-    {
-        biasTable_.saveState(os);
-    }
-    bool
-    restoreTrainingState(std::istream &is)
-    {
-        return biasTable_.restoreState(is);
-    }
-
-    /**
      * Attach a tracer for `fill`/`promote` trace points; also forwards
      * to the embedded bias table (null disables).
      */

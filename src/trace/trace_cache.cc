@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/binio.h"
 #include "common/bitutils.h"
 #include "common/log.h"
 #include "isa/instruction.h"
@@ -176,114 +175,6 @@ TraceCache::dumpStats(StatDump &dump) const
     dump.add("trace_cache.inserts", static_cast<double>(inserts_));
     dump.add("trace_cache.same_start_replacements",
              static_cast<double>(sameStartReplacements_));
-}
-
-namespace
-{
-
-void
-saveSegment(std::ostream &os, const TraceSegment &seg)
-{
-    binio::writeScalar(os, seg.startAddr);
-    binio::writeScalar<std::uint8_t>(os,
-                                     static_cast<std::uint8_t>(seg.reason));
-    binio::writeScalar<std::uint32_t>(os, seg.numBlockBranches);
-    binio::writeScalar<std::uint8_t>(os,
-                                     seg.hasTightBackwardBranch ? 1 : 0);
-    binio::writeScalar<std::uint32_t>(
-        os, static_cast<std::uint32_t>(seg.insts.size()));
-    for (const TraceInst &ti : seg.insts) {
-        binio::writeScalar(os, isa::encode(ti.inst));
-        binio::writeScalar(os, ti.pc);
-        std::uint8_t flags = 0;
-        flags |= ti.promoted ? 1u : 0u;
-        flags |= ti.promotedDir ? 2u : 0u;
-        flags |= ti.endsBlock ? 4u : 0u;
-        flags |= ti.builtTaken ? 8u : 0u;
-        binio::writeScalar(os, flags);
-    }
-}
-
-bool
-restoreSegment(std::istream &is, TraceSegment &seg)
-{
-    std::uint8_t reason = 0, tight = 0;
-    std::uint32_t branches = 0, count = 0;
-    if (!binio::readScalar(is, seg.startAddr) ||
-        !binio::readScalar(is, reason) ||
-        !binio::readScalar(is, branches) ||
-        !binio::readScalar(is, tight) || !binio::readScalar(is, count) ||
-        count > kMaxSegmentInsts) {
-        return false;
-    }
-    seg.reason = static_cast<FillReason>(reason);
-    seg.numBlockBranches = branches;
-    seg.hasTightBackwardBranch = tight != 0;
-    seg.insts.clear();
-    seg.insts.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint32_t word = 0;
-        TraceInst ti;
-        std::uint8_t flags = 0;
-        if (!binio::readScalar(is, word) ||
-            !binio::readScalar(is, ti.pc) ||
-            !binio::readScalar(is, flags)) {
-            return false;
-        }
-        ti.inst = isa::decode(word);
-        ti.promoted = (flags & 1u) != 0;
-        ti.promotedDir = (flags & 2u) != 0;
-        ti.endsBlock = (flags & 4u) != 0;
-        ti.builtTaken = (flags & 8u) != 0;
-        seg.insts.push_back(ti);
-    }
-    seg.packBranchMeta();
-    return true;
-}
-
-} // namespace
-
-void
-TraceCache::saveState(std::ostream &os) const
-{
-    binio::writeScalar(os, params_.numSegments);
-    binio::writeScalar(os, params_.assoc);
-    binio::writeScalar<std::uint8_t>(os,
-                                     params_.pathAssociativity ? 1 : 0);
-    binio::writeScalar(os, tick_);
-    for (const Way &way : ways_) {
-        binio::writeScalar<std::uint8_t>(os, way.valid ? 1 : 0);
-        binio::writeScalar(os, way.lruStamp);
-        if (way.valid)
-            saveSegment(os, way.segment);
-    }
-}
-
-bool
-TraceCache::restoreState(std::istream &is)
-{
-    std::uint32_t segments = 0, assoc = 0;
-    std::uint8_t path_assoc = 0;
-    if (!binio::readScalar(is, segments) ||
-        !binio::readScalar(is, assoc) ||
-        !binio::readScalar(is, path_assoc) ||
-        segments != params_.numSegments || assoc != params_.assoc ||
-        (path_assoc != 0) != params_.pathAssociativity) {
-        return false;
-    }
-    if (!binio::readScalar(is, tick_))
-        return false;
-    for (Way &way : ways_) {
-        std::uint8_t valid = 0;
-        if (!binio::readScalar(is, valid) ||
-            !binio::readScalar(is, way.lruStamp)) {
-            return false;
-        }
-        way.valid = valid != 0;
-        if (way.valid && !restoreSegment(is, way.segment))
-            return false;
-    }
-    return true;
 }
 
 } // namespace tcsim::trace

@@ -12,7 +12,6 @@
 #define TCSIM_TRACE_TRACE_CACHE_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "common/stats.h"
@@ -110,14 +109,6 @@ class TraceCache
     {
         lookups_ = hits_ = inserts_ = sameStartReplacements_ = 0;
     }
-
-    /**
-     * Serialize / reload the resident segments and LRU state for
-     * warm-start checkpoints. Statistics counters are NOT part of the
-     * state. restoreState() rejects a blob from a different geometry.
-     */
-    void saveState(std::ostream &os) const;
-    bool restoreState(std::istream &is);
 
   private:
     struct Way

@@ -91,19 +91,6 @@ class SparseMemory
         return it == pages_.end() ? nullptr : it->second.bytes->data();
     }
 
-    /** Overwrite (mapping if needed) page @p page_index wholesale. */
-    void
-    writePage(Addr page_index, const std::uint8_t *bytes)
-    {
-        Slot &slot = pages_[page_index];
-        if (!slot.owned)
-            own(slot);
-        std::memcpy(slot.owned->data(), bytes, kPageBytes);
-    }
-
-    /** Drop every mapped page. */
-    void clear() { pages_.clear(); }
-
     /**
      * Replace this image with a copy of @p other: pages @p other
      * shares stay shared, pages it owns are copied.
@@ -195,19 +182,6 @@ class FunctionalExecutor
 
     /** @return instructions executed so far. */
     std::uint64_t instCount() const { return instCount_; }
-
-    /**
-     * Reposition execution at an architectural checkpoint: the caller
-     * restores registers (setReg) and memory (memory()) separately.
-     * Only valid with state captured from the same program.
-     */
-    void
-    restoreExecPoint(Addr pc, std::uint64_t inst_count, bool halted)
-    {
-        pc_ = pc;
-        instCount_ = inst_count;
-        halted_ = halted;
-    }
 
     /**
      * Pure computation of an instruction's results against arbitrary

@@ -17,7 +17,9 @@
 #     only, never results),
 #  5. a matrix that names one unit twice is an error in every mode,
 #  6. tools/validate_obs.py over every fragment and merged document,
-#     and its rejection of a fragment renamed away from its hash,
+#     and its rejection of a fragment renamed away from its hash and
+#     of fragments the merge calls corrupt (a counter array of the
+#     wrong shape, a negative or fractional counter),
 #  7. `tcsim_regress` self-compare (clean, exit 0) with every unit's
 #     wall time read from fragments, for the cycle and the replay
 #     matrix, against a perturbed current run (regression, exit 5),
@@ -146,6 +148,35 @@ rc=0
 python3 "$validate" --fragment "$scratch/renamed/0000000000000000.json" ||
     rc=$?
 [ "$rc" -ne 0 ] || { echo "renamed fragment validated" >&2; exit 1; }
+
+echo "== a fragment the merge calls corrupt does not validate =="
+for flaw in short-cycle-cat narrow-hist-row negative fraction; do
+    dir="$scratch/$flaw"
+    mkdir "$dir"
+    python3 - "$frags/$h0.json" "$dir/$h0.json" "$flaw" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+result = doc["result"]
+flaw = sys.argv[3]
+if flaw == "short-cycle-cat":
+    result["cycle_cat"] = result["cycle_cat"][:2]
+elif flaw == "narrow-hist-row":
+    result["fetch_hist"][0] = result["fetch_hist"][0][:3]
+elif flaw == "negative":
+    result["cycles"] = -1
+else:
+    result["tc_lookups"] = 375.0
+json.dump(doc, open(sys.argv[2], "w"), indent=2)
+EOF
+    rc=0
+    python3 "$validate" --fragment "$dir/$h0.json" 2> /dev/null || rc=$?
+    [ "$rc" -ne 0 ] || { echo "$flaw fragment validated" >&2; exit 1; }
+    rc=0
+    "$bin" "${margs[@]}" --merge --fragments-dir "$dir" > /dev/null \
+           2> "$scratch/$flaw.log" || rc=$?
+    [ "$rc" -eq 2 ] || { echo "$flaw merge: exit $rc" >&2; exit 1; }
+    grep -q "corrupt fragment: $dir/$h0.json" "$scratch/$flaw.log"
+done
 
 echo "== regress self-compare is clean, with every unit's wall time =="
 "$regress" --baseline "$scratch/merged.json" \

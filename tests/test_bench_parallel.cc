@@ -101,8 +101,8 @@ TEST(BenchParallel, SweepIsBitIdenticalAcrossJobCounts)
     // workers must reproduce one worker's results exactly, for the
     // paper's headline configurations (trace cache + fill unit + bias
     // table, and the icache/hybrid-predictor front end) and for
-    // warmed-up, sampled and replay units, whose artifacts go through
-    // a cache that starts cold, so units of one benchmark produce and
+    // warmed-up and replay units; the replay units' btraces go through
+    // a cache that starts cold, so units of one benchmark record and
     // store them side by side.
     const std::string cache_dir = test::scratchPath("cache");
     std::filesystem::remove_all(cache_dir);
@@ -128,12 +128,7 @@ TEST(BenchParallel, SweepIsBitIdenticalAcrossJobCounts)
     options.insts = 8000;
     options.warmup = 2000;
     add();
-    options.insts = 40000;
-    options.sampled = SampledParams{true, 10000, 2};
-    add();
-    options.insts = 8000;
     options.warmup = 0;
-    options.sampled = SampledParams{};
     options.replay = true;
     add();
 

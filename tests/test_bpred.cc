@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "bpred/bias_table.h"
 #include "bpred/history.h"
 #include "bpred/hybrid.h"
@@ -202,73 +200,6 @@ TEST(BiasTable, AdviceMissIsNoPromote)
 {
     BranchBiasTable table(biasParams(2));
     EXPECT_FALSE(table.advice(0x9999000).promote);
-}
-
-TEST(BiasTable, CheckpointRoundTripPreservesTrainingState)
-{
-    BranchBiasTable table(biasParams(3));
-    for (int i = 0; i < 4; ++i)
-        table.update(0x1000, true); // promoted taken
-    for (int i = 0; i < 3; ++i)
-        table.update(0x2004, false); // promoted not-taken
-    table.update(0x3008, true); // partially trained
-    std::ostringstream blob;
-    table.saveState(blob);
-
-    BranchBiasTable restored(biasParams(3));
-    std::istringstream is(blob.str());
-    ASSERT_TRUE(restored.restoreState(is));
-    EXPECT_TRUE(restored.advice(0x1000).promote);
-    EXPECT_TRUE(restored.advice(0x1000).direction);
-    EXPECT_TRUE(restored.advice(0x2004).promote);
-    EXPECT_FALSE(restored.advice(0x2004).direction);
-    EXPECT_FALSE(restored.advice(0x3008).promote);
-    EXPECT_EQ(restored.promotions(), table.promotions());
-    EXPECT_EQ(restored.demotions(), table.demotions());
-
-    // And a restored table keeps producing bit-identical blobs.
-    std::ostringstream again;
-    restored.saveState(again);
-    EXPECT_EQ(again.str(), blob.str());
-}
-
-TEST(BiasTable, CheckpointKeepsWideTagFormat)
-{
-    // The 8-byte in-memory entry must not change the TCBIASv1 bytes:
-    // tags stay 64-bit on disk and empty slots stay all-ones, so
-    // blobs written before the packing restore unchanged.
-    BiasTableParams params = biasParams(3);
-    BranchBiasTable table(params);
-    std::ostringstream blob;
-    table.saveState(blob);
-    const std::string bytes = blob.str();
-    const std::size_t header = 8 + 3 * sizeof(std::uint32_t) +
-                               2 * sizeof(std::uint64_t);
-    ASSERT_EQ(bytes.size(), header + params.entries * 12);
-    for (std::size_t i = 0; i < 12; ++i) {
-        const unsigned char byte = bytes[header + i];
-        EXPECT_EQ(byte, i < 8 ? 0xFF : 0x00) << "entry byte " << i;
-    }
-}
-
-TEST(BiasTable, RestoreRejectsUnrepresentableTag)
-{
-    // A (hand-corrupted) blob whose tag needs more than 32 bits can't
-    // be represented by the packed entry and must be rejected, not
-    // silently truncated into a false match.
-    BiasTableParams params = biasParams(3);
-    BranchBiasTable table(params);
-    std::ostringstream blob;
-    table.saveState(blob);
-    std::string bytes = blob.str();
-    const std::size_t header = 8 + 3 * sizeof(std::uint32_t) +
-                               2 * sizeof(std::uint64_t);
-    // First entry's tag: 0x0000000100000000 (little-endian on every
-    // platform this sim supports).
-    for (std::size_t i = 0; i < 8; ++i)
-        bytes[header + i] = i == 4 ? 1 : 0;
-    std::istringstream is(bytes);
-    EXPECT_FALSE(table.restoreState(is));
 }
 
 // ----------------------------------------------------------------------

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "memory/cache.h"
@@ -240,7 +238,7 @@ namespace
 class RefLru
 {
   public:
-    /** One resident line; sets() is the tag state saveState covers. */
+    /** One resident line. */
     struct Entry
     {
         Addr line;
@@ -285,19 +283,6 @@ class RefLru
         }
     }
 
-    /** @return true if @p sets holds the line of @p addr. */
-    bool
-    holds(const Sets &sets, Addr addr) const
-    {
-        const Addr line = addr / lineBytes_;
-        for (const Entry &entry : sets[line % sets.size()])
-            if (entry.line == line)
-                return true;
-        return false;
-    }
-
-    const Sets &sets() const { return sets_; }
-    void setSets(const Sets &sets) { sets_ = sets; }
     std::uint64_t writebacks() const { return writebacks_; }
 
   private:
@@ -336,9 +321,8 @@ TEST(CacheProperty, MatchesReferenceLruModel)
 
 /**
  * The repeat-line fast path against the same model: runs of 1-4
- * accesses to one line at different offsets, with writes, a flush
- * between two accesses to one line, and restores of a saved state
- * that lacks the line the cache touched last.
+ * accesses to one line at different offsets, with writes and a flush
+ * between two accesses to one line.
  */
 TEST(CacheProperty, RepeatLineRunsMatchReferenceLruModel)
 {
@@ -357,9 +341,7 @@ TEST(CacheProperty, RepeatLineRunsMatchReferenceLruModel)
         ASSERT_EQ(cache.writebacks(), ref.writebacks()) << "run " << run;
     };
 
-    std::string saved;
-    RefLru::Sets saved_sets;
-    unsigned flushes = 0, restores = 0;
+    unsigned flushes = 0;
     for (int run = 0; run < 6000; ++run) {
         // 64 lines over 16 ways: runs often return to an evicted line.
         const Addr line = next() % 64;
@@ -373,23 +355,8 @@ TEST(CacheProperty, RepeatLineRunsMatchReferenceLruModel)
             }
             check(line * 64 + next() % 64, next() % 3 == 0, run);
         }
-
-        if (run % 50 == 0) {
-            std::ostringstream os;
-            cache.saveState(os);
-            saved = os.str();
-            saved_sets = ref.sets();
-        } else if (run % 50 == 25 && !ref.holds(saved_sets, line * 64)) {
-            // The cache still remembers the way it just gave `line`.
-            std::istringstream is(saved);
-            ASSERT_TRUE(cache.restoreState(is));
-            ref.setSets(saved_sets);
-            ++restores;
-            check(line * 64 + next() % 64, next() % 3 == 0, run);
-        }
     }
     EXPECT_GT(flushes, 50u);
-    EXPECT_GT(restores, 20u);
     EXPECT_GT(cache.writebacks(), 100u);
     EXPECT_GT(cache.accesses() - cache.misses(), 1000u);
 }

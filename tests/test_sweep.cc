@@ -117,92 +117,6 @@ TEST(SweepUnits, ConfigByNameResolvesPresets)
     EXPECT_FALSE(configByName("baseline+mem").has_value());
 }
 
-SweepOptions
-sampledMatrix()
-{
-    SweepOptions options = smallMatrix();
-    options.insts = 40000;
-    options.warmup = 2000;
-    options.sampled.enabled = true;
-    options.sampled.interval = 10000;
-    options.sampled.maxK = 2;
-    return options;
-}
-
-TEST(SweepUnits, SampledDimensionInIdsAndHashes)
-{
-    const std::vector<WorkUnit> sampled =
-        enumerateUnits(sampledMatrix());
-    ASSERT_EQ(sampled.size(), 4u);
-    EXPECT_EQ(sampled[0].id,
-              "compress@baseline@40000@sampled-i10000-k2-w2000");
-
-    SweepOptions full = sampledMatrix();
-    full.sampled = SampledParams{};
-    const std::vector<WorkUnit> full_units = enumerateUnits(full);
-    for (std::size_t i = 0; i < sampled.size(); ++i)
-        EXPECT_NE(sampled[i].hash, full_units[i].hash);
-
-    // Every sampled parameter feeds the hash.
-    SweepOptions finer = sampledMatrix();
-    finer.sampled.interval = 5000;
-    EXPECT_NE(enumerateUnits(finer)[0].hash, sampled[0].hash);
-    SweepOptions wider = sampledMatrix();
-    wider.sampled.maxK = 3;
-    EXPECT_NE(enumerateUnits(wider)[0].hash, sampled[0].hash);
-}
-
-TEST(SweepSampled, DegenerateParametersReproduceFullIntegers)
-{
-    // One interval, one cluster, no warm-up: the sampled path must
-    // collapse to exactly the full run's integers.
-    SweepOptions degenerate = smallMatrix();
-    degenerate.insts = 20000;
-    degenerate.sampled.enabled = true;
-    degenerate.sampled.interval = 20000;
-    degenerate.sampled.maxK = 1;
-    const WorkUnit sampled_unit = enumerateUnits(degenerate)[0];
-
-    SweepOptions full = degenerate;
-    full.sampled = SampledParams{};
-    const WorkUnit full_unit = enumerateUnits(full)[0];
-
-    const sim::SimResult s = executeUnit(sampled_unit);
-    const sim::SimResult f = executeUnit(full_unit);
-    EXPECT_EQ(s.instructions, f.instructions);
-    EXPECT_EQ(s.cycles, f.cycles);
-    EXPECT_EQ(s.condBranches, f.condBranches);
-    EXPECT_EQ(s.condMispredicts, f.condMispredicts);
-    EXPECT_EQ(s.usefulFetches, f.usefulFetches);
-    EXPECT_EQ(s.fetchedInsts, f.fetchedInsts);
-    EXPECT_EQ(s.tcLookups, f.tcLookups);
-    EXPECT_EQ(s.tcHits, f.tcHits);
-    EXPECT_EQ(s.icacheMisses, f.icacheMisses);
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(s.fetchesNeedingPreds[i], f.fetchesNeedingPreds[i]);
-}
-
-TEST(SweepSampled, WeightedEstimateTracksFullRun)
-{
-    // The sampled weighted estimate must land near the full run of
-    // the same window [0, insts) even at test scale (tight calibration
-    // happens at 4M in the bench suite; this guards gross regressions
-    // in weighting or warm-up).
-    for (const WorkUnit &unit : enumerateUnits(sampledMatrix())) {
-        WorkUnit full_unit = unit;
-        full_unit.sampled = SampledParams{};
-        full_unit.warmup = 0;
-        const sim::SimResult s = executeUnit(unit);
-        const sim::SimResult f = executeUnit(full_unit);
-        const double sampled_ipc =
-            static_cast<double>(s.instructions) /
-            static_cast<double>(s.cycles);
-        const double full_ipc = static_cast<double>(f.instructions) /
-                                static_cast<double>(f.cycles);
-        EXPECT_NEAR(sampled_ipc / full_ipc, 1.0, 0.15) << unit.id;
-    }
-}
-
 class SweepMergeTest : public testing::Test
 {
   protected:
@@ -244,30 +158,6 @@ TEST_F(SweepMergeTest, TwoShardMergeIsByteIdentical)
     EXPECT_TRUE(report.complete());
     EXPECT_TRUE(report.stale.empty());
     EXPECT_EQ(*merged, single); // byte-identical
-}
-
-TEST_F(SweepMergeTest, SampledShardedMergeIsByteIdentical)
-{
-    // The byte-identity contract extends to sampled units: fragments
-    // carry the same deterministic integers the single-process
-    // renderer consumes, sampled dimension included.
-    const SweepOptions options = sampledMatrix();
-    const std::vector<WorkUnit> units = enumerateUnits(options);
-
-    std::vector<sim::SimResult> integers;
-    for (const WorkUnit &unit : units)
-        integers.push_back(executeUnit(unit));
-    const std::string single = renderResultsDoc(units, integers);
-    EXPECT_NE(single.find("\"sampled_interval\""), std::string::npos);
-
-    for (std::size_t i = 0; i < units.size(); ++i)
-        ASSERT_TRUE(writeFragment(dir_, units[i], integers[i],
-                                  UnitTiming{}));
-    MergeReport report;
-    const auto merged = mergeFragments(options, dir_, report);
-    ASSERT_TRUE(merged.has_value());
-    EXPECT_TRUE(report.complete());
-    EXPECT_EQ(*merged, single);
 }
 
 TEST_F(SweepMergeTest, ServerProfileShardedMergeIsByteIdentical)
@@ -427,6 +317,41 @@ TEST_F(SweepMergeTest, CorruptFragmentsBlockTheMerge)
     ASSERT_EQ(report.corrupt.size(), 1u);
     EXPECT_EQ(report.corrupt[0], dir_ + "/garbage.json");
     EXPECT_TRUE(report.missing.empty());
+    std::filesystem::remove(dir_ + "/garbage.json");
+
+    // A counter is a decimal integer below 2^64. Anything else JSON
+    // calls a number would merge as some other integer (-1 as 2^64 - 1,
+    // 3.75e2 as 3), so the fragment holding it is corrupt too.
+    const std::string path = fragmentPath(dir_, units[0]);
+    const std::string good = *LocalDirStore(dir_).get(units[0].hash + ".json");
+    for (const auto &[counter, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"cycles\": ", "-1"},
+             {"\"tc_lookups\": ", "3.75e2"},
+             {"\"tc_hits\": ", "1e3"},
+             {"\"icache_misses\": ", "0.5"},
+             {"\"instructions\": ", "18446744073709551616"},
+             {"\"cycle_cat\": [", "-1"},
+             {"\"fetch_hist\": [[", "2.0"},
+         }) {
+        SCOPED_TRACE(counter + value);
+        // Replace the counter's digits, or the array's first item's.
+        std::string bad = good;
+        const std::size_t at = bad.find(counter);
+        ASSERT_NE(at, std::string::npos);
+        const std::size_t digits = at + counter.size();
+        bad.replace(digits,
+                    bad.find_first_not_of("0123456789", digits) - digits,
+                    value);
+        std::ofstream(path) << bad;
+        MergeReport bad_report;
+        EXPECT_FALSE(mergeFragments(options, dir_, bad_report).has_value());
+        ASSERT_EQ(bad_report.corrupt.size(), 1u);
+        EXPECT_EQ(bad_report.corrupt[0], path);
+    }
+    std::ofstream(path) << good;
+    MergeReport good_report;
+    EXPECT_TRUE(mergeFragments(options, dir_, good_report).has_value());
 }
 
 TEST_F(SweepMergeTest, RetryReplacesTornFragment)
@@ -536,11 +461,6 @@ class SweepResume : public SweepMergeTest
 TEST_F(SweepResume, FinishesAKilledRunByteIdentical)
 {
     expectResumeFinishesKilledRun(smallMatrix());
-}
-
-TEST_F(SweepResume, SampledRunResumesByteIdentical)
-{
-    expectResumeFinishesKilledRun(sampledMatrix());
 }
 
 TEST_F(SweepResume, ReplayRunResumesByteIdentical)

@@ -138,37 +138,6 @@ TEST(SparseMemory, CopyFromIsIndependentBothWays)
     EXPECT_EQ(p.dataPages()[1].bytes, before);
 }
 
-TEST(SparseMemory, WritePageOverSharedPage)
-{
-    const Program p = twoPageProgram();
-    const PageBytes before = p.dataPages()[0].bytes;
-    SparseMemory a, b;
-    a.initFrom(p);
-    b.initFrom(p);
-    PageBytes bytes;
-    bytes.fill(0xab);
-    a.writePage(kPage0, bytes.data());
-    EXPECT_EQ(a.load(kDataBase + 8), 0xababababababababULL);
-    EXPECT_EQ(std::memcmp(a.pageData(kPage0), bytes.data(), kPageBytes), 0);
-    EXPECT_EQ(b.load(kDataBase + 8), 0x22u);
-    EXPECT_EQ(p.dataPages()[0].bytes, before);
-    EXPECT_EQ(a.numPages(), 2u);
-}
-
-TEST(SparseMemory, ClearDropsSharedAndOwnedPages)
-{
-    const Program p = twoPageProgram();
-    SparseMemory mem;
-    mem.initFrom(p);
-    mem.store(kDataBase, 0x99);
-    mem.clear();
-    EXPECT_EQ(mem.numPages(), 0u);
-    EXPECT_EQ(mem.pageData(kPage0), nullptr);
-    EXPECT_EQ(mem.load(kDataBase + kPageBytes), 0u);
-    mem.initFrom(p);
-    EXPECT_EQ(mem.load(kDataBase), 0x11u);
-}
-
 TEST(SparseMemory, PageDataAfterStoreSeesTheStore)
 {
     const Program p = twoPageProgram();

@@ -7,7 +7,8 @@
  *                           'list' to enumerate
  *     --config <name>       icache | baseline | promotion | packing |
  *                           promo-pack (default baseline)
- *     --threshold <n>       promotion threshold (default 64)
+ *     --threshold <n>       promotion threshold (default 64; promotion
+ *                           and promo-pack only)
  *     --packing <policy>    atomic | unregulated | cost | n2 | n4
  *     --insts <n>           instruction budget (default 1000000)
  *     --warmup <n>          simulate n instructions first, then
@@ -19,6 +20,9 @@
  *     --static-promotion    profile-driven static promotion
  *     --histogram           print the fetch-width histogram
  *     --stats               print the full statistics dump
+ *   --config icache has no trace cache or fill unit, so it takes none
+ *   of --packing, --path-assoc, --no-partial-match, --no-inactive-issue
+ *   and --static-promotion.
  *
  *   Branch/fetch trace record & replay (tcsim-btrace-v1):
  *     --record-trace <file> run the control-flow pass through the
@@ -29,7 +33,9 @@
  *                           <file>; prints a byte-identical stats
  *                           block to the recording run
  *   Neither takes --warmup, --stats, --histogram, --intervals, --trace
- *   or --profile: those apply to the cycle-level run only.
+ *   or --profile: those apply to the cycle-level run only. The walker
+ *   has no fetch engine and no core, so neither takes
+ *   --disambiguation, --no-partial-match or --no-inactive-issue.
  *
  *   Observability (src/obs):
  *     --trace <cats>        enable trace points: comma list of
@@ -54,11 +60,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/fnv.h"
 #include "common/parse.h"
@@ -121,6 +129,18 @@ parsePacking(const std::string &name, std::uint32_t &granule)
     fatal("unknown packing policy '%s'", name.c_str());
 }
 
+/** fatal() naming the first given flag of @p flags: @p context ignores
+ * all of them. */
+void
+rejectFlags(std::initializer_list<std::pair<const char *, bool>> flags,
+            const std::string &context)
+{
+    for (const auto &[flag, given] : flags) {
+        if (given)
+            fatal("%s does not apply to %s", flag, context.c_str());
+    }
+}
+
 } // namespace
 
 int
@@ -129,8 +149,8 @@ main(int argc, char **argv)
     std::string bench = "compress";
     std::string config_name = "baseline";
     std::string packing = "";
-    std::string disambiguation = "conservative";
-    std::uint32_t threshold = 64;
+    std::optional<std::string> disambiguation;
+    std::optional<std::uint32_t> threshold;
     std::uint64_t insts = 1'000'000;
     std::uint64_t warmup = 0;
     bool path_assoc = false, no_partial = false, no_inactive = false;
@@ -216,6 +236,13 @@ main(int argc, char **argv)
         fatal("--warmup, --stats, --histogram, --intervals, --trace and "
               "--profile do not apply to --record-trace or --replay-trace");
     }
+    if (control_flow) {
+        rejectFlags({{"--disambiguation", disambiguation.has_value()},
+                     {"--no-partial-match", no_partial},
+                     {"--no-inactive-issue", no_inactive}},
+                    "--record-trace or --replay-trace (the walker has no "
+                    "fetch engine and no core)");
+    }
 
     // An output flag without the flag that produces its output would
     // be dropped silently.
@@ -238,13 +265,24 @@ main(int argc, char **argv)
     else if (config_name == "baseline")
         config = sim::baselineConfig();
     else if (config_name == "promotion")
-        config = sim::promotionConfig(threshold);
+        config = sim::promotionConfig(threshold.value_or(64));
     else if (config_name == "packing")
         config = sim::packingConfig();
     else if (config_name == "promo-pack")
-        config = sim::promotionPackingConfig(threshold);
+        config = sim::promotionPackingConfig(threshold.value_or(64));
     else
         fatal("unknown config '%s'", config_name.c_str());
+    if (config_name != "promotion" && config_name != "promo-pack")
+        rejectFlags({{"--threshold", threshold.has_value()}},
+                    "--config " + config_name + " (it does not promote)");
+    if (config_name == "icache") {
+        rejectFlags({{"--packing", !packing.empty()},
+                     {"--path-assoc", path_assoc},
+                     {"--no-partial-match", no_partial},
+                     {"--no-inactive-issue", no_inactive},
+                     {"--static-promotion", static_promotion}},
+                    "--config icache (it has no trace cache)");
+    }
 
     if (!packing.empty()) {
         std::uint32_t granule = 2;
@@ -255,8 +293,8 @@ main(int argc, char **argv)
         config.disambiguation = sim::Disambiguation::Speculative;
     else if (disambiguation == "perfect")
         config.disambiguation = sim::Disambiguation::Perfect;
-    else if (disambiguation != "conservative")
-        fatal("unknown disambiguation '%s'", disambiguation.c_str());
+    else if (disambiguation && *disambiguation != "conservative")
+        fatal("unknown disambiguation '%s'", disambiguation->c_str());
     config.traceCache.pathAssociativity = path_assoc;
     config.partialMatching = !no_partial;
     config.inactiveIssue = !no_inactive;

@@ -2,7 +2,7 @@
  * @file
  * tcsim_sweep: runs, shards and merges the sweep matrix.
  *
- * One binary, four modes over the same deterministically enumerated
+ * One binary, three modes over the same deterministically enumerated
  * (benchmark, configuration) work-unit matrix:
  *
  *   tcsim_sweep --list
@@ -28,21 +28,6 @@
  *       and fails (exit 2) listing the missing units when the matrix
  *       is not fully covered.
  *
- *   tcsim_sweep --error-out <file>
- *       Sampling-error report (sampled matrices): run the matrix
- *       sampled and each unit's window [0, insts) cold on the full
- *       model, and write the tcsim-sampling-error-v1 comparison.
- *   --error-tolerance f  per-unit IPC / fetch-rate relative-error
- *                        bound (default 0.05); exit 4 when any unit
- *                        exceeds it
- *   --mispredict-tolerance f
- *                        per-unit mispredict-rate ABSOLUTE error bound
- *                        (default 0.08, i.e. 8 percentage points —
- *                        per-region predictor warm-up bias shifts the
- *                        sampled rate by a few points regardless of
- *                        the base rate, so a relative bound diverges
- *                        at long budgets where the rate is smallest)
- *
  * Every simulating mode runs its units on the in-process thread pool
  * (TCSIM_JOBS workers, default all cores) through runUnits, the runner
  * tcsim_exhibits uses too; the documents are identical at any job
@@ -58,11 +43,6 @@
  *   --warmup <n>         warm-up instructions (0 = cold start): measure
  *                        [n, n + insts) after simulating [0, n), as
  *                        TCSIM_WARMUP and `tcsim_run --warmup` do
- *   --sampled-interval n SimPoint-style sampled execution: BBV
- *   --sampled-max-k k    interval length (must divide --insts) and the
- *                        k-means cluster-count cap. Both must be given
- *                        together; they add a "@sampled-..." suffix to
- *                        every unit id and fold into the unit hashes.
  *   --replay             drive each unit's front end from a recorded
  *                        tcsim-btrace-v1 control-flow trace instead of
  *                        cycle simulation. The trace is recorded once
@@ -72,16 +52,16 @@
  *                        fold the btrace format version. Only
  *                        front-end stats (mispredicts, trace-cache and
  *                        icache activity) are meaningful; cycles stay
- *                        zero. Excludes --warmup and sampled mode.
+ *                        zero. Excludes --warmup.
  *
  * Artifact cache (accepted in every mode):
- *   --cache-dir <dir>    content-addressed cache for the sampled and
- *                        replay artifacts (also via TCSIM_CACHE_DIR)
+ *   --cache-dir <dir>    content-addressed cache for the replay units'
+ *                        btrace artifacts (also via TCSIM_CACHE_DIR)
  *   --no-cache           disable the cache even if the env var is set
  *
- * Numeric flags take decimal integers (the tolerances: numbers) only.
+ * Numeric flags take decimal integers only.
  * Exit codes: 0 done, 1 usage or matrix error, 2 merge incomplete,
- * 3 an output could not be written, 4 sampling error over tolerance.
+ * 3 an output could not be written.
  */
 
 #include <chrono>
@@ -109,13 +89,11 @@ constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--list | --shard i/N | --merge | --error-out f]\n"
+                 "usage: %s [--list | --shard i/N | --merge]\n"
                  "  [--fragments-dir d] [--out f] "
                  "[--benchmarks a,b] [--configs x,y]\n"
-                 "  [--insts n] [--warmup n] "
-                 "[--cache-dir d] [--no-cache]\n"
-                 "  [--sampled-interval n --sampled-max-k k] [--replay]\n"
-                 "  [--error-tolerance f] [--mispredict-tolerance f]\n",
+                 "  [--insts n] [--warmup n] [--replay] "
+                 "[--cache-dir d] [--no-cache]\n",
                  argv0);
     std::exit(1);
 }
@@ -138,22 +116,14 @@ splitCommas(const std::string &text)
     return out;
 }
 
-/** @return whether @p mode ("" when simulating) uses @p flag, one of
+/** @return whether @p mode (--list or --merge) uses @p flag, one of
  * the mode and output flags. */
 bool
 modeUses(const std::string &mode, const std::string &flag)
 {
     if (flag == mode)
         return true;
-    if (mode == "--merge")
-        return flag == "--fragments-dir" || flag == "--out";
-    if (mode == "--error-out")
-        return flag == "--error-tolerance" ||
-               flag == "--mispredict-tolerance";
-    if (mode.empty())
-        return flag == "--shard" || flag == "--fragments-dir" ||
-               flag == "--out";
-    return false; // --list
+    return mode == "--merge" && (flag == "--fragments-dir" || flag == "--out");
 }
 
 void
@@ -174,9 +144,7 @@ main(int argc, char **argv)
 {
     bool list = false, merge = false;
     unsigned shard_index = 0, shard_count = 0;
-    std::string fragments_dir, out_path, error_out;
-    double error_tolerance = 0.05;
-    double mispredict_tolerance = 0.08;
+    std::string fragments_dir, out_path;
     bool no_cache = false;
     bench::SweepOptions options;
     std::vector<std::string> config_names;
@@ -199,14 +167,6 @@ main(int argc, char **argv)
             options.insts = requireUint("--insts", next());
         } else if (arg == "--warmup") {
             options.warmup = requireUint("--warmup", next());
-        } else if (arg == "--sampled-interval") {
-            options.sampled.enabled = true;
-            options.sampled.interval =
-                requireUint("--sampled-interval", next());
-        } else if (arg == "--sampled-max-k") {
-            options.sampled.enabled = true;
-            options.sampled.maxK = static_cast<std::uint32_t>(
-                requireUint("--sampled-max-k", next(), kU32Max));
         } else if (arg == "--replay") {
             options.replay = true;
         } else if (arg == "--cache-dir") {
@@ -242,16 +202,6 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             given.push_back(arg);
             out_path = next();
-        } else if (arg == "--error-out") {
-            given.push_back(arg);
-            error_out = next();
-        } else if (arg == "--error-tolerance") {
-            given.push_back(arg);
-            error_tolerance = requireDouble("--error-tolerance", next());
-        } else if (arg == "--mispredict-tolerance") {
-            given.push_back(arg);
-            mispredict_tolerance =
-                requireDouble("--mispredict-tolerance", next());
         } else {
             usage(argv[0]);
         }
@@ -259,24 +209,20 @@ main(int argc, char **argv)
     if (no_cache)
         unsetenv("TCSIM_CACHE_DIR");
 
-    // Each mode uses some of the mode and output flags; any other one
-    // is an error, not silently ignored.
-    std::string mode; // empty: simulate
+    // --list and --merge use some of the mode and output flags (a
+    // simulating run uses them all); any other one is an error, not
+    // silently ignored.
+    std::string mode;
     if (list)
         mode = "--list";
     else if (merge)
         mode = "--merge";
-    else if (!error_out.empty())
-        mode = "--error-out";
     for (const std::string &flag : given) {
-        if (modeUses(mode, flag))
-            continue;
-        if (mode.empty())
-            std::fprintf(stderr, "%s needs --error-out\n", flag.c_str());
-        else
+        if (!mode.empty() && !modeUses(mode, flag)) {
             std::fprintf(stderr, "%s does not apply with %s\n",
                          flag.c_str(), mode.c_str());
-        return 1;
+            return 1;
+        }
     }
     if (shard_count > 0 && !out_path.empty()) {
         std::fprintf(stderr, "--out does not apply with --shard: merge "
@@ -288,20 +234,8 @@ main(int argc, char **argv)
                      merge ? "--merge" : "--shard");
         return 1;
     }
-    if (options.sampled.enabled &&
-        (options.sampled.interval == 0 || options.sampled.maxK == 0)) {
-        std::fprintf(stderr, "--sampled-interval and --sampled-max-k must "
-                             "be given together\n");
-        return 1;
-    }
-    if (options.replay && (options.sampled.enabled || options.warmup != 0)) {
-        std::fprintf(stderr, "--replay cannot combine with --warmup or "
-                             "sampled execution\n");
-        return 1;
-    }
-    if (!error_out.empty() && !options.sampled.enabled) {
-        std::fprintf(stderr, "--error-out needs --sampled-interval / "
-                             "--sampled-max-k\n");
+    if (options.replay && options.warmup != 0) {
+        std::fprintf(stderr, "--replay cannot combine with --warmup\n");
         return 1;
     }
     for (const std::string &name : config_names) {
@@ -348,27 +282,6 @@ main(int argc, char **argv)
         if (!writeFileAtomic(out_path, *doc)) {
             std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
             return 3;
-        }
-        return 0;
-    }
-
-    if (!error_out.empty()) {
-        // Calibration mode: run the matrix both sampled and full and
-        // report per-unit relative error plus the speedup.
-        bool all_within = false;
-        const std::string report = bench::samplingErrorReport(
-            options, error_tolerance, mispredict_tolerance,
-            &all_within);
-        if (!writeFileAtomic(error_out, report)) {
-            std::fprintf(stderr, "cannot write %s\n", error_out.c_str());
-            return 3;
-        }
-        if (!all_within) {
-            std::fprintf(stderr,
-                         "sampling error exceeds tolerance %.3f "
-                         "(mispredict %.3f)\n",
-                         error_tolerance, mispredict_tolerance);
-            return 4;
         }
         return 0;
     }

@@ -9,9 +9,6 @@ repeat, so a shell glob can follow it):
   --intervals PATH     tcsim-intervals-v1 document
   --fragment PATH      tcsim-bench-fragment-v1 sweep work-unit fragment
   --results PATH       tcsim-bench-results-v1 merged sweep document
-  --bbv PATH           tcsim-bbv-v1 basic-block-vector profile
-  --simpoints PATH     tcsim-simpoints-v1 representative-region plan
-  --error-report PATH  tcsim-sampling-error-v1 sampled-vs-full report
   --regression PATH    tcsim-regression-v1 perf-gate verdict
   --btrace PATH        tcsim-btrace-v1 binary branch/fetch trace
 
@@ -164,73 +161,70 @@ RESULT_SCALARS = {
     "icache_misses": "int", "promoted_retired": "int",
 }
 
-RESULT_ARRAYS = {"fetches_needing_preds", "cycle_cat", "fetch_hist"}
+# Canonical counter arrays: key -> shape (sim::Accounting's 6 cycle
+# categories; 7 fetch reasons x fetch widths 0..16).
+RESULT_ARRAYS = {
+    "fetches_needing_preds": (4,),
+    "cycle_cat": (6,),
+    "fetch_hist": (7, 17),
+}
 
-# Present only on sampled-execution records (both or neither).
-SAMPLED_SCALARS = {"sampled_interval": "int", "sampled_max_k": "int"}
 # Present, as 1, only on `@replay` records.
 REPLAY_KEY = "replay"
 MAX_RETIRE_GROUP = 64  # presets retire at most 16 instructions a cycle
 
 
+def is_counter(value):
+    """True for what the fragment reader takes as a counter: a decimal
+    integer in [0, 2^64)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and 0 <= value < 1 << 64)
+
+
+def has_shape(value, shape):
+    """True when @value is nested lists of counters of @shape."""
+    if not shape:
+        return is_counter(value)
+    return (isinstance(value, list) and len(value) == shape[0]
+            and all(has_shape(item, shape[1:]) for item in value))
+
+
 def check_result_record(path, where, record):
     if not isinstance(record, dict):
         return fail(path, f"{where}: not an object")
-    sampled = "sampled_interval" in record
     replay = REPLAY_KEY in record
-    expected = set(RESULT_SCALARS) | RESULT_ARRAYS
-    if sampled:
-        expected |= set(SAMPLED_SCALARS)
+    expected = set(RESULT_SCALARS) | set(RESULT_ARRAYS)
     if replay:
         expected.add(REPLAY_KEY)
     if set(record) != expected:
         diff = expected.symmetric_difference(record)
         return fail(path, f"{where}: keys differ: {sorted(diff)}")
-    if sampled:
-        for key in SAMPLED_SCALARS:
-            if not isinstance(record[key], int) or record[key] <= 0:
-                return fail(path, f"{where}: {key}={record[key]!r}")
-    if replay and (record[REPLAY_KEY] != 1 or sampled or
-                   record.get("warmup") != 0):
-        # tcsim_sweep refuses --replay with --warmup or sampled
-        # execution, so only a cold, unsampled unit can be a replay.
+    if replay and (record[REPLAY_KEY] != 1 or record.get("warmup") != 0):
+        # tcsim_sweep refuses --replay with --warmup, so only a cold
+        # unit can be a replay.
         return fail(path, f"{where}: replay={record[REPLAY_KEY]!r} on a "
-                    "sampled or warmed record, or not 1")
+                    "warmed record, or not 1")
     for key, kind in RESULT_SCALARS.items():
         value = record[key]
-        if kind == "int" and not isinstance(value, int):
-            return fail(path, f"{where}: {key} not an integer")
+        if kind == "int" and not is_counter(value):
+            return fail(path, f"{where}: {key}={value!r} not a counter")
         if kind == "float" and not isinstance(value, (int, float)):
             return fail(path, f"{where}: {key} not a number")
         if kind == "str" and not isinstance(value, str):
             return fail(path, f"{where}: {key} not a string")
     if len(record["hash"]) != 16:
         return fail(path, f"{where}: hash not 16 hex chars")
-    if not isinstance(record["fetches_needing_preds"], list) or \
-            len(record["fetches_needing_preds"]) != 4:
-        return fail(path, f"{where}: fetches_needing_preds shape")
-    if not isinstance(record["cycle_cat"], list):
-        return fail(path, f"{where}: cycle_cat not an array")
-    hist = record["fetch_hist"]
-    if not isinstance(hist, list) or \
-            any(not isinstance(row, list) for row in hist):
-        return fail(path, f"{where}: fetch_hist not an array of arrays")
+    for key, shape in RESULT_ARRAYS.items():
+        if not has_shape(record[key], shape):
+            dims = " x ".join(map(str, shape))
+            return fail(path, f"{where}: {key} is not {dims} counters")
     if record["tc_hits"] > record["tc_lookups"]:
         return fail(path, f"{where}: tc_hits > tc_lookups")
     if record["cond_mispredicts"] > record["cond_branches"]:
         return fail(path, f"{where}: mispredicts > branches")
-    if sampled:
-        # Weighted region windows reconstruct the budget only up to
-        # per-region retire-batch overshoot times cluster weights.
-        slack = record["insts"] // 100 + 64
-        if abs(record["instructions"] - record["insts"]) > slack:
-            return fail(
-                path,
-                f"{where}: weighted instructions {record['instructions']} "
-                f"not within {slack} of budget {record['insts']}")
     # A warm-up may overshoot `warmup` by part of a retire group while
     # the window still ends at warmup + insts.
-    elif record["instructions"] + (
+    if record["instructions"] + (
             MAX_RETIRE_GROUP if record["warmup"] > 0 else 0) < record["insts"]:
         return fail(path, f"{where}: ran fewer insts than budgeted")
     return True
@@ -259,10 +253,7 @@ def validate_fragment(path):
     if doc["result"]["hash"] != unit["hash"]:
         return fail(path, "result hash != unit hash")
     expected_id = f"{unit['benchmark']}@{unit['config']}@{unit['insts']}"
-    if "sampled_interval" in unit:
-        expected_id += (f"@sampled-i{unit['sampled_interval']}"
-                        f"-k{unit['sampled_max_k']}-w{unit['warmup']}")
-    elif REPLAY_KEY in doc["result"]:
+    if REPLAY_KEY in doc["result"]:
         expected_id += "@replay"
     if unit["id"] != expected_id:
         return fail(path, f"unit id {unit['id']!r} != {expected_id!r}")
@@ -298,144 +289,6 @@ def validate_results(path):
             return fail(path, f"result {i}: duplicate unit {record['hash']}")
         seen.add(record["hash"])
     print(f"validate_obs: {path}: OK ({len(results)} results)")
-    return True
-
-
-def validate_bbv(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-bbv-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    for key in ("benchmark", "interval_insts", "total_insts", "intervals"):
-        if key not in doc:
-            return fail(path, f"missing {key}")
-    interval_insts = doc["interval_insts"]
-    total_insts = doc["total_insts"]
-    if not isinstance(interval_insts, int) or interval_insts <= 0:
-        return fail(path, f"bad interval_insts {interval_insts!r}")
-    if not isinstance(total_insts, int) or \
-            total_insts % interval_insts != 0:
-        return fail(path, f"total_insts {total_insts!r} not a multiple "
-                          f"of interval_insts {interval_insts}")
-    intervals = doc["intervals"]
-    if not isinstance(intervals, list) or \
-            len(intervals) != total_insts // interval_insts:
-        return fail(path, "interval count != total_insts/interval_insts")
-    for i, interval in enumerate(intervals):
-        if set(interval) != {"end_insts", "blocks"}:
-            return fail(path, f"interval {i}: keys {sorted(interval)}")
-        if interval["end_insts"] != (i + 1) * interval_insts:
-            return fail(path, f"interval {i}: end_insts "
-                              f"{interval['end_insts']}")
-        blocks = interval["blocks"]
-        if not isinstance(blocks, list) or not blocks:
-            return fail(path, f"interval {i}: missing blocks")
-        total = 0
-        for pair in blocks:
-            if not isinstance(pair, list) or len(pair) != 2 or \
-                    not all(isinstance(v, int) and v >= 0 for v in pair):
-                return fail(path, f"interval {i}: bad block entry {pair!r}")
-            total += pair[1]
-        if total != interval_insts:
-            return fail(path, f"interval {i}: block counts sum to "
-                              f"{total}, want {interval_insts}")
-    print(f"validate_obs: {path}: OK ({len(intervals)} intervals)")
-    return True
-
-
-def validate_simpoints(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-simpoints-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    for key in ("benchmark", "program_fingerprint", "algo_version",
-                "interval_insts", "total_insts", "num_intervals", "k",
-                "simpoints"):
-        if key not in doc:
-            return fail(path, f"missing {key}")
-    points = doc["simpoints"]
-    if not isinstance(points, list) or len(points) != doc["k"]:
-        return fail(path, f"simpoints count != k {doc['k']!r}")
-    weight = 0
-    prev_index = -1
-    for i, point in enumerate(points):
-        expected = {"index", "start_insts", "cluster", "weight_num",
-                    "weight_den"}
-        if set(point) != expected:
-            return fail(path, f"simpoint {i}: keys {sorted(point)}")
-        if point["index"] <= prev_index:
-            return fail(path, f"simpoint {i}: index not increasing")
-        prev_index = point["index"]
-        if point["index"] >= doc["num_intervals"]:
-            return fail(path, f"simpoint {i}: index out of range")
-        if point["start_insts"] != point["index"] * doc["interval_insts"]:
-            return fail(path, f"simpoint {i}: start_insts mismatch")
-        if point["cluster"] != i:
-            return fail(path, f"simpoint {i}: cluster not renumbered")
-        if point["weight_den"] != doc["num_intervals"]:
-            return fail(path, f"simpoint {i}: weight_den mismatch")
-        weight += point["weight_num"]
-    if weight != doc["num_intervals"]:
-        return fail(path, f"weights sum to {weight}, want "
-                          f"{doc['num_intervals']}")
-    print(f"validate_obs: {path}: OK (k={doc['k']})")
-    return True
-
-
-ERROR_STAT_KEYS = {"ipc", "fetch_rate", "mispredict_rate"}
-
-
-def validate_error_report(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as err:
-            return fail(path, f"invalid JSON: {err}")
-    if doc.get("schema") != "tcsim-sampling-error-v1":
-        return fail(path, f"bad schema {doc.get('schema')!r}")
-    for key in ("matrix_hash", "tolerance", "mispredict_tolerance",
-                "units", "aggregate", "all_within_tolerance"):
-        if key not in doc:
-            return fail(path, f"missing {key}")
-    units = doc["units"]
-    if not isinstance(units, list) or not units:
-        return fail(path, "missing or empty units")
-    for i, unit in enumerate(units):
-        expected = {"id", "sampled", "full", "rel_err",
-                    "abs_err_mispredict_rate", "speedup",
-                    "within_tolerance"}
-        if set(unit) != expected:
-            return fail(path, f"unit {i}: keys {sorted(unit)}")
-        for side in ("sampled", "full"):
-            if set(unit[side]) != ERROR_STAT_KEYS | {"wall_seconds"}:
-                return fail(path, f"unit {i}: {side} keys "
-                                  f"{sorted(unit[side])}")
-        if set(unit["rel_err"]) != ERROR_STAT_KEYS:
-            return fail(path, f"unit {i}: rel_err keys "
-                              f"{sorted(unit['rel_err'])}")
-        for key, value in unit["rel_err"].items():
-            if not isinstance(value, (int, float)) or value < 0:
-                return fail(path, f"unit {i}: rel_err.{key}={value!r}")
-        abs_err = unit["abs_err_mispredict_rate"]
-        if not isinstance(abs_err, (int, float)) or abs_err < 0:
-            return fail(path, f"unit {i}: abs_err_mispredict_rate="
-                              f"{abs_err!r}")
-        gated = max(unit["rel_err"]["ipc"], unit["rel_err"]["fetch_rate"])
-        within = (gated <= doc["tolerance"]
-                  and abs_err <= doc["mispredict_tolerance"])
-        if unit["within_tolerance"] != within:
-            return fail(path, f"unit {i}: within_tolerance inconsistent")
-    if doc["all_within_tolerance"] != all(
-            u["within_tolerance"] for u in units):
-        return fail(path, "all_within_tolerance inconsistent")
-    print(f"validate_obs: {path}: OK ({len(units)} units, "
-          f"all_within={doc['all_within_tolerance']})")
     return True
 
 
@@ -555,9 +408,6 @@ def main():
         "intervals": validate_intervals,
         "fragment": validate_fragment,
         "results": validate_results,
-        "bbv": validate_bbv,
-        "simpoints": validate_simpoints,
-        "error-report": validate_error_report,
         "regression": validate_regression,
         "btrace": validate_btrace,
     }
