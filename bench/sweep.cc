@@ -1,23 +1,20 @@
 #include "bench/sweep.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
-#include <sstream>
 
-#include "bench/artifact_cache.h"
 #include "bench/harness.h"
-#include "bench/store.h"
 #include "common/atomic_file.h"
 #include "common/fnv.h"
 #include "common/json.h"
 #include "common/log.h"
 #include "common/parse.h"
 #include "sim/processor.h"
-#include "workload/btrace.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
 
@@ -57,6 +54,11 @@ constexpr std::pair<const char *, std::uint64_t sim::SimResult::*>
  * separate run's predictor state and measured [0, insts); its
  * fragments must be stale, not merged. */
 constexpr unsigned kFullWarmupVersion = 2;
+
+/** Hash input of replay units: the btrace format version, 1, that
+ * their hashes folded while each unit replayed a recorded trace. The
+ * walk reads no trace; the constant keeps their hashes unchanged. */
+constexpr std::uint32_t kReplayVersion = 1;
 
 using json::formatDouble;
 
@@ -189,6 +191,25 @@ parseArray(const json::Value *array, std::uint64_t *values, unsigned count)
     return true;
 }
 
+/** Parse a fragment's "timing" section into @p out: an object holding
+ * exactly "wall_seconds", a finite non-negative number. */
+bool
+parseTiming(const json::Value *timing, UnitTiming &out)
+{
+    if (timing == nullptr || !timing->isObject() ||
+        timing->members().size() != 1) {
+        return false;
+    }
+    const json::Value *wall = timing->find("wall_seconds");
+    const std::optional<double> seconds =
+        wall != nullptr && wall->isNumber() ? parseDouble(wall->asString())
+                                            : std::nullopt;
+    if (!seconds || *seconds < 0.0)
+        return false;
+    out.wallSeconds = *seconds;
+    return true;
+}
+
 /** Parse a fragment's canonical record back into @p n's integers. */
 bool
 parseResultRecord(const json::Value &record, sim::SimResult &n)
@@ -215,21 +236,6 @@ parseResultRecord(const json::Value &record, sim::SimResult &n)
 }
 
 } // namespace
-
-std::string
-btraceArtifactKey(const workload::BenchmarkProfile &profile,
-                  std::uint64_t insts)
-{
-    std::string key = "btrace:v";
-    key += std::to_string(workload::kBtraceFormatVersion);
-    key += ":gen=v";
-    key += std::to_string(workload::kGeneratorVersion);
-    key += ":prog=";
-    key += hashHex(workload::profileFingerprint(profile));
-    key += ":insts=";
-    key += std::to_string(insts);
-    return key;
-}
 
 std::vector<sim::ProcessorConfig>
 defaultSweepConfigs()
@@ -259,13 +265,11 @@ configByName(const std::string &name)
         return std::nullopt;
     };
     if (name.rfind("promotion-t", 0) == 0) {
-        const std::string digits = name.substr(11);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos) {
+        const std::optional<std::uint64_t> threshold = parseUint(
+            name.substr(11), std::numeric_limits<std::uint32_t>::max());
+        if (!threshold)
             return std::nullopt;
-        }
-        return sim::promotionConfig(
-            static_cast<std::uint32_t>(std::stoul(digits)));
+        return sim::promotionConfig(static_cast<std::uint32_t>(*threshold));
     }
     if (name.rfind("packing-", 0) == 0) {
         if (auto policy = policy_of(name.substr(8)))
@@ -319,13 +323,8 @@ enumerateUnits(const SweepOptions &options)
             hash = fnv1aAppendScalar(hash, unit.warmup);
             if (unit.warmup > 0)
                 hash = fnv1aAppendScalar(hash, kFullWarmupVersion);
-            if (unit.replay) {
-                // Replay results depend on the trace encoding; hash
-                // the format version so fragments from an older
-                // btrace layout regenerate instead of merging.
-                hash = fnv1aAppendScalar(hash,
-                                         workload::kBtraceFormatVersion);
-            }
+            if (unit.replay)
+                hash = fnv1aAppendScalar(hash, kReplayVersion);
             unit.hash = hashHex(hash);
             units.push_back(std::move(unit));
         }
@@ -356,76 +355,20 @@ finishResult(const WorkUnit &unit, sim::SimResult result)
 }
 
 /**
- * Record the config-independent control-flow trace for a benchmark:
- * one oracle pass through Processor::recordTrace into a temporary
- * file, whose bytes become the cacheable artifact payload. The trace
- * records only oracle facts (pc, target, class, taken), so the
- * recording processor's configuration cannot influence the bytes; a
- * fixed canonical config keeps that invariance explicit. Deterministic
- * — same program + budget always produces the same image — so it is
- * safe to memoize through the artifact cache and share across shards.
- */
-std::string
-recordBtraceBytes(const std::string &benchmark, std::uint64_t insts)
-{
-    const workload::Program &program = programFor(benchmark);
-    const workload::BenchmarkProfile &profile =
-        workload::findProfile(benchmark);
-    // Two units of one benchmark may record at once (a cold or disabled
-    // cache), so each call gets its own temp file.
-    const std::string tmp = uniqueTempPath(
-        (std::filesystem::temp_directory_path() / "tcsim-btrace").string());
-    {
-        workload::BtraceWriter writer(tmp, workload::kGeneratorVersion,
-                                      workload::profileFingerprint(profile),
-                                      program.entry());
-        sim::Processor recorder(sim::icacheConfig(), program);
-        recorder.recordTrace(writer, insts);
-    }
-    std::ifstream in(tmp, std::ios::binary);
-    if (!in)
-        fatal("cannot read back recorded btrace '%s'", tmp.c_str());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return std::move(buf).str();
-}
-
-/**
- * The replay pipeline for one unit: fetch (or record) the benchmark's
- * btrace artifact, then drive this config's front end from it via
- * Processor::replayTrace. Only front-end counters are meaningful;
- * cycles and the fetch/timing stats stay zero (derived rates over a
- * zero denominator render as 0 in the canonical documents).
+ * The replay pipeline for one unit: the oracle-driven control-flow
+ * pass (Processor::walkControlFlow) over this config's front end, the
+ * pass `tcsim_run --record-trace` runs and a replay of its btrace
+ * reproduces. Only front-end counters are meaningful; cycles and the
+ * fetch/timing stats stay zero (derived rates over a zero denominator
+ * render as 0 in the canonical documents).
  */
 sim::SimResult
 executeReplayUnit(const WorkUnit &unit)
 {
     TCSIM_ASSERT(unit.replay);
-    const workload::BenchmarkProfile &profile =
-        workload::findProfile(unit.benchmark);
-    const std::string bytes = ArtifactCache::process().getOrCreate(
-        "btrace", btraceArtifactKey(profile, unit.insts),
-        [&] { return recordBtraceBytes(unit.benchmark, unit.insts); });
-
-    workload::BtraceReader reader;
-    std::string error;
-    if (!reader.openBytes(bytes, &error)) {
-        fatal("btrace artifact for %s is invalid: %s", unit.id.c_str(),
-              error.c_str());
-    }
-    if (reader.header().generatorVersion != workload::kGeneratorVersion ||
-        reader.header().profileFingerprint !=
-            workload::profileFingerprint(profile)) {
-        fatal("btrace artifact for %s was recorded from a different "
-              "program (stale cache entry?)",
-              unit.id.c_str());
-    }
-
-    const workload::Program &program = programFor(unit.benchmark);
-    sim::Processor proc(unit.config, program);
-    const sim::Processor::ControlFlowResult r = proc.replayTrace(reader);
+    sim::Processor proc(unit.config, programFor(unit.benchmark));
+    const sim::Processor::ControlFlowResult r =
+        proc.walkControlFlow(unit.insts);
 
     sim::SimResult n;
     n.instructions = r.instructions;
@@ -465,16 +408,12 @@ runUnits(const std::vector<WorkUnit> &units, const UnitDone &done,
     parallelFor(
         units.size(),
         [&](std::size_t i) {
-            const ArtifactCacheStats before = ArtifactCache::threadStats();
             const auto start = std::chrono::steady_clock::now();
             results[i] = executeUnit(units[i]);
             UnitTiming timing;
             timing.wallSeconds = std::chrono::duration<double>(
                                      std::chrono::steady_clock::now() - start)
                                      .count();
-            const ArtifactCacheStats after = ArtifactCache::threadStats();
-            timing.cacheHits = after.hits - before.hits;
-            timing.cacheMisses = after.misses - before.misses;
 
             std::lock_guard<std::mutex> lock(mutex);
             std::fprintf(stderr, "[%zu/%zu] %s\n", ++finished,
@@ -507,10 +446,6 @@ renderFragment(const WorkUnit &unit, const sim::SimResult &result,
     // Non-canonical section: never copied into the merged document.
     out += "  \"timing\": {\n";
     out += "    \"wall_seconds\": " + formatDouble(timing.wallSeconds) +
-           ",\n";
-    out += "    \"cache_hits\": " + std::to_string(timing.cacheHits) +
-           ",\n";
-    out += "    \"cache_misses\": " + std::to_string(timing.cacheMisses) +
            "\n";
     out += "  }\n";
     out += "}\n";
@@ -547,26 +482,35 @@ bool
 writeFragment(const std::string &dir, const WorkUnit &unit,
               const sim::SimResult &result, const UnitTiming &timing)
 {
-    LocalDirStore store(dir);
-    return store.put(unit.hash + ".json",
-                     renderFragment(unit, result, timing),
-                     /*overwrite=*/true);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    return !ec && writeFileAtomic(fragmentPath(dir, unit),
+                                  renderFragment(unit, result, timing));
 }
 
 FragmentDir
 readFragments(const std::string &dir)
 {
+    // Sorted by name, so reports are stable run to run. A writer's
+    // temp files ("<hash>.json.tmp.<pid>.<n>") do not end in ".json".
+    std::vector<std::string> names;
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        std::string name = it->path().filename().string();
+        std::error_code type_ec;
+        if (name.size() > 5 && name.ends_with(".json") &&
+            it->is_regular_file(type_ec)) {
+            names.push_back(std::move(name));
+        }
+    }
+    std::sort(names.begin(), names.end());
+
     FragmentDir out;
-    // list() is sorted by name, so reports are stable run to run.
-    const LocalDirStore store(dir);
-    for (const std::string &name : store.list()) {
-        if (name.size() <= 5 || !name.ends_with(".json"))
-            continue;
+    for (const std::string &name : names) {
         Fragment fragment;
         fragment.path = dir + "/" + name;
-        const std::optional<std::string> bytes = store.get(name);
-        const std::optional<json::Value> doc =
-            bytes ? json::parse(*bytes) : std::nullopt;
+        const std::optional<json::Value> doc = json::parseFile(fragment.path);
         const json::Value *unit_obj = nullptr, *result_obj = nullptr;
         if (doc && doc->isObject() &&
             doc->getString("schema") == "tcsim-bench-fragment-v1") {
@@ -578,18 +522,13 @@ readFragments(const std::string &dir)
         if (unit_obj == nullptr || !unit_obj->isObject() ||
             result_obj == nullptr || !result_obj->isObject() ||
             name.substr(0, name.size() - 5) != unit_obj->getString("hash") ||
-            !parseResultRecord(*result_obj, fragment.result)) {
+            !parseResultRecord(*result_obj, fragment.result) ||
+            !parseTiming(doc->find("timing"), fragment.timing)) {
             out.corrupt.push_back(std::move(fragment.path));
             continue;
         }
         fragment.id = unit_obj->getString("id");
         fragment.hash = unit_obj->getString("hash");
-        if (const json::Value *timing = doc->find("timing");
-            timing != nullptr && timing->isObject()) {
-            fragment.timing.wallSeconds = timing->getDouble("wall_seconds");
-            fragment.timing.cacheHits = timing->getUint64("cache_hits");
-            fragment.timing.cacheMisses = timing->getUint64("cache_misses");
-        }
         out.fragments.push_back(std::move(fragment));
     }
     return out;

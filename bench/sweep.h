@@ -28,14 +28,14 @@
  *    everything, render), the merge and a resumed run (render from
  *    integers parsed back out of fragments, beside freshly simulated
  *    ones) all call the one renderer on the same integers, so their
- *    documents are byte-identical, at any TCSIM_JOBS. Wall-clock and
- *    cache-stat timing lives only in the fragments' "timing" section,
- *    never in the canonical document.
+ *    documents are byte-identical, at any TCSIM_JOBS. Wall-clock time
+ *    lives only in the fragments' "timing" section, never in the
+ *    canonical document.
  *
  *  - Fragments ("tcsim-bench-fragment-v1") are one file per unit,
- *    named "<hash>.json" and written atomically (temp file + rename),
- *    so a killed run loses at most its in-flight units, and running
- *    the same command again simulates only those.
+ *    named "<hash>.json" and written atomically (writeFileAtomic:
+ *    temp file + rename), so a killed run loses at most its in-flight
+ *    units, and running the same command again simulates only those.
  */
 
 #ifndef TCSIM_BENCH_SWEEP_H
@@ -50,7 +50,6 @@
 #include "bench/thread_pool.h"
 #include "sim/accounting.h"
 #include "sim/config.h"
-#include "workload/profile.h"
 
 namespace tcsim::bench
 {
@@ -65,11 +64,11 @@ struct WorkUnit
     /** Full units simulate [0, warmup), reset their statistics and
      * measure [warmup, warmup + insts), as `tcsim_run --warmup` does. */
     std::uint64_t warmup = 0;
-    /** Replay the front end from a cached tcsim-btrace-v1 artifact
+    /** Drive the front end with the oracle-driven control-flow pass
      * instead of cycle-simulating (timing stats stay zero). */
     bool replay = false;
-    /** "<benchmark>@<config>@<insts>", plus "@replay" when replaying
-     * from a btrace artifact. */
+    /** "<benchmark>@<config>@<insts>", plus "@replay" for a replay
+     * unit. */
     std::string id;
     std::string hash; ///< 16-hex content hash (see file comment)
 };
@@ -87,11 +86,9 @@ struct SweepOptions
     std::uint64_t warmup = 0;
     /**
      * Replay dimension applied to every unit: drive the front end
-     * (fetch engine, fill unit, predictors) from a recorded
-     * tcsim-btrace-v1 control-flow trace instead of cycle simulation.
-     * The trace is config-independent and flows through the artifact
-     * cache ("btrace" kind, see btraceArtifactKey), so one recording
-     * pass serves every configuration in the matrix. Mutually
+     * (icache, trace cache, fill unit, predictors) from the oracle's
+     * retired control-flow stream instead of cycle simulation, as a
+     * replay of the benchmark's recorded btrace would. Mutually
      * exclusive with warmup.
      */
     bool replay = false;
@@ -118,18 +115,14 @@ std::string matrixHash(const std::vector<WorkUnit> &units);
 struct UnitTiming
 {
     double wallSeconds = 0.0;
-    /** Artifact cache hits and misses of this unit alone. */
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
 };
 
 /**
  * Simulate one unit: the detailed model after the warm-up (full
- * units), or the front end driven from the benchmark's cached btrace
- * (replay units). Recording a btrace is a deterministic pure function
- * and a cache hit only skips it, so results are identical hit or
- * miss, at any job count and across shards. Safe to call
- * concurrently.
+ * units), or Processor::walkControlFlow over the unit's config (replay
+ * units), whose every counter a replay of the benchmark's btrace
+ * reproduces. Results are identical at any job count and across
+ * shards. Safe to call concurrently.
  */
 sim::SimResult executeUnit(const WorkUnit &unit);
 
@@ -149,16 +142,6 @@ std::vector<sim::SimResult> runUnits(const std::vector<WorkUnit> &units,
                                      const UnitDone &done = {},
                                      ThreadPool &pool = sharedPool());
 
-/**
- * @return the content key @p profile's recorded btrace artifact is
- * cached under (config-independent: btrace format version + generator
- * version + profile fingerprint + budget — the oracle control-flow
- * stream does not depend on the processor configuration, so one
- * recording serves every config in a replay matrix).
- */
-std::string btraceArtifactKey(const workload::BenchmarkProfile &profile,
-                              std::uint64_t insts);
-
 /** Render one fragment document (canonical record + timing). */
 std::string renderFragment(const WorkUnit &unit,
                            const sim::SimResult &result,
@@ -177,9 +160,9 @@ std::string renderResultsDoc(const std::vector<WorkUnit> &units,
 std::string fragmentPath(const std::string &dir, const WorkUnit &unit);
 
 /**
- * Write @p unit's fragment atomically, replacing any fragment already
- * there (a re-simulated unit overwrites torn bytes). @return false on
- * I/O error.
+ * Write @p unit's fragment atomically, creating @p dir when absent and
+ * replacing any fragment already there (a re-simulated unit overwrites
+ * torn bytes). @return false on I/O error.
  */
 bool writeFragment(const std::string &dir, const WorkUnit &unit,
                    const sim::SimResult &result, const UnitTiming &timing);
@@ -194,7 +177,8 @@ struct Fragment
     UnitTiming timing;     ///< the non-canonical "timing" section
 };
 
-/** The "*.json" files of a fragments directory, sorted by name. */
+/** The regular top-level "*.json" files of a fragments directory,
+ * sorted by name. */
 struct FragmentDir
 {
     std::vector<Fragment> fragments; ///< the valid ones
@@ -205,11 +189,13 @@ struct FragmentDir
  * The one fragment reader, behind --merge, resume (runSweep) and
  * tcsim_regress. A "*.json" file is a valid fragment when it parses
  * as a tcsim-bench-fragment-v1 document with "unit" and "result"
- * objects, its name's stem equals unit.hash, and its result record
- * holds every canonical integer, each a decimal integer below 2^64, in
- * arrays of the canonical shapes; anything else under a "*.json" name
- * is corrupt. Other names (a writer's "<hash>.json.tmp.<pid>.<n>"
- * temp files) are skipped, and an absent directory reads as empty.
+ * objects, its name's stem equals unit.hash, its result record holds
+ * every canonical integer, each a decimal integer below 2^64, in
+ * arrays of the canonical shapes, and its "timing" object holds
+ * exactly "wall_seconds", a finite non-negative number; anything else
+ * under a "*.json" name is corrupt. Other names (a writer's
+ * "<hash>.json.tmp.<pid>.<n>" temp files) are skipped, and an absent
+ * directory reads as empty.
  */
 FragmentDir readFragments(const std::string &dir);
 

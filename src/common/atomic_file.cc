@@ -11,6 +11,11 @@
 namespace tcsim
 {
 
+namespace
+{
+
+/** @return "<path>.tmp.<pid>.<n>": no other call in any process gets
+ * the same name, so concurrent writers never share a temp file. */
 std::string
 uniqueTempPath(const std::string &path)
 {
@@ -18,6 +23,8 @@ uniqueTempPath(const std::string &path)
     return path + ".tmp." + std::to_string(::getpid()) + "." +
            std::to_string(counter.fetch_add(1));
 }
+
+} // namespace
 
 bool
 writeFileAtomic(const std::string &path, std::string_view bytes)

@@ -1,7 +1,7 @@
 /**
  * @file
- * FNV-1a 64-bit hashing, the content-addressing primitive shared by
- * the artifact cache and the sweep work-unit protocol. Deterministic
+ * FNV-1a 64-bit hashing, the content-addressing primitive of the
+ * sweep work-unit protocol and the btrace checksums. Deterministic
  * across processes and runs (no pointer or seed salting), which is
  * what makes hashes usable as stable on-disk keys.
  */

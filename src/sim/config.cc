@@ -29,7 +29,7 @@ configFingerprint(const ProcessorConfig &config)
     // Every simulation-relevant field participates; keep this in sync
     // with ProcessorConfig and the nested parameter structs. A field
     // left out here would let two behaviorally different configs share
-    // cached artifacts and merged fragments.
+    // unit hashes and merged fragments.
     std::uint64_t hash = kFnvOffsetBasis;
     hash = fnv1aAppendScalar(hash, config.useTraceCache);
     hash = fnv1aAppendScalar(hash, config.traceCache.numSegments);

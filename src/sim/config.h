@@ -88,8 +88,7 @@ struct ProcessorConfig
  * field of @p config (the display name is excluded: two configs that
  * simulate identically fingerprint identically). The sweep work-unit
  * protocol folds this into unit content hashes so a changed preset
- * invalidates previously computed fragments, and the artifact cache
- * keys warmed predictor checkpoints with it.
+ * invalidates previously computed fragments.
  */
 std::uint64_t configFingerprint(const ProcessorConfig &config);
 

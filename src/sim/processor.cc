@@ -2268,6 +2268,13 @@ Processor::functionalWarmup(std::uint64_t until)
 }
 
 Processor::ControlFlowResult
+Processor::walkControlFlow(std::uint64_t max_insts)
+{
+    OracleSteps steps(*oracle_, max_insts);
+    return walk<WalkMode::ControlFlow>(steps, nullptr);
+}
+
+Processor::ControlFlowResult
 Processor::recordTrace(workload::BtraceWriter &writer,
                        std::uint64_t max_insts)
 {

@@ -155,9 +155,16 @@ class Processor
 
     /**
      * Execute up to @p max_insts instructions through the oracle,
-     * appending every retired control-flow event to @p writer (which
-     * this finalizes via close()). Requires a pristine processor; the
-     * pass is terminal — discard the processor afterwards.
+     * driving the front end from the retired control-flow stream.
+     * Requires a pristine processor; the pass is terminal — discard
+     * the processor afterwards. recordTrace() and replayTrace() of the
+     * same stream agree with it on every field.
+     */
+    ControlFlowResult walkControlFlow(std::uint64_t max_insts);
+
+    /**
+     * walkControlFlow(), appending every retired control-flow event to
+     * @p writer (which this finalizes via close()).
      */
     ControlFlowResult recordTrace(workload::BtraceWriter &writer,
                                   std::uint64_t max_insts);
@@ -258,19 +265,21 @@ class Processor
         /** functionalWarmup: touch the dcache too; no trace-cache
          * lookups and no counting. */
         Warm,
-        /** recordTrace / replayTrace: look up the trace cache once per
-         * fetch leader, count, and fold the outcome hash. */
+        /** walkControlFlow / recordTrace / replayTrace: look up the
+         * trace cache once per fetch leader, count, and fold the
+         * outcome hash. */
         ControlFlow,
     };
 
     /**
      * The functional front-end walker behind functionalWarmup(),
-     * recordTrace() and replayTrace(). @p steps is the step source:
-     * pc() gives the first fetch leader, and while more() holds,
-     * next() yields the next retired step. Each step gets the
-     * retire-time updates a detailed run would apply (icache, branch
-     * predictors, RAS, indirect targets, fill unit). @p writer, given
-     * only by record, receives one record per control instruction.
+     * walkControlFlow(), recordTrace() and replayTrace(). @p steps is
+     * the step source: pc() gives the first fetch leader, and while
+     * more() holds, next() yields the next retired step. Each step
+     * gets the retire-time updates a detailed run would apply (icache,
+     * branch predictors, RAS, indirect targets, fill unit). @p writer,
+     * given only by record, receives one record per control
+     * instruction.
      */
     template <WalkMode Mode, typename Steps>
     ControlFlowResult walk(Steps &steps, workload::BtraceWriter *writer);

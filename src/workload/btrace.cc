@@ -159,7 +159,7 @@ BtraceWriter::close(std::uint64_t inst_count)
 
 BtraceReader::~BtraceReader()
 {
-    if (mmapped_)
+    if (map_ != nullptr)
         ::munmap(const_cast<unsigned char *>(map_), mapBytes_);
 }
 
@@ -186,19 +186,6 @@ BtraceReader::open(const std::string &path, std::string *error)
         return fail(error, "cannot mmap trace file");
     map_ = static_cast<const unsigned char *>(map);
     mapBytes_ = bytes;
-    mmapped_ = true;
-    return validate(error);
-}
-
-bool
-BtraceReader::openBytes(std::string bytes, std::string *error)
-{
-    TCSIM_ASSERT(map_ == nullptr);
-    if (bytes.size() < kBtraceHeaderBytes)
-        return fail(error, "file shorter than the btrace header");
-    owned_ = std::move(bytes);
-    map_ = reinterpret_cast<const unsigned char *>(owned_.data());
-    mapBytes_ = owned_.size();
     return validate(error);
 }
 

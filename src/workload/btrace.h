@@ -157,13 +157,6 @@ class BtraceReader
      */
     bool open(const std::string &path, std::string *error = nullptr);
 
-    /**
-     * Adopt and validate an in-memory trace image (e.g. artifact-cache
-     * bytes) with the same checks as open(). @return false (with the
-     * reason in @p error when non-null) on any validation problem.
-     */
-    bool openBytes(std::string bytes, std::string *error = nullptr);
-
     const BtraceHeader &header() const { return header_; }
     std::uint64_t recordCount() const { return header_.recordCount; }
 
@@ -174,10 +167,8 @@ class BtraceReader
     bool validate(std::string *error);
 
     BtraceHeader header_;
-    std::string owned_;
     const unsigned char *map_ = nullptr;
     std::size_t mapBytes_ = 0;
-    bool mmapped_ = false;
 };
 
 } // namespace tcsim::workload

@@ -156,8 +156,8 @@ isServerProfile(const BenchmarkProfile &profile)
  * @return a stable FNV-1a fingerprint over every generation-relevant
  * field of @p profile (doubles hashed by bit pattern). Two profiles
  * with equal fingerprints generate identical programs for a given
- * generator version; the artifact cache and the sweep work-unit
- * protocol both fold this into their content keys.
+ * generator version; the sweep work-unit protocol folds this into
+ * unit content hashes, and a btrace header carries it.
  */
 std::uint64_t profileFingerprint(const BenchmarkProfile &profile);
 

@@ -414,7 +414,7 @@ profileFingerprint(const BenchmarkProfile &profile)
     // Server extension fields join the hash only when one is set, under
     // a version tag (same pattern as the "mem-ext-v1" config block):
     // classic profiles keep their historical fingerprints bit-for-bit,
-    // so no cached artifact, unit hash or golden moves.
+    // so no unit hash or golden moves.
     if (isServerProfile(profile)) {
         hash = fnv1aAppend(hash, "server-ext-v1");
         hash = fnv1aAppendScalar(hash, profile.serverCallChainDepth);

@@ -15,7 +15,7 @@ bin="$1/bench/tcsim_exhibits"
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 export TCSIM_INSTS=20000
-unset TCSIM_WARMUP TCSIM_CACHE_DIR
+unset TCSIM_WARMUP
 
 echo "== every exhibit, one job against four =="
 TCSIM_JOBS=1 "$bin" > "$scratch/jobs1.txt" 2> "$scratch/jobs1.log"

@@ -3,8 +3,7 @@
 #
 #  1. single-process run, and the same at TCSIM_JOBS=4, which must be
 #     byte-identical,
-#  2. rerun with fragments — byte-identical, and full units look
-#     nothing up in the artifact cache and store nothing there,
+#  2. rerun with fragments — byte-identical,
 #  3. resume: a fragments directory seeded with shard 0/2's fragments
 #     (one with a sentinel wall time), torn bytes under a shard-1
 #     unit's name, a writer's temp file and another matrix's fragment;
@@ -12,14 +11,13 @@
 #     leave the sentinel alone, a second run must simulate nothing,
 #     and --merge must agree,
 #  4. a 2-shard --replay sweep whose merge must equal its
-#     single-process document; that run reads the btraces the shards
-#     stored, and every cache lookup must hit (hits change wall-clock
-#     only, never results),
+#     single-process document,
 #  5. a matrix that names one unit twice is an error in every mode,
 #  6. tools/validate_obs.py over every fragment and merged document,
 #     and its rejection of a fragment renamed away from its hash and
 #     of fragments the merge calls corrupt (a counter array of the
-#     wrong shape, a negative or fractional counter),
+#     wrong shape, a negative or fractional counter, no timing), each
+#     of which also makes `tcsim_regress` exit 2,
 #  7. `tcsim_regress` self-compare (clean, exit 0) with every unit's
 #     wall time read from fragments, for the cycle and the replay
 #     matrix, against a perturbed current run (regression, exit 5),
@@ -38,30 +36,17 @@ scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
 
 margs=(--benchmarks compress,li --configs baseline,promotion-t64
-       --insts 20000 --warmup 5000 --cache-dir "$scratch/cache")
-
-# Sum one timing counter over every fragment in a directory.
-sum_timing() {
-    python3 - "$1" "$2" <<'EOF'
-import glob, json, sys
-print(sum(json.load(open(f))["timing"][sys.argv[2]]
-          for f in glob.glob(sys.argv[1] + "/*.json")))
-EOF
-}
+       --insts 20000 --warmup 5000)
 
 echo "== single-process reference, one job against four =="
 TCSIM_JOBS=1 "$bin" "${margs[@]}" --out "$scratch/single.json"
 TCSIM_JOBS=4 "$bin" "${margs[@]}" --out "$scratch/jobs4.json"
 cmp "$scratch/single.json" "$scratch/jobs4.json"
 
-echo "== rerun: byte-identical, no cache lookups for full units =="
+echo "== rerun with fragments: byte-identical =="
 "$bin" "${margs[@]}" --fragments-dir "$scratch/rerun-frags" \
        --out "$scratch/rerun.json"
 cmp "$scratch/single.json" "$scratch/rerun.json"
-[ "$(sum_timing "$scratch/rerun-frags" cache_hits)" -eq 0 ]
-[ "$(sum_timing "$scratch/rerun-frags" cache_misses)" -eq 0 ]
-[ -z "$(ls -A "$scratch/cache" 2>/dev/null)" ] || {
-    echo "full units wrote to the artifact cache" >&2; exit 1; }
 
 echo "== resume a killed run from its fragments =="
 frags="$scratch/frags"
@@ -104,7 +89,7 @@ cmp "$scratch/single.json" "$scratch/merged.json"
 
 echo "== 2-shard replay sweep merges byte-identically =="
 rargs=(--benchmarks compress,li --configs baseline,promo-pack-unregulated
-       --insts 20000 --replay --cache-dir "$scratch/cache")
+       --insts 20000 --replay)
 for shard in 0 1; do
     "$bin" "${rargs[@]}" --shard "$shard/2" \
            --fragments-dir "$scratch/replay-frags"
@@ -114,8 +99,6 @@ done
 "$bin" "${rargs[@]}" --fragments-dir "$scratch/replay-single-frags" \
        --out "$scratch/replay-single.json"
 cmp "$scratch/replay-single.json" "$scratch/replay-merged.json"
-[ "$(sum_timing "$scratch/replay-single-frags" cache_hits)" -gt 0 ]
-[ "$(sum_timing "$scratch/replay-single-frags" cache_misses)" -eq 0 ]
 
 echo "== a matrix that names one unit twice is an error in every mode =="
 for dup in "--benchmarks compress,compress --configs baseline" \
@@ -150,7 +133,7 @@ python3 "$validate" --fragment "$scratch/renamed/0000000000000000.json" ||
 [ "$rc" -ne 0 ] || { echo "renamed fragment validated" >&2; exit 1; }
 
 echo "== a fragment the merge calls corrupt does not validate =="
-for flaw in short-cycle-cat narrow-hist-row negative fraction; do
+for flaw in short-cycle-cat narrow-hist-row negative fraction no-timing; do
     dir="$scratch/$flaw"
     mkdir "$dir"
     python3 - "$frags/$h0.json" "$dir/$h0.json" "$flaw" <<'EOF'
@@ -164,8 +147,10 @@ elif flaw == "narrow-hist-row":
     result["fetch_hist"][0] = result["fetch_hist"][0][:3]
 elif flaw == "negative":
     result["cycles"] = -1
-else:
+elif flaw == "fraction":
     result["tc_lookups"] = 375.0
+else:
+    del doc["timing"]
 json.dump(doc, open(sys.argv[2], "w"), indent=2)
 EOF
     rc=0
@@ -176,6 +161,12 @@ EOF
            2> "$scratch/$flaw.log" || rc=$?
     [ "$rc" -eq 2 ] || { echo "$flaw merge: exit $rc" >&2; exit 1; }
     grep -q "corrupt fragment: $dir/$h0.json" "$scratch/$flaw.log"
+    rc=0
+    "$regress" --baseline "$scratch/merged.json" \
+               --current "$scratch/merged.json" \
+               --baseline-fragments "$dir" --current-fragments "$frags" \
+               --out "$scratch/regress-$flaw.json" 2> /dev/null || rc=$?
+    [ "$rc" -eq 2 ] || { echo "$flaw regress: exit $rc" >&2; exit 1; }
 done
 
 echo "== regress self-compare is clean, with every unit's wall time =="

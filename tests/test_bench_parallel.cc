@@ -7,16 +7,13 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
-#include "bench/artifact_cache.h"
 #include "bench/harness.h"
 #include "bench/sweep.h"
 #include "bench/thread_pool.h"
 #include "sim/processor.h"
-#include "test_paths.h"
 
 namespace
 {
@@ -101,15 +98,7 @@ TEST(BenchParallel, SweepIsBitIdenticalAcrossJobCounts)
     // workers must reproduce one worker's results exactly, for the
     // paper's headline configurations (trace cache + fill unit + bias
     // table, and the icache/hybrid-predictor front end) and for
-    // warmed-up and replay units; the replay units' btraces go through
-    // a cache that starts cold, so units of one benchmark record and
-    // store them side by side.
-    const std::string cache_dir = test::scratchPath("cache");
-    std::filesystem::remove_all(cache_dir);
-    ::setenv("TCSIM_CACHE_DIR", cache_dir.c_str(), 1);
-    ASSERT_TRUE(ArtifactCache::process().enabled())
-        << "run one test per process, as ctest does";
-
+    // warmed-up and replay units.
     SweepOptions options;
     options.configs = {
         sim::baselineConfig(),
@@ -145,8 +134,6 @@ TEST(BenchParallel, SweepIsBitIdenticalAcrossJobCounts)
     }
     EXPECT_EQ(renderResultsDoc(units, parallel),
               renderResultsDoc(units, sequential));
-    std::filesystem::remove_all(cache_dir);
-    ::unsetenv("TCSIM_CACHE_DIR");
 }
 
 TEST(BenchParallel, SweepMatrixShapeMatchesInputs)

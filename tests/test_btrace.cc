@@ -250,38 +250,8 @@ TEST(FunctionalWalker, GoldenDigests)
     }
 }
 
-// openBytes() must validate an in-memory image (the artifact-cache
-// path) exactly like open() validates a file, and serve identical
-// records from the adopted buffer.
-TEST(Btrace, OpenBytesMatchesOpen)
-{
-    const std::string path = tracePath("openbytes");
-    recordBenchmark("compress", path, kTraceInsts);
-    const std::string bytes = readFileBytes(path);
-
-    BtraceReader from_file;
-    BtraceReader from_bytes;
-    std::string error;
-    ASSERT_TRUE(from_file.open(path, &error)) << error;
-    ASSERT_TRUE(from_bytes.openBytes(bytes, &error)) << error;
-    ASSERT_EQ(from_file.recordCount(), from_bytes.recordCount());
-    EXPECT_EQ(from_file.header().profileFingerprint,
-              from_bytes.header().profileFingerprint);
-    for (std::uint64_t i : {std::uint64_t{0},
-                            from_file.recordCount() / 2,
-                            from_file.recordCount() - 1}) {
-        const BtraceRecord a = from_file.record(i);
-        const BtraceRecord b = from_bytes.record(i);
-        EXPECT_EQ(a.pc, b.pc);
-        EXPECT_EQ(a.target, b.target);
-        EXPECT_EQ(a.cls, b.cls);
-        EXPECT_EQ(a.taken, b.taken);
-    }
-    std::filesystem::remove(path);
-}
-
 // Corruption rejection: every class of damage must be refused with the
-// right reason, both from a file and from in-memory bytes.
+// right reason.
 class BtraceCorruption : public testing::Test
 {
   protected:
@@ -295,18 +265,14 @@ class BtraceCorruption : public testing::Test
 
     void TearDown() override { std::filesystem::remove(path_); }
 
-    /** Expect both open paths to reject @p bytes citing @p reason. */
+    /** Expect the reader to reject @p bytes citing @p reason. */
     void expectRejected(const std::string &bytes,
                         const std::string &reason)
     {
         writeFileBytes(path_, bytes);
-        BtraceReader from_file;
+        BtraceReader reader;
         std::string error;
-        EXPECT_FALSE(from_file.open(path_, &error));
-        EXPECT_EQ(error, reason);
-        BtraceReader from_bytes;
-        error.clear();
-        EXPECT_FALSE(from_bytes.openBytes(bytes, &error));
+        EXPECT_FALSE(reader.open(path_, &error));
         EXPECT_EQ(error, reason);
     }
 

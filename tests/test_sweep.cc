@@ -1,30 +1,49 @@
 /**
  * @file
  * Tests for the sharded sweep engine: stable unit enumeration and
- * content hashing, the byte-identity of a sharded merge and of a
- * resumed run against the single-process document, and the fragment
- * reader's classification of missing, stale and corrupt fragments.
+ * content hashing, what a replay unit computes, the byte-identity of a
+ * sharded merge and of a resumed run against the single-process
+ * document, and the fragment reader's listing and its classification
+ * of missing, stale and corrupt fragments.
  */
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bench/harness.h"
-#include "bench/store.h"
 #include "bench/sweep.h"
 #include "sim/config.h"
 #include "sim/processor.h"
 #include "test_paths.h"
+#include "workload/btrace.h"
+#include "workload/generator.h"
+#include "workload/profile.h"
 
 namespace
 {
 
 using namespace tcsim;
 using namespace tcsim::bench;
+
+/** @return the bytes of the file at @p path; empty optional when it
+ * cannot be read. */
+std::optional<std::string>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::nullopt;
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return std::move(bytes).str();
+}
 
 SweepOptions
 smallMatrix()
@@ -115,6 +134,54 @@ TEST(SweepUnits, ConfigByNameResolvesPresets)
     EXPECT_FALSE(configByName("promotion-t").has_value());
     EXPECT_FALSE(configByName("packing-bogus").has_value());
     EXPECT_FALSE(configByName("baseline+mem").has_value());
+    // A threshold above 2^32 - 1 is unknown, not wrapped or thrown.
+    EXPECT_FALSE(configByName("promotion-t4294967360").has_value());
+    EXPECT_FALSE(
+        configByName("promotion-t99999999999999999999").has_value());
+}
+
+TEST(SweepUnits, ReplayUnitCountsWhatItsBtraceReplayCounts)
+{
+    // A replay unit runs the oracle-driven control-flow pass over its
+    // config; replaying the benchmark's recorded btrace through the
+    // same config must count the same, field by field.
+    SweepOptions options;
+    options.benchmarks = {"gcc", "go", "server-oltp"};
+    options.configs = {sim::baselineConfig(),
+                       *configByName("promo-pack-unregulated")};
+    options.insts = 200000;
+    options.replay = true;
+    const std::string path = test::scratchPath("replay.btrace");
+    for (const WorkUnit &unit : enumerateUnits(options)) {
+        SCOPED_TRACE(unit.id);
+        const workload::Program &program = programFor(unit.benchmark);
+        {
+            workload::BtraceWriter writer(
+                path, workload::kGeneratorVersion,
+                workload::profileFingerprint(
+                    workload::findProfile(unit.benchmark)),
+                program.entry());
+            sim::Processor recorder(sim::icacheConfig(), program);
+            recorder.recordTrace(writer, unit.insts);
+        }
+        workload::BtraceReader reader;
+        std::string error;
+        ASSERT_TRUE(reader.open(path, &error)) << error;
+        sim::Processor replayer(unit.config, program);
+        const sim::Processor::ControlFlowResult replayed =
+            replayer.replayTrace(reader);
+
+        const sim::SimResult walked = executeUnit(unit);
+        EXPECT_EQ(walked.instructions, unit.insts);
+        EXPECT_EQ(walked.instructions, replayed.instructions);
+        EXPECT_EQ(walked.condBranches, replayed.condBranches);
+        EXPECT_EQ(walked.condMispredicts, replayed.condMispredicts);
+        EXPECT_EQ(walked.indirectMispredicts, replayed.indirectMispredicts);
+        EXPECT_EQ(walked.tcLookups, replayed.tcLookups);
+        EXPECT_EQ(walked.tcHits, replayed.tcHits);
+        EXPECT_EQ(walked.icacheMisses, replayed.icacheMisses);
+    }
+    std::filesystem::remove(path);
 }
 
 class SweepMergeTest : public testing::Test
@@ -203,10 +270,9 @@ TEST_F(SweepMergeTest, ServerProfileShardedMergeIsByteIdentical)
 TEST_F(SweepMergeTest, ReplayUnitsShardAndMergeByteIdentical)
 {
     // The @replay dimension rides the same fragment pipeline: replay
-    // units are deterministic (the btrace artifact is recorded from
-    // the same oracle every time), their ids and hashes carry the
-    // replay marker, and a sharded merge reproduces the
-    // single-process document.
+    // units are deterministic (the oracle walk is the same every
+    // time), their ids and hashes carry the replay marker, and a
+    // sharded merge reproduces the single-process document.
     SweepOptions options;
     options.benchmarks = {"compress", "server-oltp"};
     options.configs = {sim::baselineConfig()};
@@ -323,7 +389,7 @@ TEST_F(SweepMergeTest, CorruptFragmentsBlockTheMerge)
     // calls a number would merge as some other integer (-1 as 2^64 - 1,
     // 3.75e2 as 3), so the fragment holding it is corrupt too.
     const std::string path = fragmentPath(dir_, units[0]);
-    const std::string good = *LocalDirStore(dir_).get(units[0].hash + ".json");
+    const std::string good = *readFile(path);
     for (const auto &[counter, value] :
          std::vector<std::pair<std::string, std::string>>{
              {"\"cycles\": ", "-1"},
@@ -343,6 +409,40 @@ TEST_F(SweepMergeTest, CorruptFragmentsBlockTheMerge)
         bad.replace(digits,
                     bad.find_first_not_of("0123456789", digits) - digits,
                     value);
+        std::ofstream(path) << bad;
+        MergeReport bad_report;
+        EXPECT_FALSE(mergeFragments(options, dir_, bad_report).has_value());
+        ASSERT_EQ(bad_report.corrupt.size(), 1u);
+        EXPECT_EQ(bad_report.corrupt[0], path);
+    }
+
+    // Timing is one object holding exactly "wall_seconds", a finite
+    // non-negative number: a fragment without it would read as 0 s
+    // and blind tcsim_regress's wall-clock gate.
+    const std::string wall_key = "\"wall_seconds\": ";
+    const std::size_t key_at = good.find(wall_key);
+    const std::size_t timing_at = good.find(",\n  \"timing\"");
+    ASSERT_NE(key_at, std::string::npos);
+    ASSERT_NE(timing_at, std::string::npos);
+    const std::size_t wall_at = key_at + wall_key.size();
+    const std::size_t wall_end = good.find('\n', wall_at);
+    // The good fragment with [at, end) replaced by @p text.
+    const auto spliced = [&](std::size_t at, std::size_t end,
+                             const std::string &text) {
+        return good.substr(0, at) + text + good.substr(end);
+    };
+    for (const auto &[flaw, bad] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"no timing", spliced(timing_at, good.rfind('}'), "\n")},
+             {"no wall_seconds",
+              spliced(key_at, wall_at, "\"cpu_seconds\": ")},
+             {"negative wall_seconds", spliced(wall_at, wall_end, "-1.5")},
+             {"string wall_seconds",
+              spliced(wall_at, wall_end, "\"0.5\"")},
+             {"extra timing key",
+              spliced(wall_end, wall_end, ",\n    \"cache_hits\": 0")},
+         }) {
+        SCOPED_TRACE(flaw);
         std::ofstream(path) << bad;
         MergeReport bad_report;
         EXPECT_FALSE(mergeFragments(options, dir_, bad_report).has_value());
@@ -371,6 +471,38 @@ TEST_F(SweepMergeTest, RetryReplacesTornFragment)
     MergeReport report;
     EXPECT_TRUE(mergeFragments(options, dir_, report).has_value());
     EXPECT_TRUE(report.corrupt.empty());
+}
+
+TEST_F(SweepMergeTest, ReaderListsTopLevelJsonFilesInNameOrder)
+{
+    // writeFragment creates the directory; the reader takes the
+    // regular "*.json" files directly in it, sorted by name, and skips
+    // writers' temp files, other names and subdirectories.
+    const std::string dir = dir_ + "/made";
+    const std::vector<WorkUnit> units = enumerateUnits(smallMatrix());
+    for (std::size_t i = units.size(); i-- > 0;)
+        ASSERT_TRUE(writeFragment(dir, units[i], sim::SimResult{},
+                                  UnitTiming{}));
+    std::ofstream(fragmentPath(dir, units[0]) + ".tmp.7.0") << "{";
+    std::ofstream(dir + "/notes.txt") << "{";
+    std::filesystem::create_directories(dir + "/nested.json");
+    std::ofstream(dir + "/nested.json/" + units[0].hash + ".json") << "{";
+
+    const FragmentDir read = readFragments(dir);
+    EXPECT_TRUE(read.corrupt.empty());
+    std::vector<std::string> hashes;
+    for (const Fragment &fragment : read.fragments)
+        hashes.push_back(fragment.hash);
+    std::vector<std::string> sorted;
+    for (const WorkUnit &unit : units)
+        sorted.push_back(unit.hash);
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(hashes, sorted);
+
+    // An absent directory reads as empty, not as an error.
+    const FragmentDir absent = readFragments(dir_ + "/absent");
+    EXPECT_TRUE(absent.fragments.empty());
+    EXPECT_TRUE(absent.corrupt.empty());
 }
 
 TEST_F(SweepMergeTest, RenamedFragmentIsCorruptNotTrusted)
@@ -409,7 +541,6 @@ class SweepResume : public SweepMergeTest
         for (const WorkUnit &unit : units)
             integers.push_back(executeUnit(unit));
         const std::string clean = renderResultsDoc(units, integers);
-        const LocalDirStore store(dir_);
 
         // Shard 0/2's fragments; unit 0's wall time is a sentinel.
         // Timing is non-canonical, so that fragment stays valid.
@@ -423,7 +554,7 @@ class SweepResume : public SweepMergeTest
             timing.wallSeconds = i == 0 ? 4242.5 : 0.25;
             ASSERT_TRUE(writeFragment(dir_, units[i], integers[i], timing));
         }
-        const auto sentinel = store.get(units[0].hash + ".json");
+        const auto sentinel = readFile(fragmentPath(dir_, units[0]));
         // Torn bytes under unit 1's name; a writer's temp file for
         // unit 3, which a reader must not take for its fragment.
         std::ofstream(fragmentPath(dir_, units[1]))
@@ -436,15 +567,15 @@ class SweepResume : public SweepMergeTest
         other_options.insts *= 2;
         const WorkUnit other = enumerateUnits(other_options)[0];
         ASSERT_TRUE(writeFragment(dir_, other, integers[0], UnitTiming{}));
-        const auto other_bytes = store.get(other.hash + ".json");
+        const auto other_bytes = readFile(fragmentPath(dir_, other));
         ASSERT_TRUE(sentinel && other_bytes);
 
         const SweepRun run = runSweep(units, dir_);
         EXPECT_TRUE(run.fragmentsWritten);
         EXPECT_EQ(run.simulated, lacking);
         EXPECT_EQ(renderResultsDoc(units, run.results), clean);
-        EXPECT_EQ(store.get(units[0].hash + ".json"), sentinel);
-        EXPECT_EQ(store.get(other.hash + ".json"), other_bytes);
+        EXPECT_EQ(readFile(fragmentPath(dir_, units[0])), sentinel);
+        EXPECT_EQ(readFile(fragmentPath(dir_, other)), other_bytes);
         EXPECT_TRUE(std::filesystem::exists(temp));
         // The torn bytes were replaced: every unit, and the other
         // matrix's unit, now has a valid fragment.

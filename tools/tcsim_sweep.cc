@@ -43,21 +43,15 @@
  *   --warmup <n>         warm-up instructions (0 = cold start): measure
  *                        [n, n + insts) after simulating [0, n), as
  *                        TCSIM_WARMUP and `tcsim_run --warmup` do
- *   --replay             drive each unit's front end from a recorded
- *                        tcsim-btrace-v1 control-flow trace instead of
- *                        cycle simulation. The trace is recorded once
- *                        per (benchmark, insts) and cached as a
- *                        "btrace" artifact shared by every config;
- *                        unit ids gain an "@replay" suffix and hashes
- *                        fold the btrace format version. Only
- *                        front-end stats (mispredicts, trace-cache and
- *                        icache activity) are meaningful; cycles stay
- *                        zero. Excludes --warmup.
- *
- * Artifact cache (accepted in every mode):
- *   --cache-dir <dir>    content-addressed cache for the replay units'
- *                        btrace artifacts (also via TCSIM_CACHE_DIR)
- *   --no-cache           disable the cache even if the env var is set
+ *   --replay             drive each unit's front end from the
+ *                        oracle's retired control-flow stream instead
+ *                        of cycle simulation: the pass `tcsim_run
+ *                        --record-trace` runs, which a replay of its
+ *                        btrace reproduces; unit ids gain an "@replay"
+ *                        suffix. Only front-end stats (mispredicts,
+ *                        trace-cache and icache activity) are
+ *                        meaningful; cycles stay zero. Excludes
+ *                        --warmup.
  *
  * Numeric flags take decimal integers only.
  * Exit codes: 0 done, 1 usage or matrix error, 2 merge incomplete,
@@ -73,7 +67,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/artifact_cache.h"
 #include "bench/sweep.h"
 #include "common/atomic_file.h"
 #include "common/parse.h"
@@ -92,8 +85,7 @@ usage(const char *argv0)
                  "usage: %s [--list | --shard i/N | --merge]\n"
                  "  [--fragments-dir d] [--out f] "
                  "[--benchmarks a,b] [--configs x,y]\n"
-                 "  [--insts n] [--warmup n] [--replay] "
-                 "[--cache-dir d] [--no-cache]\n",
+                 "  [--insts n] [--warmup n] [--replay]\n",
                  argv0);
     std::exit(1);
 }
@@ -145,11 +137,10 @@ main(int argc, char **argv)
     bool list = false, merge = false;
     unsigned shard_index = 0, shard_count = 0;
     std::string fragments_dir, out_path;
-    bool no_cache = false;
     bench::SweepOptions options;
     std::vector<std::string> config_names;
-    // The mode and output flags given, in order; the matrix and cache
-    // flags apply in every mode.
+    // The mode and output flags given, in order; the matrix flags
+    // apply in every mode.
     std::vector<std::string> given;
 
     for (int i = 1; i < argc; ++i) {
@@ -169,10 +160,6 @@ main(int argc, char **argv)
             options.warmup = requireUint("--warmup", next());
         } else if (arg == "--replay") {
             options.replay = true;
-        } else if (arg == "--cache-dir") {
-            setenv("TCSIM_CACHE_DIR", next(), 1);
-        } else if (arg == "--no-cache") {
-            no_cache = true;
         } else if (arg == "--list") {
             list = true;
             given.push_back(arg);
@@ -206,9 +193,6 @@ main(int argc, char **argv)
             usage(argv[0]);
         }
     }
-    if (no_cache)
-        unsetenv("TCSIM_CACHE_DIR");
-
     // --list and --merge use some of the mode and output flags (a
     // simulating run uses them all); any other one is an error, not
     // silently ignored.
@@ -306,15 +290,7 @@ main(int argc, char **argv)
         return 3;
     }
 
-    const bench::ArtifactCacheStats cache =
-        bench::ArtifactCache::process().stats();
-    std::fprintf(stderr,
-                 "done: %zu units simulated in %.2fs (cache: %llu hits, "
-                 "%llu misses, %llu stores, %llu rejected)\n",
-                 run.simulated.size(), total_seconds,
-                 static_cast<unsigned long long>(cache.hits),
-                 static_cast<unsigned long long>(cache.misses),
-                 static_cast<unsigned long long>(cache.stores),
-                 static_cast<unsigned long long>(cache.rejected));
+    std::fprintf(stderr, "done: %zu units simulated in %.2fs\n",
+                 run.simulated.size(), total_seconds);
     return 0;
 }

@@ -17,6 +17,7 @@ Exits 0 when every named file validates, 1 otherwise.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -181,6 +182,17 @@ def is_counter(value):
             and 0 <= value < 1 << 64)
 
 
+def is_wall_seconds(value):
+    """True for what the fragment reader takes as a unit's wall time: a
+    finite non-negative number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(value)) and value >= 0
+    except OverflowError:  # an integer beyond any double
+        return False
+
+
 def has_shape(value, shape):
     """True when @value is nested lists of counters of @shape."""
     if not shape:
@@ -258,9 +270,11 @@ def validate_fragment(path):
     if unit["id"] != expected_id:
         return fail(path, f"unit id {unit['id']!r} != {expected_id!r}")
     timing = doc.get("timing")
-    if not isinstance(timing, dict) or \
-            set(timing) != {"wall_seconds", "cache_hits", "cache_misses"}:
+    if not isinstance(timing, dict) or set(timing) != {"wall_seconds"}:
         return fail(path, "missing or malformed timing section")
+    if not is_wall_seconds(timing["wall_seconds"]):
+        return fail(path, "bad timing.wall_seconds "
+                          f"{timing['wall_seconds']!r}")
     print(f"validate_obs: {path}: OK (fragment {unit['id']})")
     return True
 
