@@ -10,12 +10,13 @@
  *  - TCSIM_WARMUP: warm-up instructions per unit (default 0): measure
  *    [n, n + budget) after simulating [0, n), as `tcsim_sweep
  *    --warmup n` does. Both must be decimal integers.
- *  - TCSIM_JOBS: worker threads for the fan-out (default:
- *    hardware_concurrency); results are bit-identical at any count.
+ *  - TCSIM_JOBS: worker threads for the fan-out, a decimal integer
+ *    from 1 to 1024 (default: hardware_concurrency); results are
+ *    bit-identical at any count.
  *  - TCSIM_VERIFY_WINDOW_INDEX: when set, the simulator runs the
  *    original O(window) reference scans beside every indexed lookup
- *    (store-order violations, load forwarding/disambiguation,
- *    promoted-fault checkpoints) and asserts agreement per event.
+ *    (load forwarding/disambiguation, promoted-fault checkpoints) and
+ *    asserts agreement per event.
  */
 
 #ifndef TCSIM_BENCH_HARNESS_H

@@ -347,27 +347,25 @@ BENCHMARK(BM_ProcessorSimulation)->Unit(benchmark::kMillisecond);
 /** Promotion+packing config with an @p rob_entries-entry window (the
  * checkpoint pool is scaled up so it never caps the window). */
 sim::ProcessorConfig
-windowConfig(std::uint32_t rob_entries, bool speculative)
+windowConfig(std::uint32_t rob_entries)
 {
     sim::ProcessorConfig config = sim::promotionPackingConfig(64);
     config.robEntries = rob_entries;
     config.checkpoints = std::max(64u, rob_entries / 4);
-    if (speculative)
-        config.disambiguation = sim::Disambiguation::Speculative;
     return config;
 }
 
 void
-BM_StoreViolationWindow(benchmark::State &state)
+BM_LoadDisambiguationWindow(benchmark::State &state)
 {
-    // Per-event cost of the store-order-violation and load
-    // disambiguation checks as the in-flight window grows: compress
-    // under speculative disambiguation exercises both on every store
-    // address resolution and load schedule. With the indexed lookups
-    // the time per retired instruction should stay flat from 64- to
-    // 1024-entry windows.
-    const sim::ProcessorConfig config = windowConfig(
-        static_cast<std::uint32_t>(state.range(0)), true);
+    // Per-event cost of load disambiguation and forwarding as the
+    // in-flight window grows: compress under conservative
+    // disambiguation looks up older stores on every load schedule and
+    // parks loads behind unknown-address stores. With the indexed
+    // lookups and parks the time per retired instruction should stay
+    // flat from 64- to 1024-entry windows.
+    const sim::ProcessorConfig config =
+        windowConfig(static_cast<std::uint32_t>(state.range(0)));
     std::int64_t retired = 0;
     for (auto _ : state) {
         sim::Processor proc(config, compressProgram());
@@ -377,7 +375,7 @@ BM_StoreViolationWindow(benchmark::State &state)
     }
     state.SetItemsProcessed(retired);
 }
-BENCHMARK(BM_StoreViolationWindow)
+BENCHMARK(BM_LoadDisambiguationWindow)
     ->Arg(64)
     ->Arg(256)
     ->Arg(1024)
@@ -390,8 +388,8 @@ BM_FaultRecoveryWindow(benchmark::State &state)
     // selection + override-skip counting) as the window grows:
     // gnuchess under promotion+packing has the densest promoted-fault
     // rate in the suite.
-    const sim::ProcessorConfig config = windowConfig(
-        static_cast<std::uint32_t>(state.range(0)), false);
+    const sim::ProcessorConfig config =
+        windowConfig(static_cast<std::uint32_t>(state.range(0)));
     static const workload::Program program =
         workload::generateProgram(workload::findProfile("gnuchess"));
     std::int64_t retired = 0;

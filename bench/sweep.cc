@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <map>
 #include <mutex>
 
@@ -265,11 +264,9 @@ configByName(const std::string &name)
         return std::nullopt;
     };
     if (name.rfind("promotion-t", 0) == 0) {
-        const std::optional<std::uint64_t> threshold = parseUint(
-            name.substr(11), std::numeric_limits<std::uint32_t>::max());
-        if (!threshold)
-            return std::nullopt;
-        return sim::promotionConfig(static_cast<std::uint32_t>(*threshold));
+        if (auto threshold = sim::parsePromotionThreshold(name.substr(11)))
+            return sim::promotionConfig(*threshold);
+        return std::nullopt;
     }
     if (name.rfind("packing-", 0) == 0) {
         if (auto policy = policy_of(name.substr(8)))

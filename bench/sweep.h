@@ -99,8 +99,9 @@ std::vector<sim::ProcessorConfig> defaultSweepConfigs();
 
 /**
  * Resolve a configuration preset by name: "icache", "baseline",
- * "promotion-t<N>", "packing-<policy>", "promo-pack-<policy>" with
- * policy one of atomic / unregulated / n-regulated / cost-regulated.
+ * "promotion-t<N>" (N a threshold sim::parsePromotionThreshold
+ * takes), "packing-<policy>", "promo-pack-<policy>" with policy one of
+ * atomic / unregulated / n-regulated / cost-regulated.
  * @return empty optional for an unknown name.
  */
 std::optional<sim::ProcessorConfig> configByName(const std::string &name);

@@ -2,8 +2,19 @@
 
 #include <cstdlib>
 
+#include "common/log.h"
+#include "common/parse.h"
+
 namespace tcsim::bench
 {
+
+namespace
+{
+
+/** Ceiling on TCSIM_JOBS: a typo must not start millions of threads. */
+constexpr std::uint64_t kMaxJobs = 1024;
+
+} // namespace
 
 ThreadPool::ThreadPool(unsigned threads)
 {
@@ -73,9 +84,12 @@ unsigned
 defaultJobCount()
 {
     if (const char *env = std::getenv("TCSIM_JOBS")) {
-        const unsigned long requested = std::strtoul(env, nullptr, 10);
-        if (requested >= 1)
-            return static_cast<unsigned>(requested);
+        const std::optional<std::uint64_t> jobs = parseUint(env, kMaxJobs);
+        if (!jobs || *jobs == 0) {
+            fatal("TCSIM_JOBS: '%s' is not a job count from 1 to %llu", env,
+                  static_cast<unsigned long long>(kMaxJobs));
+        }
+        return static_cast<unsigned>(*jobs);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;

@@ -61,8 +61,9 @@ class ThreadPool
 };
 
 /**
- * @return the job count for experiment fan-out: TCSIM_JOBS if set (>= 1),
- * else std::thread::hardware_concurrency().
+ * @return the job count for experiment fan-out: TCSIM_JOBS if set, else
+ * std::thread::hardware_concurrency(). A TCSIM_JOBS that is not a
+ * decimal integer from 1 to 1024 is fatal.
  */
 unsigned defaultJobCount();
 

@@ -48,6 +48,8 @@ struct IntervalCounters {
     std::uint64_t segmentsBuilt = 0;     ///< fill-unit finalized segments
     std::uint64_t icacheMisses = 0;
     std::uint64_t predictionsUsed = 0;   ///< MBP slots consumed by fetches
+    /** Always 0: no disambiguation policy replays a load. Kept because
+     * tcsim-intervals-v1 and perfbench carry the key. */
     std::uint64_t memOrderViolations = 0;
     std::uint64_t l2Misses = 0;
     std::uint64_t writebacks = 0;        ///< all cache levels combined

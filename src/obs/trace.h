@@ -41,7 +41,7 @@ enum class Category : std::uint8_t {
     Promote,   ///< bias table: promotions, demotions, embedded branches
     Bpred,     ///< branch outcomes: mispredicts, promoted faults
     Mem,       ///< cache hierarchy: misses, writebacks
-    Core,      ///< pipeline core: recoveries, order violations
+    Core,      ///< pipeline core: recoveries
     NumCategories,
 };
 

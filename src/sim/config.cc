@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/fnv.h"
+#include "common/parse.h"
 
 namespace tcsim::sim
 {
@@ -104,6 +105,16 @@ baselineConfig()
     cfg.fillUnit.promotion = false;
     cfg.mbpKind = MbpKind::Tree;
     return cfg;
+}
+
+std::optional<std::uint32_t>
+parsePromotionThreshold(std::string_view text)
+{
+    const std::optional<std::uint64_t> threshold =
+        parseUint(text, kMaxPromotionThreshold);
+    if (!threshold || *threshold == 0)
+        return std::nullopt;
+    return static_cast<std::uint32_t>(*threshold);
 }
 
 ProcessorConfig

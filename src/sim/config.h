@@ -8,7 +8,9 @@
 #define TCSIM_SIM_CONFIG_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "bpred/bias_table.h"
 #include "core/node_tables.h"
@@ -26,18 +28,13 @@ enum class MbpKind : std::uint8_t
     Split, ///< 64K/16K/8K split tables (used with promotion)
 };
 
-/** Memory disambiguation aggressiveness (paper section 6). */
+/** Memory disambiguation aggressiveness (paper section 6). The values
+ * feed configFingerprint, so Perfect keeps the 2 it had beside the
+ * deleted dependence-speculation policy and unit hashes stay put. */
 enum class Disambiguation : std::uint8_t
 {
-    Conservative, ///< no load bypasses a store with an unknown address
-    /**
-     * Memory dependence speculation in the spirit of Moshovos et al.
-     * [ISCA 97] (cited by the paper's section 6): loads bypass
-     * unknown-address stores unless a dependence predictor says they
-     * conflicted before; violations squash and replay from the load.
-     */
-    Speculative,
-    Perfect,      ///< all load/store dependencies speculated correctly
+    Conservative = 0, ///< no load bypasses a store with an unknown address
+    Perfect = 2,      ///< all load/store dependencies speculated correctly
 };
 
 /** Everything needed to build a Processor. */
@@ -97,6 +94,17 @@ ProcessorConfig icacheConfig();
 
 /** The baseline trace cache: atomic fill, no promotion, tree MBP. */
 ProcessorConfig baselineConfig();
+
+/** The largest promotion threshold: the bias table's consecutive
+ * counter saturates at counterMax, and its constructor rejects a
+ * larger threshold. */
+inline constexpr std::uint32_t kMaxPromotionThreshold =
+    bpred::BiasTableParams{}.counterMax;
+
+/** @return @p text as a promotion threshold, a decimal integer from 1
+ * to kMaxPromotionThreshold, or empty optional. The sweep's
+ * "promotion-t<N>" and tcsim_run's --threshold both check here. */
+std::optional<std::uint32_t> parsePromotionThreshold(std::string_view text);
 
 /** Baseline + branch promotion at @p threshold (split MBP). */
 ProcessorConfig promotionConfig(std::uint32_t threshold = 64);

@@ -62,85 +62,11 @@ Processor::Processor(const ProcessorConfig &config,
     slotVersion_.assign(robStorage_.size(), 0);
     slotWatchers_.assign(robStorage_.size(), 0);
     unitParks_.resize(nodeTables_.numUnits());
-    memDepTable_.assign(4096, 0);
     oracleRing_.resize(1024); // power of two; grows by doubling
-    loadAddrIndex_.resize(kAddrIndexBuckets);
     storeAddrIndex_.resize(kAddrIndexBuckets);
     verifyIndexed_ = std::getenv("TCSIM_VERIFY_WINDOW_INDEX") != nullptr;
     debugRetire_ = std::getenv("TCSIM_DEBUG_RETIRE") != nullptr;
     fetchPc_ = program_.entry();
-}
-
-std::uint32_t
-Processor::memDepIndex(Addr pc) const
-{
-    return static_cast<std::uint32_t>(pc / isa::kInstBytes) & 4095u;
-}
-
-bool
-Processor::memDepPredictsConflict(Addr pc) const
-{
-    return memDepTable_[memDepIndex(pc)] >= 2;
-}
-
-void
-Processor::recordMemDepViolation(Addr load_pc)
-{
-    std::uint8_t &counter = memDepTable_[memDepIndex(load_pc)];
-    if (counter < 3)
-        ++counter;
-    ++memOrderViolations_;
-    bumpMemOrderEpoch(); // conflict predictions changed
-}
-
-void
-Processor::checkStoreOrderViolation(core::DynInst &store)
-{
-    // A store just resolved its address: any younger load to the same
-    // address that already executed consumed stale data and must
-    // replay (memory-order violation).
-    const DynInst *violator = oldestViolatingLoadAfter(store);
-    if (verifyIndexed_) {
-        TCSIM_ASSERT(violator == slowOldestViolatingLoadAfter(store),
-                     "indexed violation check diverges from reference "
-                     "scan (store seq %llu)",
-                     static_cast<unsigned long long>(store.seq));
-    }
-    if (violator == nullptr)
-        return;
-
-    recordMemDepViolation(violator->pc);
-    TCSIM_TPOINT(tracer_, Core, "violation",
-                 "store_pc=0x%llx addr=0x%llx load_pc=0x%llx",
-                 static_cast<unsigned long long>(store.pc),
-                 static_cast<unsigned long long>(store.memAddr),
-                 static_cast<unsigned long long>(violator->pc));
-    if (debugRetire_) {
-        std::fprintf(stderr,
-                     "violation: store seq=%llu pc=%llx addr=%llx "
-                     "load seq=%llu pc=%llx act=%d\n",
-                     (unsigned long long)store.seq,
-                     (unsigned long long)store.pc,
-                     (unsigned long long)store.memAddr,
-                     (unsigned long long)violator->seq,
-                     (unsigned long long)violator->pc,
-                     (int)violator->active);
-    }
-
-    // Replay from the violating load: keep its predecessor.
-    RecoveryRequest req;
-    req.originSeq = store.seq;
-    req.redirect = violator->pc;
-    req.cause = CycleCategory::BranchMisses;
-    req.keepSeq = 0;
-    const auto pos = robLowerBound(violator->seq);
-    if (pos != robOrder_.begin())
-        req.keepSeq = *std::prev(pos);
-    if (verifyIndexed_) {
-        TCSIM_ASSERT(req.keepSeq == slowKeepSeqBefore(violator->seq),
-                     "binary-search keepSeq diverges from reference scan");
-    }
-    requestRecovery(req);
 }
 
 Processor::~Processor() = default;
@@ -245,9 +171,8 @@ Processor::allocInst()
 //
 // robOrder_ is sorted ascending but has gaps (squashes pop the back
 // without rewinding nextSeq_, preserving stale-reference detection),
-// so positioning is O(log n) binary search. Address lookups go
+// so positioning is O(log n) binary search. Store address lookups go
 // through small hashed seq-list buckets; membership invariants:
-//   loadAddrIndex_   = fired, un-retired loads (keyed by memAddr)
 //   storeAddrIndex_  = address-known, un-retired stores
 //   unknownStores_   = dispatched stores whose address is unresolved
 //   checkpointStack_ = active block-ending branches, ascending
@@ -271,17 +196,15 @@ Processor::addrBucket(Addr addr)
 }
 
 void
-Processor::addrIndexInsert(std::vector<std::vector<InstSeqNum>> &index,
-                           Addr addr, InstSeqNum seq)
+Processor::storeIndexInsert(Addr addr, InstSeqNum seq)
 {
-    index[addrBucket(addr)].push_back(seq);
+    storeAddrIndex_[addrBucket(addr)].push_back(seq);
 }
 
 void
-Processor::addrIndexRemove(std::vector<std::vector<InstSeqNum>> &index,
-                           Addr addr, InstSeqNum seq)
+Processor::storeIndexRemove(Addr addr, InstSeqNum seq)
 {
-    std::vector<InstSeqNum> &bucket = index[addrBucket(addr)];
+    std::vector<InstSeqNum> &bucket = storeAddrIndex_[addrBucket(addr)];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
         if (bucket[i] == seq) {
             bucket[i] = bucket.back();
@@ -289,7 +212,7 @@ Processor::addrIndexRemove(std::vector<std::vector<InstSeqNum>> &index,
             return;
         }
     }
-    TCSIM_ASSERT(false, "seq %llu missing from address index",
+    TCSIM_ASSERT(false, "seq %llu missing from store address index",
                  static_cast<unsigned long long>(seq));
 }
 
@@ -301,30 +224,6 @@ Processor::unknownStoreResolved(InstSeqNum seq)
     TCSIM_ASSERT(it != unknownStores_.end() && *it == seq,
                  "resolved store missing from unknown-store list");
     unknownStores_.erase(it);
-}
-
-const DynInst *
-Processor::oldestViolatingLoadAfter(const DynInst &store) const
-{
-    // Visibility filter matches the reference scan: discarded never,
-    // inactive only within the store's own fetch group.
-    const DynInst *violator = nullptr;
-    for (const InstSeqNum seq : loadAddrIndex_[addrBucket(store.memAddr)]) {
-        if (seq <= store.seq)
-            continue;
-        if (violator != nullptr && seq >= violator->seq)
-            continue;
-        const DynInst *cand = instFor(seq);
-        TCSIM_ASSERT(cand != nullptr, "stale load-index entry");
-        if (cand->memAddr != store.memAddr)
-            continue; // bucket collision
-        if (cand->discarded)
-            continue;
-        if (!cand->active && cand->fetchGroup != store.fetchGroup)
-            continue;
-        violator = cand;
-    }
-    return violator;
 }
 
 const DynInst *
@@ -362,45 +261,23 @@ Processor::loadBlocker(const DynInst &load) const
     // Youngest older unknown-address store that blocks under the
     // active disambiguation policy.
     const DynInst *blocker = nullptr;
-    if (!unknownStores_.empty() &&
-        config_.disambiguation != Disambiguation::Speculative) {
-        for (auto it = std::lower_bound(unknownStores_.begin(),
-                                        unknownStores_.end(), load.seq);
-             it != unknownStores_.begin();) {
-            --it;
-            const DynInst *store = instFor(*it);
-            TCSIM_ASSERT(store != nullptr, "stale unknown-store entry");
-            if (store->discarded)
-                continue;
-            if (!store->active && store->fetchGroup != load.fetchGroup)
-                continue;
-            if (config_.disambiguation == Disambiguation::Perfect &&
-                (store->oracleMemAddr == kInvalidAddr ||
-                 store->oracleMemAddr != load.memAddr)) {
-                continue; // perfect model: known non-aliasing
-            }
-            blocker = store;
-            break;
+    for (auto it = std::lower_bound(unknownStores_.begin(),
+                                    unknownStores_.end(), load.seq);
+         it != unknownStores_.begin();) {
+        --it;
+        const DynInst *store = instFor(*it);
+        TCSIM_ASSERT(store != nullptr, "stale unknown-store entry");
+        if (store->discarded)
+            continue;
+        if (!store->active && store->fetchGroup != load.fetchGroup)
+            continue;
+        if (config_.disambiguation == Disambiguation::Perfect &&
+            (store->oracleMemAddr == kInvalidAddr ||
+             store->oracleMemAddr != load.memAddr)) {
+            continue; // perfect model: known non-aliasing
         }
-    } else if (!unknownStores_.empty()) {
-        // Speculative: bypass unknown stores entirely unless the load
-        // must stay conservative (inactive issue, or conflict
-        // history) — then any visible unknown store blocks.
-        if (!load.active || memDepPredictsConflict(load.pc)) {
-            for (auto it = std::lower_bound(unknownStores_.begin(),
-                                            unknownStores_.end(), load.seq);
-                 it != unknownStores_.begin();) {
-                --it;
-                const DynInst *store = instFor(*it);
-                TCSIM_ASSERT(store != nullptr, "stale unknown-store entry");
-                if (store->discarded)
-                    continue;
-                if (!store->active && store->fetchGroup != load.fetchGroup)
-                    continue;
-                blocker = store;
-                break;
-            }
-        }
+        blocker = store;
+        break;
     }
 
     if (blocker != nullptr &&
@@ -435,36 +312,6 @@ Processor::loadParked(const DynInst &load) const
 // indexed lookup and asserts agreement.
 // ----------------------------------------------------------------------
 
-const DynInst *
-Processor::slowOldestViolatingLoadAfter(const DynInst &store) const
-{
-    const DynInst *violator = nullptr;
-    for (auto it = robOrder_.rbegin(); it != robOrder_.rend(); ++it) {
-        if (*it <= store.seq)
-            break;
-        const DynInst *cand = instFor(*it);
-        if (cand == nullptr || cand->discarded)
-            continue;
-        if (!cand->active && cand->fetchGroup != store.fetchGroup)
-            continue;
-        if (cand->isLoad() && cand->fired &&
-            cand->memAddr == store.memAddr) {
-            violator = cand; // keep scanning: want the oldest violator
-        }
-    }
-    return violator;
-}
-
-InstSeqNum
-Processor::slowKeepSeqBefore(InstSeqNum seq) const
-{
-    for (auto it = robOrder_.rbegin(); it != robOrder_.rend(); ++it) {
-        if (*it < seq)
-            return *it;
-    }
-    return 0;
-}
-
 bool
 Processor::slowLoadDisambiguation(const DynInst &load) const
 {
@@ -485,11 +332,6 @@ Processor::slowLoadDisambiguation(const DynInst &load) const
         }
         if (config_.disambiguation == Disambiguation::Conservative)
             return false;
-        if (config_.disambiguation == Disambiguation::Speculative) {
-            if (!load.active || memDepPredictsConflict(load.pc))
-                return false;
-            continue;
-        }
         if (store->oracleMemAddr != kInvalidAddr &&
             store->oracleMemAddr == load.memAddr) {
             return false;
@@ -913,10 +755,8 @@ Processor::tryScheduleMemory(DynInst &inst)
         // into the address index (runs once: the store fires after
         // this and never re-disambiguates).
         unknownStoreResolved(inst.seq);
-        addrIndexInsert(storeAddrIndex_, inst.memAddr, inst.seq);
+        storeIndexInsert(inst.memAddr, inst.seq);
         bumpSlotVersion(inst.seq);
-        if (config_.disambiguation == Disambiguation::Speculative)
-            checkStoreOrderViolation(inst);
         // Perfect let younger loads pass this store by its oracle
         // address; resolving elsewhere may make it their forwarder.
         if (config_.disambiguation == Disambiguation::Perfect &&
@@ -940,13 +780,10 @@ Processor::tryScheduleMemory(DynInst &inst)
         FunctionalExecutor::effectiveAddr(inst.inst, inst.srcVal[0]);
 
     // Disambiguate against older visible stores. (Policy notes:
-    // Conservative waits on any unknown-address store; Speculative
-    // bypasses them unless the load is inactively issued — a salvaged
-    // stale value would bypass the violation check — or has a
-    // conflict history; Perfect "knows" the eventual addresses and
-    // waits only on true dependences.) A blocked load parks on the
-    // store it waits for; later polls skip the lookup while the park
-    // holds.
+    // Conservative waits on any unknown-address store; Perfect "knows"
+    // the eventual addresses and waits only on true dependences.) A
+    // blocked load parks on the store it waits for; later polls skip
+    // the lookup while the park holds.
     const DynInst *blocker = loadBlocker(inst);
     if (verifyIndexed_) {
         TCSIM_ASSERT((blocker == nullptr) == slowLoadDisambiguation(inst),
@@ -1122,10 +959,6 @@ Processor::scheduleStage()
 
             queue.pop_front();
             di->fired = true;
-            if (di->isLoad()) {
-                // Fired loads enter the violation-check index.
-                addrIndexInsert(loadAddrIndex_, di->memAddr, di->seq);
-            }
             di->inReadyQueue = false;
             nodeTables_.release(di->rsTable);
             completions_.schedule(di->completeCycle, di->seq);
@@ -1389,12 +1222,8 @@ Processor::squashYoungerThan(InstSeqNum keep_seq)
         }
         // Unindex before invalidating the seq (unknown stores are
         // bulk-trimmed below, like storeQueue_).
-        if (di->isStore()) {
-            if (di->memAddrKnown)
-                addrIndexRemove(storeAddrIndex_, di->memAddr, seq);
-        } else if (di->isLoad() && di->fired) {
-            addrIndexRemove(loadAddrIndex_, di->memAddr, seq);
-        }
+        if (di->isStore() && di->memAddrKnown)
+            storeIndexRemove(di->memAddr, seq);
         di->seq = kInvalidSeqNum; // invalidate stale references
     }
     while (!storeQueue_.empty() && storeQueue_.back() > keep_seq)
@@ -1406,7 +1235,7 @@ Processor::squashYoungerThan(InstSeqNum keep_seq)
 }
 
 Addr
-Processor::rebuildSpeculativeState(const DynInst *tail)
+Processor::rebuildInFlightState(const DynInst *tail)
 {
     // RAT from architectural values plus surviving in-flight writers.
     for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
@@ -1497,7 +1326,7 @@ Processor::applyRecovery()
     // Salvage: activate the surviving inactive suffix.
     DynInst *tail = nullptr;
     if (req.salvage) {
-        bumpMemOrderEpoch(); // newly visible stores; active loads
+        bumpMemOrderEpoch(); // newly visible stores
         for (auto it = robLowerBound(req.salvageFrom + 1);
              it != robOrder_.end(); ++it) {
             DynInst *di = instFor(*it);
@@ -1515,7 +1344,7 @@ Processor::applyRecovery()
         TCSIM_ASSERT(tail != nullptr, "salvage tail vanished");
     }
 
-    const Addr salvage_redirect = rebuildSpeculativeState(tail);
+    const Addr salvage_redirect = rebuildInFlightState(tail);
     Addr redirect = req.redirect;
     if (req.salvage) {
         TCSIM_ASSERT(salvage_redirect != kInvalidAddr);
@@ -1607,9 +1436,7 @@ Processor::retireOne(DynInst &inst)
             storeQueue_.pop_front();
             // Retiring implies executed implies address-resolved.
             TCSIM_ASSERT(inst.memAddrKnown);
-            addrIndexRemove(storeAddrIndex_, inst.memAddr, inst.seq);
-        } else if (inst.isLoad() && inst.fired) {
-            addrIndexRemove(loadAddrIndex_, inst.memAddr, inst.seq);
+            storeIndexRemove(inst.memAddr, inst.seq);
         }
         return;
     }
@@ -1711,12 +1538,10 @@ Processor::retireOne(DynInst &inst)
                      storeQueue_.front() == inst.seq);
         storeQueue_.pop_front();
         TCSIM_ASSERT(inst.memAddrKnown);
-        addrIndexRemove(storeAddrIndex_, inst.memAddr, inst.seq);
-    } else if (inst.isLoad() && inst.fired) {
-        addrIndexRemove(loadAddrIndex_, inst.memAddr, inst.seq);
+        storeIndexRemove(inst.memAddr, inst.seq);
     }
 
-    // Speculative-structure training and architectural mirrors.
+    // Predictor training and architectural mirrors.
     if (isa::isCondBranch(op)) {
         ++retiredCondBranches_;
         archHistory_ = (archHistory_ << 1) |
@@ -1988,7 +1813,6 @@ Processor::intervalCounters() const
     }
     c.icacheMisses = hierarchy_.icache().misses();
     c.predictionsUsed = predictionsUsedSum_;
-    c.memOrderViolations = memOrderViolations_;
     c.l2Misses = hierarchy_.l2().misses();
     c.writebacks = hierarchy_.icache().writebacks() +
                    hierarchy_.dcache().writebacks() +
@@ -2011,7 +1835,7 @@ Processor::syncToOracle()
     oracleRetireIdx_ = oracleBase_;
     onTruePath_ = true;
 
-    // Speculative state from the committed mirrors — the rebuild
+    // In-flight state from the committed mirrors — the rebuild
     // recovery performs, minus in-flight writers (the window is
     // empty).
     for (unsigned r = 0; r < isa::kNumArchRegs; ++r)
@@ -2317,7 +2141,6 @@ Processor::resetStats()
     promotedRetired_ = 0;
     resolutionTimeSum_ = 0;
     resolutionTimeCount_ = 0;
-    memOrderViolations_ = 0;
     for (auto &count : fetchesNeedingPreds_)
         count = 0;
     predictionsUsedSum_ = 0;
@@ -2391,8 +2214,9 @@ Processor::makeResult() const
              static_cast<double>(retiredIndirects_));
     dump.add("bpred.indirect_mispredicts",
              static_cast<double>(indirectMispredicts_));
-    dump.add("mem.order_violations",
-             static_cast<double>(memOrderViolations_));
+    // No policy replays a load, so this reads 0; the entry stays in
+    // the dump that statsDigest and perfbench round digests cover.
+    dump.add("mem.order_violations", 0.0);
     hierarchy_.dumpStats(dump);
     if (traceCache_ != nullptr)
         traceCache_->dumpStats(dump);

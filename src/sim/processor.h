@@ -336,28 +336,26 @@ class Processor
     void squashYoungerThan(InstSeqNum keep_seq);
     /** Rebuild RAT/history/RAS; @return the salvage redirect target
      * (kInvalidAddr unless computing one was requested via @p tail). */
-    Addr rebuildSpeculativeState(const core::DynInst *tail);
+    Addr rebuildInFlightState(const core::DynInst *tail);
     void classifyFetchBatch(PendingBatch &pending);
     void retireOne(core::DynInst &inst);
     RegVal loadValueFor(core::DynInst &load, bool &forwarded);
 
     // ------------------------------------------------------------------
-    // Window-indexed lookups. The hot per-event scans (store-order
-    // violation, load forwarding/disambiguation, promoted-fault
-    // checkpoint selection) are answered from incrementally maintained
-    // indexes in O(1)/O(log n) instead of walking robOrder_ or
-    // storeQueue_. The original reference scans are kept as slow*
-    // twins; TCSIM_VERIFY_WINDOW_INDEX=1 cross-checks every event.
+    // Window-indexed lookups. The hot per-event scans (load
+    // forwarding/disambiguation, promoted-fault checkpoint selection)
+    // are answered from incrementally maintained indexes in
+    // O(1)/O(log n) instead of walking robOrder_ or storeQueue_. The
+    // original reference scans are kept as slow* twins;
+    // TCSIM_VERIFY_WINDOW_INDEX=1 cross-checks every event.
     // ------------------------------------------------------------------
     /** First robOrder_ position with seq >= @p seq (robOrder_ is
      * sorted ascending but not contiguous — squashes leave gaps). */
     std::deque<InstSeqNum>::const_iterator
     robLowerBound(InstSeqNum seq) const;
     static std::uint32_t addrBucket(Addr addr);
-    static void addrIndexInsert(std::vector<std::vector<InstSeqNum>> &index,
-                                Addr addr, InstSeqNum seq);
-    static void addrIndexRemove(std::vector<std::vector<InstSeqNum>> &index,
-                                Addr addr, InstSeqNum seq);
+    void storeIndexInsert(Addr addr, InstSeqNum seq);
+    void storeIndexRemove(Addr addr, InstSeqNum seq);
     void unknownStoreResolved(InstSeqNum seq);
     const core::DynInst *
     youngestMatchingStoreBefore(const core::DynInst &load) const;
@@ -366,18 +364,13 @@ class Processor
     const core::DynInst *loadBlocker(const core::DynInst &load) const;
     bool loadParked(const core::DynInst &load) const;
     const core::DynInst *
-    oldestViolatingLoadAfter(const core::DynInst &store) const;
-    const core::DynInst *
     previousCheckpointFor(const core::DynInst &inst) const;
     // Reference implementations (pre-index scans, verify mode only).
     bool slowLoadDisambiguation(const core::DynInst &load) const;
     const core::DynInst *
     slowForwardingStore(const core::DynInst &load) const;
     const core::DynInst *
-    slowOldestViolatingLoadAfter(const core::DynInst &store) const;
-    const core::DynInst *
     slowPreviousCheckpointFor(const core::DynInst &inst) const;
-    InstSeqNum slowKeepSeqBefore(InstSeqNum seq) const;
 
     // ------------------------------------------------------------------
     // Configuration and substrate.
@@ -476,19 +469,18 @@ class Processor
      * Checkpoint stack: seqs of the *active* block-ending branches in
      * flight, ascending. Pushed at dispatch (and at salvage
      * activation), popped from the back on squash and from the front
-     * when the branch retires. Promoted-fault recovery and
-     * store-violation keepSeq selection read their targets from here
-     * instead of scanning robOrder_.
+     * when the branch retires. Promoted-fault recovery reads its
+     * target from here instead of scanning robOrder_.
      */
     std::deque<InstSeqNum> checkpointStack_;
 
-    /** Hashed memAddr -> in-flight seqs indexes. Buckets keep their
-     * capacity across erases so steady state never allocates; entries
-     * are re-validated against the instruction's actual memAddr, so
-     * hash collisions only cost a skipped element. */
+    /** Hashed memAddr -> seqs of the address-known, un-retired
+     * stores. Buckets keep their capacity across erases so steady
+     * state never allocates; entries are re-validated against the
+     * store's actual memAddr, so hash collisions only cost a skipped
+     * element. */
     static constexpr std::uint32_t kAddrIndexBuckets = 1024;
-    std::vector<std::vector<InstSeqNum>> loadAddrIndex_;  // fired loads
-    std::vector<std::vector<InstSeqNum>> storeAddrIndex_; // addr-known stores
+    std::vector<std::vector<InstSeqNum>> storeAddrIndex_;
     /** In-flight stores whose address is still unknown, sorted by seq
      * (dispatch order). */
     std::vector<InstSeqNum> unknownStores_;
@@ -496,24 +488,12 @@ class Processor
      * every indexed lookup and assert agreement. */
     bool verifyIndexed_ = false;
 
-    /**
-     * Memory dependence predictor (Speculative mode): 2-bit conflict
-     * counters indexed by load pc. A high counter makes the load wait
-     * for unknown-address older stores, like the conservative policy.
-     */
-    std::vector<std::uint8_t> memDepTable_;
-    std::uint64_t memOrderViolations_ = 0;
     /** Invalidates every parked load (see loadParked). Bumped by
      * events that can change which store a load waits for besides
-     * that store's own progress: salvage activation, memory-dependence
-     * table updates, and, under Perfect, a store resolving to an
-     * address other than its oracle address. */
+     * that store's own progress: salvage activation and, under
+     * Perfect, a store resolving to an address other than its oracle
+     * address. */
     std::uint64_t memOrderEpoch_ = 0;
-
-    std::uint32_t memDepIndex(Addr pc) const;
-    bool memDepPredictsConflict(Addr pc) const;
-    void recordMemDepViolation(Addr load_pc);
-    void checkStoreOrderViolation(core::DynInst &store);
 
     // ------------------------------------------------------------------
     // Fetch state.

@@ -44,12 +44,25 @@ TEST(ThreadPool, WaitIsReusable)
     EXPECT_EQ(count.load(), 2);
 }
 
+// A "DeathTest" suite runs before the thread pool exists, so the forked
+// child's exit() has no pool to join.
+TEST(ThreadPoolDeathTest, DefaultJobCountRejectsBadEnv)
+{
+    for (const char *bad : {"0", "1025", "4x", "abc", "-1", "", " 4"}) {
+        ::setenv("TCSIM_JOBS", bad, 1);
+        EXPECT_EXIT(defaultJobCount(), testing::ExitedWithCode(1),
+                    "TCSIM_JOBS")
+            << "'" << bad << "'";
+    }
+    ::unsetenv("TCSIM_JOBS");
+}
+
 TEST(ThreadPool, DefaultJobCountHonorsEnv)
 {
     ::setenv("TCSIM_JOBS", "3", 1);
     EXPECT_EQ(defaultJobCount(), 3u);
-    ::setenv("TCSIM_JOBS", "0", 1); // invalid: falls back to hardware
-    EXPECT_GE(defaultJobCount(), 1u);
+    ::setenv("TCSIM_JOBS", "1024", 1); // the ceiling
+    EXPECT_EQ(defaultJobCount(), 1024u);
     ::unsetenv("TCSIM_JOBS");
     EXPECT_GE(defaultJobCount(), 1u);
 }

@@ -45,9 +45,9 @@ configByName(const std::string &name)
     if (name == "promo-pack")
         return promotionPackingConfig(
             64, trace::PackingPolicy::CostRegulated);
-    if (name == "speculative") {
+    if (name == "perfect") {
         ProcessorConfig config = promotionPackingConfig(64);
-        config.disambiguation = Disambiguation::Speculative;
+        config.disambiguation = Disambiguation::Perfect;
         return config;
     }
     if (name == "path-assoc") {
@@ -110,7 +110,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(benchmarkNames()),
                        ::testing::Values("icache", "baseline",
                                          "promotion", "packing",
-                                         "promo-pack", "speculative",
+                                         "promo-pack", "perfect",
                                          "path-assoc", "no-friendly")),
     [](const ::testing::TestParamInfo<
         std::tuple<std::string, std::string>> &param_info) {
@@ -228,9 +228,9 @@ TEST_P(RandomProfileFuzz, OracleExactUnderPromoPack)
 
     ProcessorConfig config = promotionPackingConfig(
         8 + static_cast<std::uint32_t>(rng.below(120)));
-    if (rng.chance(0.3))
-        config.disambiguation = Disambiguation::Speculative;
-    else if (rng.chance(0.3))
+    // Two draws, as when a third policy took the first: every seed
+    // keeps its RNG sequence and so its other config choices.
+    if (rng.chance(0.3) || rng.chance(0.3))
         config.disambiguation = Disambiguation::Perfect;
     if (rng.chance(0.25))
         config.traceCache.pathAssociativity = true;

@@ -124,6 +124,7 @@ TEST(SweepUnits, ConfigByNameResolvesPresets)
 {
     for (const char *name :
          {"icache", "baseline", "promotion-t64", "promotion-t16",
+          "promotion-t1", "promotion-t1023",
           "packing-atomic", "packing-cost-regulated",
           "promo-pack-n-regulated", "promo-pack-unregulated"}) {
         const auto config = configByName(name);
@@ -134,7 +135,11 @@ TEST(SweepUnits, ConfigByNameResolvesPresets)
     EXPECT_FALSE(configByName("promotion-t").has_value());
     EXPECT_FALSE(configByName("packing-bogus").has_value());
     EXPECT_FALSE(configByName("baseline+mem").has_value());
-    // A threshold above 2^32 - 1 is unknown, not wrapped or thrown.
+    // A threshold the bias table cannot take is unknown, not an
+    // assertion failure at construction; one above 2^32 - 1 is not
+    // wrapped or thrown.
+    EXPECT_FALSE(configByName("promotion-t0").has_value());
+    EXPECT_FALSE(configByName("promotion-t1024").has_value());
     EXPECT_FALSE(configByName("promotion-t4294967360").has_value());
     EXPECT_FALSE(
         configByName("promotion-t99999999999999999999").has_value());

@@ -7,13 +7,15 @@
  *                           'list' to enumerate
  *     --config <name>       icache | baseline | promotion | packing |
  *                           promo-pack (default baseline)
- *     --threshold <n>       promotion threshold (default 64; promotion
- *                           and promo-pack only)
+ *     --threshold <n>       promotion threshold, 1 to 1023 (default 64;
+ *                           promotion and promo-pack only)
  *     --packing <policy>    atomic | unregulated | cost | n2 | n4
- *     --insts <n>           instruction budget (default 1000000)
+ *     --insts <n>           instruction budget, at least 1 (default
+ *                           1000000)
  *     --warmup <n>          simulate n instructions first, then
  *                           measure [n, n + insts) (default 0)
- *     --disambiguation <d>  conservative | speculative | perfect
+ *     --disambiguation <d>  conservative | perfect (default
+ *                           conservative)
  *     --path-assoc          enable trace-cache path associativity
  *     --no-partial-match    disable partial matching
  *     --no-inactive-issue   disable inactive issue
@@ -61,7 +63,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -101,12 +102,16 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/** requireUint() for a 32-bit flag. */
 std::uint32_t
-u32(const char *flag, const std::string &text)
+requireThreshold(const std::string &text)
 {
-    return static_cast<std::uint32_t>(
-        requireUint(flag, text, std::numeric_limits<std::uint32_t>::max()));
+    const std::optional<std::uint32_t> threshold =
+        sim::parsePromotionThreshold(text);
+    if (!threshold) {
+        fatal("--threshold: '%s' is not a promotion threshold from 1 to %u",
+              text.c_str(), sim::kMaxPromotionThreshold);
+    }
+    return *threshold;
 }
 
 trace::PackingPolicy
@@ -186,7 +191,7 @@ main(int argc, char **argv)
         else if (arg == "--config")
             config_name = value();
         else if (arg == "--threshold")
-            threshold = u32("--threshold", value());
+            threshold = requireThreshold(value());
         else if (arg == "--packing")
             packing = value();
         else if (arg == "--insts")
@@ -227,6 +232,9 @@ main(int argc, char **argv)
             usage(argv[0]);
     }
 
+    // A zero budget would run to halt, which may never come.
+    if (insts == 0)
+        fatal("--insts: the budget must be positive");
     const bool control_flow = !record_trace.empty() || !replay_trace.empty();
     if (!record_trace.empty() && !replay_trace.empty())
         fatal("--record-trace and --replay-trace are mutually exclusive");
@@ -289,9 +297,7 @@ main(int argc, char **argv)
         config.fillUnit.packing = parsePacking(packing, granule);
         config.fillUnit.packingGranule = granule;
     }
-    if (disambiguation == "speculative")
-        config.disambiguation = sim::Disambiguation::Speculative;
-    else if (disambiguation == "perfect")
+    if (disambiguation == "perfect")
         config.disambiguation = sim::Disambiguation::Perfect;
     else if (disambiguation && *disambiguation != "conservative")
         fatal("unknown disambiguation '%s'", disambiguation->c_str());
