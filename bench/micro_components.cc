@@ -1,12 +1,14 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot simulator components:
- * cache lookups, multiple-branch prediction, fill-unit throughput,
- * functional execution, the core's completion calendar, and
- * whole-processor simulation speed.
+ * cache lookups, sparse-memory loads, multiple-branch prediction,
+ * fill-unit throughput, functional execution, the core's completion
+ * calendar, and whole-processor simulation speed.
  */
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +21,7 @@
 #include "sim/processor.h"
 #include "trace/fill_unit.h"
 #include "trace/trace_cache.h"
+#include "workload/executor.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
 
@@ -38,6 +41,7 @@ compressProgram()
 void
 BM_CacheAccess(benchmark::State &state)
 {
+    // A new line every access: always the set search.
     memory::Cache cache(memory::CacheParams{"l1", 64 * 1024, 4, 64, 0},
                         nullptr, 50);
     std::uint64_t addr = 0;
@@ -48,6 +52,44 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess);
+
+void
+BM_CacheAccessRepeatLine(benchmark::State &state)
+{
+    // The functional walker's icache pattern, one instruction after
+    // another: 15 of every 16 accesses repeat the previous line.
+    memory::Cache cache(memory::CacheParams{"l1", 64 * 1024, 4, 64, 0},
+                        nullptr, 50);
+    std::uint64_t addr = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.access(addr, false));
+        addr = (addr + isa::kInstBytes) & 0xfffff;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheAccessRepeatLine);
+
+void
+BM_SparseMemoryLoad(benchmark::State &state)
+{
+    // Loads of the program's data words in a shuffled order, through a
+    // memory that shares the program's pages.
+    const workload::Program &program = compressProgram();
+    workload::SparseMemory memory;
+    memory.initFrom(program);
+    std::vector<Addr> addrs;
+    for (const workload::DataWord &word : program.initData())
+        addrs.push_back(word.addr);
+    std::shuffle(addrs.begin(), addrs.end(), std::mt19937_64(1));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(memory.load(addrs[i]));
+        if (++i == addrs.size())
+            i = 0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SparseMemoryLoad);
 
 void
 BM_TreeMbpPredict(benchmark::State &state)
@@ -411,7 +453,8 @@ BENCHMARK(BM_FaultRecoveryWindow)
 // Shadow-rename fork cost: full RAT copy (the old dispatch scheme)
 // vs. the copy-on-write RenameOverlay. Each iteration forks once and
 // renames a short inactive tail (4 reads + 4 writes), the typical
-// shape of a post-divergence segment tail.
+// shape of a post-divergence segment tail. The overlay is built in the
+// loop, as dispatchStage builds one per dispatch.
 // ----------------------------------------------------------------------
 
 struct MockRatEntry
@@ -455,9 +498,9 @@ void
 BM_ShadowRenameOverlay(benchmark::State &state)
 {
     const MockRat rat = makeMockRat();
-    core::RenameOverlay<MockRatEntry, isa::kNumArchRegs> shadow;
     std::uint64_t seq = 1;
     for (auto _ : state) {
+        core::RenameOverlay<MockRatEntry, isa::kNumArchRegs> shadow;
         shadow.fork(rat); // O(1) fork
         std::uint64_t sum = 0;
         for (unsigned i = 0; i < 4; ++i) {
@@ -466,7 +509,6 @@ BM_ShadowRenameOverlay(benchmark::State &state)
             shadow.set(r, MockRatEntry{false, 0, seq++});
         }
         benchmark::DoNotOptimize(sum);
-        shadow.reset();
     }
     state.SetItemsProcessed(state.iterations());
 }

@@ -145,7 +145,8 @@ class NodeTables
         : params_(params), occupancy_(params.numUnits, 0),
           readyQueues_(params.numUnits, ReadyQueue(params.entriesPerUnit))
     {
-        TCSIM_ASSERT(params_.numUnits >= 1);
+        TCSIM_ASSERT(params_.numUnits >= 1 && params_.numUnits <= 64,
+                     "the ready-unit mask is one 64-bit word");
         TCSIM_ASSERT(params_.entriesPerUnit >= 1);
     }
 
@@ -190,6 +191,19 @@ class NodeTables
     markReady(std::uint8_t unit, InstSeqNum seq)
     {
         readyQueues_[unit].push_back(ReadyEntry{seq});
+        readyUnits_ |= std::uint64_t{1} << unit;
+    }
+
+    /** @return a mask with bit u set for every unit u whose ready queue
+     * may hold entries: set at every push, cleared by clearReadyUnit(),
+     * so a unit whose bit is clear has an empty queue. */
+    std::uint64_t readyUnits() const { return readyUnits_; }
+
+    /** Clear @p unit's readyUnits() bit; its queue must be empty. */
+    void
+    clearReadyUnit(std::uint8_t unit)
+    {
+        readyUnits_ &= ~(std::uint64_t{1} << unit);
     }
 
     /** @return the ready queue for @p unit (oldest first). */
@@ -210,6 +224,7 @@ class NodeTables
             occ = 0;
         for (auto &queue : readyQueues_)
             queue.clear();
+        readyUnits_ = 0;
         totalOccupied_ = 0;
     }
 
@@ -217,6 +232,7 @@ class NodeTables
     NodeTableParams params_;
     std::vector<std::uint32_t> occupancy_;
     std::vector<ReadyQueue> readyQueues_;
+    std::uint64_t readyUnits_ = 0;
     std::uint32_t allocNext_ = 0;
     std::uint32_t totalOccupied_ = 0;
 };

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "common/log.h"
 
@@ -41,20 +42,12 @@ class RenameOverlay
     /** @return whether a fork is active. */
     bool active() const { return base_ != nullptr; }
 
-    /** Drop the fork (the next use must fork() again). */
-    void
-    reset()
-    {
-        base_ = nullptr;
-        dirty_ = 0;
-    }
-
     /** Read slot @p index: local copy if written, else the base. */
     const Entry &
     get(unsigned index) const
     {
         TCSIM_ASSERT(base_ != nullptr && index < N);
-        return (dirty_ >> index) & 1u ? local_[index]
+        return (dirty_ >> index) & 1u ? local_[index].entry
                                       : (*base_)[index];
     }
 
@@ -63,14 +56,22 @@ class RenameOverlay
     set(unsigned index, const Entry &entry)
     {
         TCSIM_ASSERT(base_ != nullptr && index < N);
-        local_[index] = entry;
+        std::construct_at(&local_[index].entry, entry);
         dirty_ |= std::uint64_t{1} << index;
     }
 
   private:
+    /** Storage for one local slot, left uninitialized: an overlay is
+     * built on every dispatch, and only dirty slots are ever read. */
+    union Slot
+    {
+        Slot() {}
+        Entry entry;
+    };
+
     const std::array<Entry, N> *base_ = nullptr;
     std::uint64_t dirty_ = 0;
-    std::array<Entry, N> local_; // only dirty slots meaningful
+    std::array<Slot, N> local_;
 };
 
 } // namespace tcsim::core

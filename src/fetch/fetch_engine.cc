@@ -28,7 +28,7 @@ FetchEngine::FetchEngine(const FetchEngineParams &params,
 }
 
 std::optional<bool>
-FetchEngine::consumeOverride(Addr pc)
+FetchEngine::consumePendingOverride(Addr pc)
 {
     const auto it = state_.overrides.find(pc);
     if (it == state_.overrides.end())

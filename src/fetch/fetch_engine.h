@@ -134,7 +134,16 @@ class FetchEngine
     bool fullyMatches(Addr pc, const trace::TraceSegment &segment) const;
 
     /** Consume a one-shot override for @p pc if present. */
-    std::optional<bool> consumeOverride(Addr pc);
+    std::optional<bool>
+    consumeOverride(Addr pc)
+    {
+        if (state_.overrides.empty()) // the common case: none pending
+            return std::nullopt;
+        return consumePendingOverride(pc);
+    }
+
+    /** consumeOverride() with at least one override pending. */
+    std::optional<bool> consumePendingOverride(Addr pc);
 
     /** Predicted target of a return / indirect jump at fetch time. */
     Addr indirectTargetFor(const isa::Instruction &inst, Addr pc);

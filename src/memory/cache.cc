@@ -23,27 +23,14 @@ Cache::Cache(const CacheParams &params, Cache *next,
 }
 
 std::uint32_t
-Cache::access(Addr addr, bool write)
+Cache::accessSet(Addr addr, bool write)
 {
     ++accesses_;
     ++tick_;
 
     const std::uint32_t set = setIndex(addr);
     const Addr tag = tagOf(addr);
-
-    // Repeat-line fast path: the way the previous access touched is
-    // the only one in its set that can hold its line, so if it still
-    // does (the re-check), this is that hit without the set search.
-    const Addr line_addr = lineAddr(addr);
-    if (line_addr == lastLine_) {
-        Line &line = lines_[lastWay_];
-        if (line.valid && line.tag == tag) {
-            line.lruStamp = tick_;
-            line.dirty = line.dirty || write;
-            return params_.accessLatency;
-        }
-    }
-    lastLine_ = line_addr;
+    lastLine_ = lineAddr(addr);
     const std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
     Line *line_base = &lines_[base];
 

@@ -52,7 +52,25 @@ class Cache
      * @return total extra latency in cycles (0 for an L1 hit when
      *         accessLatency is 0)
      */
-    std::uint32_t access(Addr addr, bool write);
+    std::uint32_t
+    access(Addr addr, bool write)
+    {
+        // Repeat-line fast path: the way the previous access touched
+        // is the only one in its set that can hold its line, so if it
+        // still does (the re-check), this is that hit without the set
+        // search.
+        const Addr line_addr = lineAddr(addr);
+        if (line_addr == lastLine_) {
+            Line &line = lines_[lastWay_];
+            if (line.valid && line.tag == (line_addr >> setShift_)) {
+                ++accesses_;
+                line.lruStamp = ++tick_;
+                line.dirty = line.dirty || write;
+                return params_.accessLatency;
+            }
+        }
+        return accessSet(addr, write);
+    }
 
     /** @return true if the line containing @p addr is resident. */
     bool probe(Addr addr) const;
@@ -115,6 +133,10 @@ class Cache
         return static_cast<std::uint32_t>(lineAddr(addr) & setMask_);
     }
     Addr tagOf(Addr addr) const { return lineAddr(addr) >> setShift_; }
+
+    /** access() past the repeat-line path: search the set, and on a
+     * miss fetch from below and allocate over the LRU victim. */
+    std::uint32_t accessSet(Addr addr, bool write);
 
     CacheParams params_;
     Cache *next_;

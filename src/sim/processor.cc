@@ -101,14 +101,6 @@ Processor::extendOracle(std::uint64_t upto_idx)
     }
 }
 
-const workload::StepResult &
-Processor::oracleAt(std::uint64_t idx)
-{
-    TCSIM_ASSERT(idx >= oracleBase_, "oracle entry already trimmed");
-    extendOracle(idx);
-    return oracleRing_[idx & (oracleRing_.size() - 1)];
-}
-
 // ----------------------------------------------------------------------
 // ROB plumbing.
 // ----------------------------------------------------------------------
@@ -816,12 +808,8 @@ void
 Processor::dropWatchers(std::uint64_t slot)
 {
     for (std::uint64_t mask = slotWatchers_[slot]; mask != 0;
-         mask &= mask - 1) {
-        for (std::size_t unit = std::countr_zero(mask);
-             unit < unitParks_.size(); unit += 64) {
-            unitParks_[unit].gen = 0;
-        }
-    }
+         mask &= mask - 1)
+        unitParks_[std::countr_zero(mask)].gen = 0;
     slotWatchers_[slot] = 0;
 }
 
@@ -847,13 +835,26 @@ void
 Processor::scheduleStage()
 {
     // Each unit makes up to 8 attempts a cycle: it pops entries, fires
-    // the first that can go and re-pushes the rest.
+    // the first that can go and re-pushes the rest. Units go in
+    // ascending order (loads touch the dcache in that order), skipping
+    // those whose queue is known to be empty.
     constexpr unsigned kAttempts = 8;
-    for (std::uint32_t unit = 0; unit < nodeTables_.numUnits(); ++unit) {
-        core::ReadyQueue &queue = nodeTables_.readyQueue(
-            static_cast<std::uint8_t>(unit));
-        if (queue.empty())
+    if (verifyIndexed_) {
+        for (std::uint8_t unit = 0; unit < nodeTables_.numUnits(); ++unit) {
+            TCSIM_ASSERT(nodeTables_.readyQueue(unit).empty() ||
+                             (nodeTables_.readyUnits() >> unit & 1) != 0,
+                         "unit %u has ready entries but no mask bit",
+                         static_cast<unsigned>(unit));
+        }
+    }
+    for (std::uint64_t units = nodeTables_.readyUnits(); units != 0;
+         units &= units - 1) {
+        const auto unit = static_cast<std::uint8_t>(std::countr_zero(units));
+        core::ReadyQueue &queue = nodeTables_.readyQueue(unit);
+        if (queue.empty()) {
+            nodeTables_.clearReadyUnit(unit);
             continue;
+        }
         UnitParks &parks = unitParks_[unit];
         if (parks.gen != parkGen_) {
             parks.gen = parkGen_;
@@ -864,7 +865,7 @@ Processor::scheduleStage()
             // none. Rotate later instead (DESIGN.md section 7,
             // "Confirmed parks").
             if (verifyIndexed_)
-                verifyConfirmedParks(static_cast<std::uint8_t>(unit));
+                verifyConfirmedParks(unit);
             queue.deferRotate(kAttempts);
             continue;
         }
@@ -929,7 +930,7 @@ Processor::scheduleStage()
                         static_cast<std::uint32_t>(di->parkedOn & robMask_);
                     entry.slotVersion = slotVersion_[entry.parkSlot];
                     slotWatchers_[entry.parkSlot] |= std::uint64_t{1}
-                                                     << (unit % 64);
+                                                     << unit;
                     queue.rotate(1);
                     ++attempts;
                     continue;

@@ -256,7 +256,16 @@ class Processor
      */
     void syncToOracle();
     void extendOracle(std::uint64_t upto_idx);
-    const workload::StepResult &oracleAt(std::uint64_t idx);
+    /** The oracle step at global index @p idx, stepping the oracle up
+     * to it first if the live span does not reach it yet. */
+    const workload::StepResult &
+    oracleAt(std::uint64_t idx)
+    {
+        TCSIM_ASSERT(idx >= oracleBase_, "oracle entry already trimmed");
+        if (idx - oracleBase_ >= oracleCount_)
+            extendOracle(idx);
+        return oracleRing_[idx & (oracleRing_.size() - 1)];
+    }
     void growOracleRing();
 
     /** The two ways a functional walk (walk()) differs by caller. */
@@ -455,9 +464,9 @@ class Processor
         std::size_t unconfirmed = 0;
     };
     std::vector<UnitParks> unitParks_;
-    /** Per slot, the units with a confirmed park on the slot's store:
-     * bit b stands for every unit u with u % 64 == b. bumpSlotVersion
-     * resets their counts and clears the mask. */
+    /** Per slot, the units with a confirmed park on the slot's store,
+     * bit u for unit u (there are at most 64). bumpSlotVersion resets
+     * their counts and clears the mask. */
     std::vector<std::uint64_t> slotWatchers_;
     std::deque<InstSeqNum> robOrder_;
     InstSeqNum nextSeq_ = 1;

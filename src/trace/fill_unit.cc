@@ -42,9 +42,10 @@ FillUnit::retire(const RetiredInst &retired)
 {
     // Resynchronize segment construction with the fetch stream: if the
     // front end missed at this address and we are at a block boundary,
-    // close out the pending segment so the next one starts here.
+    // close out the pending segment so the next one starts here. (The
+    // functional walker records no misses: its set stays empty.)
     if (!pending_.empty() && curBlock_.empty() &&
-        pending_.startAddr != retired.pc &&
+        pending_.startAddr != retired.pc && !missSet_.empty() &&
         missSet_.erase(retired.pc) > 0) {
         ++resyncs_;
         TCSIM_TPOINT(tracer_, Fill, "resync", "pc=0x%llx pending=0x%llx",

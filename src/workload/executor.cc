@@ -1,6 +1,7 @@
 #include "workload/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
@@ -13,29 +14,61 @@ using isa::Instruction;
 using isa::Opcode;
 
 void
-SparseMemory::initFrom(const Program &program)
+SparseMemory::resetTable(std::size_t slots)
 {
-    pages_.clear();
-    pages_.reserve(program.dataPages().size());
-    for (const DataPage &page : program.dataPages())
-        pages_[page.index].bytes = &page.bytes;
+    TCSIM_ASSERT(std::has_single_bit(slots) && slots >= kMinSlots);
+    slots_.clear();
+    slots_.resize(slots);
+    hashShift_ = static_cast<unsigned>(64 - std::countr_zero(slots));
 }
 
 void
-SparseMemory::own(Slot &slot)
+SparseMemory::initFrom(const Program &program)
 {
+    // Room for the program's pages (distinct, ascending) plus the stack
+    // page every run writes before the table first grows.
+    const std::size_t pages = program.dataPages().size();
+    resetTable(std::bit_ceil(std::max(kMinSlots, 2 * (pages + 1))));
+    for (const DataPage &page : program.dataPages()) {
+        Slot &slot = slots_[probe(page.index)];
+        slot.index = page.index;
+        slot.bytes = &page.bytes;
+    }
+    numPages_ = pages;
+}
+
+PageBytes &
+SparseMemory::own(std::size_t pos, Addr index)
+{
+    if (slots_[pos].index == kNoPage) {
+        if (2 * (numPages_ + 1) > slots_.size()) {
+            std::vector<Slot> old = std::move(slots_);
+            resetTable(2 * old.size());
+            for (Slot &slot : old) {
+                if (slot.index != kNoPage)
+                    slots_[probe(slot.index)] = std::move(slot);
+            }
+            pos = probe(index);
+        }
+        slots_[pos].index = index;
+        ++numPages_;
+    }
+    Slot &slot = slots_[pos];
     slot.owned = slot.bytes ? std::make_unique<PageBytes>(*slot.bytes)
                             : std::make_unique<PageBytes>();
     slot.bytes = slot.owned.get();
+    return *slot.owned;
 }
 
 std::vector<Addr>
 SparseMemory::pageIndices() const
 {
     std::vector<Addr> indices;
-    indices.reserve(pages_.size());
-    for (const auto &[index, page] : pages_)
-        indices.push_back(index);
+    indices.reserve(numPages_);
+    for (const Slot &slot : slots_) {
+        if (slot.index != kNoPage)
+            indices.push_back(slot.index);
+    }
     std::sort(indices.begin(), indices.end());
     return indices;
 }
@@ -43,17 +76,22 @@ SparseMemory::pageIndices() const
 void
 SparseMemory::copyFrom(const SparseMemory &other)
 {
-    pages_.clear();
-    pages_.reserve(other.pages_.size());
-    for (const auto &[index, other_slot] : other.pages_) {
-        Slot &slot = pages_[index];
-        if (other_slot.owned) {
-            slot.owned = std::make_unique<PageBytes>(*other_slot.owned);
-            slot.bytes = slot.owned.get();
+    // Same size, same hash: every page keeps its position.
+    std::vector<Slot> slots(other.slots_.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        const Slot &from = other.slots_[i];
+        Slot &to = slots[i];
+        to.index = from.index;
+        if (from.owned) {
+            to.owned = std::make_unique<PageBytes>(*from.owned);
+            to.bytes = to.owned.get();
         } else {
-            slot.bytes = other_slot.bytes;
+            to.bytes = from.bytes;
         }
     }
+    slots_ = std::move(slots);
+    hashShift_ = other.hashShift_;
+    numPages_ = other.numPages_;
 }
 
 FunctionalExecutor::FunctionalExecutor(const Program &program)

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -39,22 +38,30 @@ namespace tcsim::workload
  * without copying them, and the first write to a page makes the
  * memory's own copy. A memory must not outlive the Program it was
  * initialized (or copied) from.
+ *
+ * The page table is open-addressed: a power-of-two array of slots,
+ * at most half full, probed linearly from a multiplicative hash of
+ * the page index. Copy a memory with copyFrom.
  */
 class SparseMemory
 {
   public:
     static constexpr unsigned kPageBytes = workload::kPageBytes;
 
+    SparseMemory() { resetTable(kMinSlots); }
+    SparseMemory(const SparseMemory &) = delete;
+    SparseMemory &operator=(const SparseMemory &) = delete;
+
     /** Read the 64-bit word containing @p addr. */
     std::uint64_t
     load(Addr addr) const
     {
         addr &= ~Addr{7};
-        const auto it = pages_.find(pageOf(addr));
-        if (it == pages_.end())
+        const Slot &slot = slots_[probe(pageOf(addr))];
+        if (slot.bytes == nullptr)
             return 0;
         std::uint64_t value;
-        std::memcpy(&value, it->second.bytes->data() + offsetOf(addr),
+        std::memcpy(&value, slot.bytes->data() + offsetOf(addr),
                     sizeof(value));
         return value;
     }
@@ -64,7 +71,10 @@ class SparseMemory
     store(Addr addr, std::uint64_t value)
     {
         addr &= ~Addr{7};
-        PageBytes &page = pageFor(addr);
+        const Addr index = pageOf(addr);
+        const std::size_t pos = probe(index);
+        PageBytes &page =
+            slots_[pos].owned ? *slots_[pos].owned : own(pos, index);
         std::memcpy(page.data() + offsetOf(addr), &value, sizeof(value));
     }
 
@@ -78,7 +88,7 @@ class SparseMemory
     void initFrom(Program &&) = delete;
 
     /** @return the number of mapped pages. */
-    std::size_t numPages() const { return pages_.size(); }
+    std::size_t numPages() const { return numPages_; }
 
     /** @return mapped page indices in ascending order. */
     std::vector<Addr> pageIndices() const;
@@ -87,8 +97,8 @@ class SparseMemory
     const std::uint8_t *
     pageData(Addr page_index) const
     {
-        const auto it = pages_.find(page_index);
-        return it == pages_.end() ? nullptr : it->second.bytes->data();
+        const Slot &slot = slots_[probe(page_index)];
+        return slot.bytes == nullptr ? nullptr : slot.bytes->data();
     }
 
     /**
@@ -98,12 +108,19 @@ class SparseMemory
     void copyFrom(const SparseMemory &other);
 
   private:
+    /** Marks an empty slot; no page index reaches it (addresses are
+     * 64-bit, so page indices stay below 2^52). */
+    static constexpr Addr kNoPage = ~Addr{0};
+    static constexpr std::size_t kMinSlots = 16;
+
     /**
-     * A mapped page: @c bytes points at a shared program page until
-     * the first write, then at the page's own copy in @c owned.
+     * A page slot: @c bytes points at a shared program page until the
+     * first write, then at the page's own copy in @c owned. An empty
+     * slot has index kNoPage and null @c bytes.
      */
     struct Slot
     {
+        Addr index = kNoPage;
         const PageBytes *bytes = nullptr;
         std::unique_ptr<PageBytes> owned;
     };
@@ -111,23 +128,33 @@ class SparseMemory
     static Addr pageOf(Addr addr) { return addr / kPageBytes; }
     static std::size_t offsetOf(Addr addr) { return addr % kPageBytes; }
 
+    /** @return the slot holding @p index, or the empty slot that ends
+     * its probe sequence. */
+    std::size_t
+    probe(Addr index) const
+    {
+        std::size_t pos = (index * 0x9e3779b97f4a7c15ULL) >> hashShift_;
+        while (slots_[pos].index != index && slots_[pos].index != kNoPage)
+            pos = (pos + 1) & (slots_.size() - 1);
+        return pos;
+    }
+
     /**
-     * Give @p slot its own copy of the page it shares, or a zero page.
+     * Give page @p index, whose probe ends at @p pos, its own copy of
+     * the program page its slot shares, or a zero page, mapping the
+     * page first if the slot is empty (which may grow the table).
      * Out of line, since it runs once per page: the inline store path
      * in the simulators' hot loops stays small.
      */
-    static void own(Slot &slot);
+    PageBytes &own(std::size_t pos, Addr index);
 
-    PageBytes &
-    pageFor(Addr addr)
-    {
-        Slot &slot = pages_[pageOf(addr)];
-        if (!slot.owned)
-            own(slot);
-        return *slot.owned;
-    }
+    /** Make the table @p slots (a power of two) empty slots, dropping
+     * every page; numPages_ is left to the caller. */
+    void resetTable(std::size_t slots);
 
-    std::unordered_map<Addr, Slot> pages_;
+    std::vector<Slot> slots_;
+    unsigned hashShift_ = 0;
+    std::size_t numPages_ = 0;
 };
 
 /** The record of one architecturally executed instruction. */

@@ -63,6 +63,22 @@ TEST(NodeTables, ReadyQueuesAreFifoPerUnit)
     EXPECT_EQ(tables.readyQueue(1).front().seq, 21u);
 }
 
+TEST(NodeTables, ReadyUnitsMarkEveryPushUntilCleared)
+{
+    NodeTables tables(NodeTableParams{64, 4});
+    EXPECT_EQ(tables.readyUnits(), 0u);
+    tables.markReady(0, 1);
+    tables.markReady(63, 2);
+    tables.markReady(5, 3);
+    EXPECT_EQ(tables.readyUnits(),
+              (std::uint64_t{1} << 63) | (std::uint64_t{1} << 5) | 1u);
+    tables.readyQueue(5).pop_front();
+    tables.clearReadyUnit(5);
+    EXPECT_EQ(tables.readyUnits(), (std::uint64_t{1} << 63) | 1u);
+    tables.clear();
+    EXPECT_EQ(tables.readyUnits(), 0u);
+}
+
 TEST(ReadyQueue, DeferredRotationThenPushMatchesRotatingFirst)
 {
     // Every queue length around the 8 attempts a scan makes, and a
@@ -118,6 +134,12 @@ TEST(NodeTablesDeath, OverReleaseAborts)
 {
     NodeTables tables(NodeTableParams{2, 2});
     EXPECT_DEATH(tables.release(0), "");
+}
+
+TEST(NodeTablesDeath, MoreUnitsThanMaskBitsAbort)
+{
+    EXPECT_DEATH(NodeTables(NodeTableParams{65, 2}),
+                 "ready-unit mask is one 64-bit word");
 }
 
 } // namespace

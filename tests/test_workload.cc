@@ -10,9 +10,13 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <map>
 #include <optional>
+#include <set>
+#include <string>
 #include <thread>
 
+#include "common/rng.h"
 #include "workload/builder.h"
 #include "workload/characterize.h"
 #include "workload/executor.h"
@@ -147,6 +151,117 @@ TEST(SparseMemory, PageDataAfterStoreSeesTheStore)
     std::array<std::uint64_t, 3> words{};
     std::memcpy(words.data(), mem.pageData(kPage0), sizeof(words));
     EXPECT_EQ(words, (std::array<std::uint64_t, 3>{0x11, 0x22, 0x77}));
+}
+
+/** A std::map model of SparseMemory: every word ever set, and every
+ * page mapped. */
+struct RefMemory
+{
+    std::map<Addr, std::uint64_t> words;
+    std::set<Addr> pages;
+
+    void
+    store(Addr addr, std::uint64_t value)
+    {
+        addr &= ~Addr{7};
+        words[addr] = value;
+        pages.insert(addr / kPageBytes);
+    }
+
+    std::uint64_t
+    load(Addr addr) const
+    {
+        const auto it = words.find(addr & ~Addr{7});
+        return it == words.end() ? 0 : it->second;
+    }
+};
+
+void
+expectMatches(const SparseMemory &mem, const RefMemory &ref)
+{
+    EXPECT_EQ(mem.numPages(), ref.pages.size());
+    EXPECT_EQ(mem.pageIndices(),
+              std::vector<Addr>(ref.pages.begin(), ref.pages.end()));
+    for (const auto &[addr, value] : ref.words)
+        ASSERT_EQ(mem.load(addr), value) << std::hex << "addr 0x" << addr;
+}
+
+TEST(SparseMemoryProperty, MatchesMapReference)
+{
+    // compress maps 72 pages, so its table starts at 256 slots, at
+    // most half full; it grows at 129, 257, 513 and 1025 pages.
+    const Program p = generateProgram(findProfile("compress"));
+    std::vector<PageBytes> program_pages;
+    RefMemory ref;
+    for (const DataPage &page : p.dataPages()) {
+        program_pages.push_back(page.bytes);
+        ref.pages.insert(page.index);
+    }
+    for (const DataWord &word : p.initData())
+        ref.words[word.addr] = word.value;
+
+    Rng rng(33);
+    // A program page, the stack, or anywhere (wrong-path garbage).
+    const auto draw = [&]() -> Addr {
+        switch (rng.below(3)) {
+          case 0: {
+            const DataPage &page =
+                p.dataPages()[rng.below(p.dataPages().size())];
+            return page.index * kPageBytes + rng.below(kPageBytes);
+          }
+          case 1:
+            return kStackTop - 1 - rng.below(64 * 1024);
+          default:
+            return rng.next();
+        }
+    };
+
+    SparseMemory mem;
+    mem.initFrom(p);
+    expectMatches(mem, ref);
+    for (int phase = 0; phase < 4; ++phase) {
+        SCOPED_TRACE("phase " + std::to_string(phase));
+        for (int i = 0; i < 2000; ++i) {
+            const Addr addr = draw();
+            if (rng.chance(0.5)) {
+                const std::uint64_t value = rng.next();
+                mem.store(addr, value);
+                ref.store(addr, value);
+            } else {
+                ASSERT_EQ(mem.load(addr), ref.load(addr))
+                    << std::hex << "addr 0x" << addr;
+            }
+        }
+        expectMatches(mem, ref);
+    }
+    EXPECT_GT(ref.pages.size(), 1025u);
+
+    // A copy matches, then each side's stores stay its own: a word
+    // stored on both sides with different values, or on one side only.
+    SparseMemory copy;
+    copy.copyFrom(mem);
+    expectMatches(copy, ref);
+    RefMemory copy_ref = ref;
+    for (int i = 0; i < 3000; ++i) {
+        const Addr addr = draw();
+        const std::uint64_t value = rng.next();
+        const std::uint64_t sides = 1 + rng.below(3); // bit 0 mem, 1 copy
+        if (sides & 1) {
+            mem.store(addr, value);
+            ref.store(addr, value);
+        }
+        if (sides & 2) {
+            copy.store(addr, ~value);
+            copy_ref.store(addr, ~value);
+        }
+    }
+    expectMatches(mem, ref);
+    expectMatches(copy, copy_ref);
+    EXPECT_NE(mem.pageIndices(), copy.pageIndices());
+
+    // Every write went to a copy: the program's pages are unchanged.
+    for (std::size_t i = 0; i < program_pages.size(); ++i)
+        EXPECT_EQ(p.dataPages()[i].bytes, program_pages[i]);
 }
 
 // ----------------------------------------------------------------------

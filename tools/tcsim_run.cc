@@ -218,9 +218,12 @@ main(int argc, char **argv)
             trace_out = value();
         else if (arg == "--trace-format")
             trace_format = value();
-        else if (arg == "--intervals")
+        else if (arg == "--intervals") {
+            // 0 is how the run says "no intervals"; given, it is not.
             interval_insts = requireUint("--intervals", value());
-        else if (arg == "--intervals-out")
+            if (interval_insts == 0)
+                fatal("--intervals: the interval must be positive");
+        } else if (arg == "--intervals-out")
             intervals_out = value();
         else if (arg == "--profile")
             profile = true;

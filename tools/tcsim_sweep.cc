@@ -155,7 +155,14 @@ main(int argc, char **argv)
         } else if (arg == "--configs") {
             config_names = splitCommas(next());
         } else if (arg == "--insts") {
+            // 0 is how the engine says "the profile's default"; given,
+            // it is not.
             options.insts = requireUint("--insts", next());
+            if (options.insts == 0) {
+                std::fprintf(stderr,
+                             "--insts: the budget must be positive\n");
+                return 1;
+            }
         } else if (arg == "--warmup") {
             options.warmup = requireUint("--warmup", next());
         } else if (arg == "--replay") {
