@@ -775,124 +775,6 @@ render(const Results &results)
 
 } // namespace core_window
 
-// Ablation: partial matching and inactive issue. The paper's baseline
-// adopts both from Friendly et al. [MICRO-30 1997], who report ~15%
-// combined benefit; this sweep removes each in turn.
-namespace issue_policies
-{
-
-const std::vector<std::string> kBenchmarks = {"gcc", "compress", "go",
-                                              "tex"};
-
-struct Policy
-{
-    const char *label;
-    bool partial;
-    bool inactive;
-};
-const std::vector<Policy> kPolicies = {
-    {"partial match + inactive issue", true, true},
-    {"partial match only", true, false},
-    {"neither", false, false},
-};
-
-std::vector<WorkUnit>
-plan()
-{
-    std::vector<sim::ProcessorConfig> configs;
-    for (const Policy &policy : kPolicies) {
-        sim::ProcessorConfig config = sim::baselineConfig();
-        config.partialMatching = policy.partial;
-        config.inactiveIssue = policy.inactive;
-        config.name += std::string("+pm") +
-                       (policy.partial ? "1" : "0") + "ii" +
-                       (policy.inactive ? "1" : "0");
-        configs.push_back(config);
-    }
-    return exhibitUnits(kBenchmarks, configs);
-}
-
-int
-render(const Results &results)
-{
-    printBanner("Ablation",
-                "Partial matching / inactive issue (baseline fill)");
-
-    const auto matrix = byConfig(results, kBenchmarks.size());
-    std::printf("%-34s %14s %10s\n", "configuration", "avgEffFetch",
-                "avgIPC");
-    const double n = static_cast<double>(kBenchmarks.size());
-    for (std::size_t p = 0; p < kPolicies.size(); ++p) {
-        std::printf("%-34s %14.2f %10.3f\n", kPolicies[p].label,
-                    sumOf(matrix[p], &sim::SimResult::effectiveFetchRate) / n,
-                    sumOf(matrix[p], &sim::SimResult::ipc) / n);
-    }
-    return 0;
-}
-
-} // namespace issue_policies
-
-// Ablation: trace-cache path associativity. The paper's configurations
-// store at most one segment per start address (section 3, citing
-// Patel et al. [CSE-TR-335-97] for the alternative); this sweep
-// enables multi-path storage with predictor-driven selection.
-namespace path_assoc
-{
-
-const std::vector<std::string> kBenchmarks = {"gcc", "go", "li",
-                                              "gnuchess"};
-
-struct Variant
-{
-    const char *label;
-    bool pathAssoc;
-    bool packing;
-};
-const std::vector<Variant> kVariants = {
-    {"baseline, no path assoc", false, false},
-    {"baseline, path assoc", true, false},
-    {"promo+pack, no path assoc", false, true},
-    {"promo+pack, path assoc", true, true},
-};
-
-std::vector<WorkUnit>
-plan()
-{
-    std::vector<sim::ProcessorConfig> configs;
-    for (const Variant &v : kVariants) {
-        sim::ProcessorConfig config =
-            v.packing ? sim::promotionPackingConfig(64)
-                      : sim::baselineConfig();
-        config.traceCache.pathAssociativity = v.pathAssoc;
-        config.name += v.pathAssoc ? "+pathassoc" : "+nopath";
-        configs.push_back(config);
-    }
-    return exhibitUnits(kBenchmarks, configs);
-}
-
-int
-render(const Results &results)
-{
-    printBanner("Ablation", "Trace-cache path associativity");
-
-    const auto matrix = byConfig(results, kBenchmarks.size());
-    std::printf("%-34s %14s %13s\n", "configuration", "avgEffFetch",
-                "avgTcHit");
-    const auto tc_hit = [](const sim::SimResult &r) {
-        return r.tcLookups ? static_cast<double>(r.tcHits) / r.tcLookups
-                           : 0.0;
-    };
-    const double n = static_cast<double>(kBenchmarks.size());
-    for (std::size_t v = 0; v < kVariants.size(); ++v) {
-        std::printf("%-34s %14.2f %12.1f%%\n", kVariants[v].label,
-                    sumOf(matrix[v], &sim::SimResult::effectiveFetchRate) / n,
-                    100 * sumOf(matrix[v], tc_hit) / n);
-    }
-    return 0;
-}
-
-} // namespace path_assoc
-
 // Ablation: multiple-branch-predictor organization. The paper pairs
 // promotion with a restructured split predictor (64K/16K/8K tables,
 // 24 KB) in place of the baseline 16K x 7-counter tree (32 KB). This
@@ -939,75 +821,6 @@ render(const Results &results)
 }
 
 } // namespace predictor
-
-// Ablation: static vs dynamic branch promotion. The paper's section 4
-// notes promotion "can be done statically as well": no warm-up and
-// better coverage of irregular-but-biased branches, at the cost of
-// missing input-dependent bias changes. The static set here comes
-// from an architectural profiling pass (profileStronglyBiased).
-namespace static_promotion
-{
-
-const std::vector<std::string> kBenchmarks = {"gcc", "compress", "vortex",
-                                              "tex"};
-const std::vector<const char *> kLabels = {
-    "baseline (none)", "dynamic t=64", "static (profiled)",
-    "static + dynamic"};
-
-/** Variant-major, like exhibitUnits; the static promotion sets depend
- * on the benchmark's profile, so each unit is built on its own. */
-std::vector<WorkUnit>
-plan()
-{
-    std::vector<std::vector<sim::ProcessorConfig>> configs(kLabels.size());
-    for (const std::string &bench : kBenchmarks) {
-        const auto promotions =
-            workload::profileStronglyBiased(programFor(bench), 400000);
-        sim::ProcessorConfig static_only = sim::promotionConfig(64);
-        static_only.name = "static-promotion";
-        static_only.fillUnit.promotion = false;
-        static_only.fillUnit.staticPromotion = true;
-        static_only.fillUnit.staticPromotions = promotions;
-        sim::ProcessorConfig both = sim::promotionConfig(64);
-        both.name = "static+dynamic";
-        both.fillUnit.staticPromotion = true;
-        both.fillUnit.staticPromotions = promotions;
-        configs[0].push_back(sim::baselineConfig());
-        configs[1].push_back(sim::promotionConfig(64));
-        configs[2].push_back(static_only);
-        configs[3].push_back(both);
-    }
-    std::vector<WorkUnit> units;
-    for (const std::vector<sim::ProcessorConfig> &variant : configs) {
-        for (std::size_t b = 0; b < kBenchmarks.size(); ++b) {
-            units.push_back(
-                exhibitUnits({kBenchmarks[b]}, {variant[b]}).front());
-        }
-    }
-    return units;
-}
-
-int
-render(const Results &results)
-{
-    printBanner("Ablation", "Static vs dynamic branch promotion");
-
-    std::printf("%-26s %13s %12s %10s %12s\n", "configuration",
-                "avgEffFetch", "mispred%", "faults", "promotedRet");
-    const auto matrix = byConfig(results, kBenchmarks.size());
-    const double n = static_cast<double>(kBenchmarks.size());
-    for (std::size_t v = 0; v < kLabels.size(); ++v) {
-        const Results &row = matrix[v];
-        std::printf("%-26s %13.2f %11.2f%% %10.0f %12.0f\n", kLabels[v],
-                    sumOf(row, &sim::SimResult::effectiveFetchRate) / n,
-                    100 * sumOf(row, &sim::SimResult::condMispredictRate) / n,
-                    sumOf(row, &sim::SimResult::promotedFaults) / n,
-                    sumOf(row, &sim::SimResult::promotedRetired) / n);
-    }
-    return 0;
-}
-
-} // namespace static_promotion
 
 // Ablation: trace-cache size vs packing regulation. The paper's
 // section 5 argues that redundancy-regulation techniques become
@@ -1391,12 +1204,7 @@ exhibitRegistry()
     static const std::vector<Exhibit> registry = {
         {"ablation_bias_table", bias_table::plan, bias_table::render},
         {"ablation_core_window", core_window::plan, core_window::render},
-        {"ablation_issue_policies", issue_policies::plan,
-         issue_policies::render},
-        {"ablation_path_assoc", path_assoc::plan, path_assoc::render},
         {"ablation_predictor", predictor::plan, predictor::render},
-        {"ablation_static_promotion", static_promotion::plan,
-         static_promotion::render},
         {"ablation_tc_size", tc_size::plan, tc_size::render},
         {"fig10_fetch_rate_all", fig10::plan, fig10::render},
         {"fig11_ipc", fig11::plan, fig11::render},

@@ -155,27 +155,6 @@ BM_TraceCacheLookupHit(benchmark::State &state)
 BENCHMARK(BM_TraceCacheLookupHit);
 
 void
-BM_TraceCacheLookupAllPathAssoc(benchmark::State &state)
-{
-    // The path-associative probe with a caller-owned scratch vector —
-    // the allocation-free pattern the fetch engine uses per cycle.
-    trace::TraceCacheParams params{2048, 4};
-    params.pathAssociativity = true;
-    trace::TraceCache cache(params);
-    constexpr unsigned kResident = 256;
-    for (unsigned i = 0; i < kResident; ++i)
-        cache.insert(makeSegment(0x1000 + i * 64));
-    std::vector<const trace::TraceSegment *> candidates;
-    unsigned i = 0;
-    for (auto _ : state) {
-        cache.lookupAll(0x1000 + (i++ % kResident) * 64, candidates);
-        benchmark::DoNotOptimize(candidates.size());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceCacheLookupAllPathAssoc);
-
-void
 BM_HybridPredict(benchmark::State &state)
 {
     bpred::HybridPredictor hybrid;

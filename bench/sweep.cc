@@ -308,6 +308,17 @@ enumerateUnits(const SweepOptions &options)
                 fatal("replay sweep: --replay is a front-end analysis "
                       "pass and cannot combine with --warmup");
             }
+            // executeUnit runs the processor to warmup + insts.
+            if (unit.insts > sim::Processor::kMaxRunInsts ||
+                unit.warmup > sim::Processor::kMaxRunInsts - unit.insts) {
+                fatal("%s: warm-up %llu plus budget %llu exceeds the "
+                      "largest run, %llu instructions",
+                      benchmark.c_str(),
+                      static_cast<unsigned long long>(unit.warmup),
+                      static_cast<unsigned long long>(unit.insts),
+                      static_cast<unsigned long long>(
+                          sim::Processor::kMaxRunInsts));
+            }
             unit.id = benchmark + "@" + config.name + "@" +
                       std::to_string(unit.insts);
             if (unit.replay)

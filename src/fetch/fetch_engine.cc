@@ -54,65 +54,12 @@ FetchEngine::indirectTargetFor(const isa::Instruction &inst, Addr pc)
     return target == kInvalidAddr ? pc + isa::kInstBytes : target;
 }
 
-unsigned
-FetchEngine::predictedMatchLength(Addr pc,
-                                  const trace::TraceSegment &segment) const
-{
-    // Compare the predicted path against the segment's embedded path
-    // word-wide: the block branches' builtTaken bits are packed into
-    // blockBranchDirs at insert, so the loop runs once per block
-    // branch (<= 3) against one u64 instead of scanning all 16
-    // instruction slots for the endsBlock markers.
-    unsigned matched = 0;
-    unsigned path_bits = 0;
-    const std::uint64_t hist = state_.history.value();
-    const std::uint64_t dirs = segment.blockBranchDirs;
-    for (unsigned position = 0; position < segment.numBlockBranches;
-         ++position) {
-        const bool pred = mbp_->predict(pc, hist, position, path_bits);
-        path_bits |= static_cast<unsigned>(pred) << position;
-        if (pred != (((dirs >> position) & 1u) != 0))
-            break;
-        ++matched;
-    }
-    return matched;
-}
-
-bool
-FetchEngine::fullyMatches(Addr pc, const trace::TraceSegment &segment) const
-{
-    return predictedMatchLength(pc, segment) == segment.numBlockBranches;
-}
-
 void
 FetchEngine::fetchCycle(Addr pc, FetchBatch &out)
 {
     out.clear();
     if (params_.useTraceCache) {
-        const trace::TraceSegment *segment = nullptr;
-        if (params_.pathAssociativity) {
-            // Select the same-start segment whose embedded path best
-            // matches the current predictions.
-            traceCache_->lookupAll(pc, candidates_);
-            unsigned best = 0;
-            for (const trace::TraceSegment *cand : candidates_) {
-                const unsigned matched =
-                    predictedMatchLength(pc, *cand) + 1;
-                if (matched > best) {
-                    best = matched;
-                    segment = cand;
-                }
-            }
-        } else {
-            segment = traceCache_->lookup(pc);
-        }
-        if (segment != nullptr && !params_.partialMatching &&
-            !fullyMatches(pc, *segment)) {
-            // Without partial matching a diverging segment is useless:
-            // treat the lookup as a miss.
-            segment = nullptr;
-        }
-        if (segment != nullptr) {
+        if (const trace::TraceSegment *segment = traceCache_->lookup(pc)) {
             fetchFromSegment(pc, *segment, out);
             return;
         }
@@ -134,7 +81,7 @@ FetchEngine::fetchFromSegment(Addr pc, const trace::TraceSegment &segment,
     Addr next_pc = kInvalidAddr;
 
     for (const trace::TraceInst &ti : segment.insts) {
-        // Built in place; popped again if it does not enter the batch.
+        // Built in place: every segment instruction enters the batch.
         FetchedInst &fi = out.insts.emplace_back();
         fi.inst = ti.inst;
         fi.pc = ti.pc;
@@ -224,14 +171,8 @@ FetchEngine::fetchFromSegment(Addr pc, const trace::TraceSegment &segment,
             fi.followedNextPc = ti.pc + isa::kInstBytes;
         }
 
-        if (fi.active) {
+        if (fi.active)
             ++out.activeCount;
-        } else if (!params_.inactiveIssue) {
-            // Inactive issue disabled: nothing beyond the divergence
-            // enters the machine.
-            out.insts.pop_back();
-            break;
-        }
     }
 
     if (next_pc == kInvalidAddr) {

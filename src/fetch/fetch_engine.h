@@ -41,27 +41,6 @@ struct FetchEngineParams
     bool useTraceCache = true;
     /** Maximum instructions per fetch. */
     unsigned fetchWidth = 16;
-    /**
-     * Partial matching [Friendly 97]: a segment whose embedded path
-     * diverges from the predicted path still supplies its matching
-     * prefix. When disabled, such a lookup is treated as a trace-cache
-     * miss and the icache supplies one fetch block.
-     */
-    bool partialMatching = true;
-    /**
-     * Inactive issue [Friendly 97]: segment instructions beyond the
-     * divergence point are issued inactively (salvaged if the branch
-     * resolves along the segment's path). When disabled, delivery
-     * stops at the divergence.
-     */
-    bool inactiveIssue = true;
-    /**
-     * Path associativity: choose among multiple segments with the
-     * same start address by predicted-path match (the paper's section
-     * 3 explicitly models a cache *without* it; this is the cited
-     * alternative).
-     */
-    bool pathAssociativity = false;
 };
 
 /**
@@ -122,17 +101,6 @@ class FetchEngine
                           FetchBatch &out);
     void fetchFromICache(Addr pc, FetchBatch &out);
 
-    /**
-     * @return the number of block-ending branches of @p segment whose
-     * embedded direction agrees with the predictor (stopping at the
-     * first disagreement), without mutating any state.
-     */
-    unsigned predictedMatchLength(Addr pc,
-                                  const trace::TraceSegment &segment) const;
-
-    /** @return true if every block branch agrees with the predictor. */
-    bool fullyMatches(Addr pc, const trace::TraceSegment &segment) const;
-
     /** Consume a one-shot override for @p pc if present. */
     std::optional<bool>
     consumeOverride(Addr pc)
@@ -155,9 +123,6 @@ class FetchEngine
     bpred::MultipleBranchPredictor *mbp_;
     bpred::HybridPredictor *hybrid_;
     FrontEndState &state_;
-    /** Scratch for the path-associative probe; reused across fetches
-     * so the per-cycle lookup never allocates. */
-    std::vector<const trace::TraceSegment *> candidates_;
 
     obs::Tracer *tracer_ = nullptr;
 };

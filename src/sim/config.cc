@@ -1,8 +1,5 @@
 #include "sim/config.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/fnv.h"
 #include "common/parse.h"
 
@@ -31,11 +28,16 @@ configFingerprint(const ProcessorConfig &config)
     // with ProcessorConfig and the nested parameter structs. A field
     // left out here would let two behaviorally different configs share
     // unit hashes and merged fragments.
+    //
+    // The constants stand where deleted fields were hashed, with the
+    // value and type every remaining config had (pathAssociativity,
+    // staticPromotion, an empty staticPromotions site count,
+    // partialMatching, inactiveIssue), so no unit hash moved.
     std::uint64_t hash = kFnvOffsetBasis;
     hash = fnv1aAppendScalar(hash, config.useTraceCache);
     hash = fnv1aAppendScalar(hash, config.traceCache.numSegments);
     hash = fnv1aAppendScalar(hash, config.traceCache.assoc);
-    hash = fnv1aAppendScalar(hash, config.traceCache.pathAssociativity);
+    hash = fnv1aAppendScalar(hash, false);
     hash = fnv1aAppendScalar(
         hash, static_cast<std::uint8_t>(config.fillUnit.packing));
     hash = fnv1aAppendScalar(hash, config.fillUnit.packingGranule);
@@ -44,26 +46,14 @@ configFingerprint(const ProcessorConfig &config)
     hash = fnv1aAppendScalar(hash,
                              config.fillUnit.biasTable.promoteThreshold);
     hash = fnv1aAppendScalar(hash, config.fillUnit.biasTable.counterMax);
-    hash = fnv1aAppendScalar(hash, config.fillUnit.staticPromotion);
-    {
-        // The static-promotion map is unordered; hash a sorted copy.
-        std::vector<std::pair<Addr, bool>> sites(
-            config.fillUnit.staticPromotions.begin(),
-            config.fillUnit.staticPromotions.end());
-        std::sort(sites.begin(), sites.end());
-        hash = fnv1aAppendScalar(hash,
-                                 static_cast<std::uint64_t>(sites.size()));
-        for (const auto &[pc, dir] : sites) {
-            hash = fnv1aAppendScalar(hash, pc);
-            hash = fnv1aAppendScalar(hash, dir);
-        }
-    }
+    hash = fnv1aAppendScalar(hash, false);
+    hash = fnv1aAppendScalar(hash, std::uint64_t{0});
     hash = fnv1aAppendScalar(hash,
                              static_cast<std::uint8_t>(config.mbpKind));
     hash = fnv1aAppendScalar(hash, config.fetchWidth);
     hash = fnv1aAppendScalar(hash, config.fetchQueueBatches);
-    hash = fnv1aAppendScalar(hash, config.partialMatching);
-    hash = fnv1aAppendScalar(hash, config.inactiveIssue);
+    hash = fnv1aAppendScalar(hash, true);
+    hash = fnv1aAppendScalar(hash, true);
     hash = cacheFingerprint(hash, config.hierarchy.icache);
     hash = cacheFingerprint(hash, config.hierarchy.dcache);
     hash = cacheFingerprint(hash, config.hierarchy.l2);

@@ -52,10 +52,6 @@ struct ProcessorConfig
     MbpKind mbpKind = MbpKind::Tree;
     std::uint32_t fetchWidth = 16;
     std::uint32_t fetchQueueBatches = 2;
-    /** Partial matching [Friendly 97]; on in every paper config. */
-    bool partialMatching = true;
-    /** Inactive issue [Friendly 97]; on in every paper config. */
-    bool inactiveIssue = true;
 
     // ------------------------------------------------------------------
     // Memory hierarchy.

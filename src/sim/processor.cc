@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <cstdio>
-#include <tuple>
+#include <limits>
 
 #include "common/fnv.h"
 #include "common/log.h"
@@ -20,10 +19,16 @@ using workload::FunctionalExecutor;
 namespace
 {
 
-/** Hard per-run cycle budget multiplier (hang detection). */
+/** Hang detection: run(max_insts) fails once the machine has spent
+ * more than max_insts * kMaxCyclesPerInst + kCycleSlack cycles. */
 constexpr std::uint64_t kMaxCyclesPerInst = 200;
+constexpr std::uint64_t kCycleSlack = 1'000'000;
 
 } // namespace
+
+const std::uint64_t Processor::kMaxRunInsts =
+    (std::numeric_limits<std::uint64_t>::max() - kCycleSlack) /
+    kMaxCyclesPerInst;
 
 Processor::Processor(const ProcessorConfig &config,
                      const workload::Program &program)
@@ -46,9 +51,6 @@ Processor::Processor(const ProcessorConfig &config,
     fetch::FetchEngineParams fe_params;
     fe_params.useTraceCache = config_.useTraceCache;
     fe_params.fetchWidth = config_.fetchWidth;
-    fe_params.partialMatching = config_.partialMatching;
-    fe_params.inactiveIssue = config_.inactiveIssue;
-    fe_params.pathAssociativity = config_.traceCache.pathAssociativity;
     fetchEngine_ = std::make_unique<fetch::FetchEngine>(
         fe_params, program_, traceCache_.get(), hierarchy_.icache(),
         mbp_.get(), hybrid_.get(), frontEnd_);
@@ -65,7 +67,6 @@ Processor::Processor(const ProcessorConfig &config,
     oracleRing_.resize(1024); // power of two; grows by doubling
     storeAddrIndex_.resize(kAddrIndexBuckets);
     verifyIndexed_ = std::getenv("TCSIM_VERIFY_WINDOW_INDEX") != nullptr;
-    debugRetire_ = std::getenv("TCSIM_DEBUG_RETIRE") != nullptr;
     fetchPc_ = program_.entry();
 }
 
@@ -307,11 +308,11 @@ Processor::loadParked(const DynInst &load) const
 bool
 Processor::slowLoadDisambiguation(const DynInst &load) const
 {
-    for (auto it = storeQueue_.rbegin(); it != storeQueue_.rend(); ++it) {
+    for (auto it = robOrder_.rbegin(); it != robOrder_.rend(); ++it) {
         if (*it >= load.seq)
             continue;
         const DynInst *store = instFor(*it);
-        if (store == nullptr || store->discarded)
+        if (store == nullptr || !store->isStore() || store->discarded)
             continue;
         if (!store->active && store->fetchGroup != load.fetchGroup)
             continue;
@@ -335,11 +336,11 @@ Processor::slowLoadDisambiguation(const DynInst &load) const
 const DynInst *
 Processor::slowForwardingStore(const DynInst &load) const
 {
-    for (auto it = storeQueue_.rbegin(); it != storeQueue_.rend(); ++it) {
+    for (auto it = robOrder_.rbegin(); it != robOrder_.rend(); ++it) {
         if (*it >= load.seq)
             continue;
         const DynInst *store = instFor(*it);
-        if (store == nullptr || store->discarded)
+        if (store == nullptr || !store->isStore() || store->discarded)
             continue;
         if (!store->active && store->fetchGroup != load.fetchGroup)
             continue;
@@ -656,10 +657,8 @@ Processor::dispatchStage()
         // Resources.
         const bool allocated = nodeTables_.allocate(di.rsTable);
         TCSIM_ASSERT(allocated, "node table allocation must succeed");
-        if (di.isStore()) {
-            storeQueue_.push_back(di.seq);
+        if (di.isStore())
             unknownStores_.push_back(di.seq); // dispatch order: sorted
-        }
         if (di.endsBlock) {
             ++outstandingCheckpoints_;
             if (di.active)
@@ -1222,13 +1221,11 @@ Processor::squashYoungerThan(InstSeqNum keep_seq)
             --outstandingCheckpoints_;
         }
         // Unindex before invalidating the seq (unknown stores are
-        // bulk-trimmed below, like storeQueue_).
+        // bulk-trimmed below).
         if (di->isStore() && di->memAddrKnown)
             storeIndexRemove(di->memAddr, seq);
         di->seq = kInvalidSeqNum; // invalidate stale references
     }
-    while (!storeQueue_.empty() && storeQueue_.back() > keep_seq)
-        storeQueue_.pop_back();
     while (!unknownStores_.empty() && unknownStores_.back() > keep_seq)
         unknownStores_.pop_back();
     while (!checkpointStack_.empty() && checkpointStack_.back() > keep_seq)
@@ -1312,12 +1309,6 @@ Processor::applyRecovery()
     const RecoveryRequest req = recovery_;
     if (DynInst *origin = instFor(req.originSeq))
         origin->recoveryApplied = true;
-    if (debugRetire_) {
-        debugRecoveryLog_.emplace_back(cycle_, req.keepSeq, req.redirect,
-                                       (int)req.cause, req.salvage);
-        if (debugRecoveryLog_.size() > 24)
-            debugRecoveryLog_.pop_front();
-    }
 
     squashYoungerThan(req.keepSeq);
     for (PendingBatch &pb : fetchQueue_)
@@ -1368,8 +1359,7 @@ Processor::applyRecovery()
 
     // Oracle resynchronization. The resync anchor is the youngest
     // surviving instruction on the followed path: the keep instruction
-    // itself may be discarded (memory-order replays can keep a
-    // discarded predecessor) or already retired (deferred requests),
+    // itself may be discarded or already retired (deferred requests),
     // in which case the anchor falls back to an older survivor or the
     // retire boundary.
     const DynInst *anchor = nullptr;
@@ -1432,9 +1422,6 @@ Processor::retireOne(DynInst &inst)
             // Discarded implies never activated: not on the stack.
         }
         if (inst.isStore()) {
-            TCSIM_ASSERT(!storeQueue_.empty() &&
-                         storeQueue_.front() == inst.seq);
-            storeQueue_.pop_front();
             // Retiring implies executed implies address-resolved.
             TCSIM_ASSERT(inst.memAddrKnown);
             storeIndexRemove(inst.memAddr, inst.seq);
@@ -1443,37 +1430,7 @@ Processor::retireOne(DynInst &inst)
     }
 
     // The retired stream must equal the functional oracle's stream.
-    // (Pointer, not reference: the debug dump below can extend — and
-    // so reallocate — the oracle ring.)
     const workload::StepResult *golden = &oracleAt(oracleRetireIdx_);
-    if (golden->pc != inst.pc && debugRetire_) {
-        for (std::uint64_t i = oracleRetireIdx_ >= 3 ? oracleRetireIdx_-3 : 0;
-             i <= oracleRetireIdx_ + 3; ++i) {
-            if (i < oracleBase_) continue;
-            const auto &e = oracleAt(i);
-            std::fprintf(stderr, "  oracle[%llu] pc=%llx op=%s taken=%d next=%llx\n",
-                (unsigned long long)i, (unsigned long long)e.pc,
-                isa::opcodeName(e.inst.op), (int)e.taken,
-                (unsigned long long)e.nextPc);
-        }
-        std::fprintf(stderr, "divergence at retire idx %llu: got %llx want %llx seq=%llu op=%s group=%llu active=%d\n",
-            (unsigned long long)oracleRetireIdx_, (unsigned long long)inst.pc,
-            (unsigned long long)golden->pc, (unsigned long long)inst.seq,
-            isa::opcodeName(inst.inst.op), (unsigned long long)inst.fetchGroup, (int)inst.active);
-        for (auto &d : debugRetireLog_) {
-            const auto meta = std::get<3>(d);
-            std::fprintf(stderr, "  retired pc=%llx op=%s seq=%llu grp=%llu act=%d eb=%d fd=%d et=%d tk=%d tc=%d\n",
-                (unsigned long long)std::get<0>(d), isa::opcodeName(std::get<1>(d)),
-                (unsigned long long)std::get<2>(d), (unsigned long long)(meta & 0xffffffffffffULL),
-                (int)((meta>>56)&1), (int)((meta>>57)&1), (int)((meta>>58)&1),
-                (int)((meta>>59)&1), (int)((meta>>60)&1), (int)((meta>>61)&1));
-        }
-        for (auto &r : debugRecoveryLog_)
-            std::fprintf(stderr, "  recovery cyc=%llu keep=%llu redirect=%llx cause=%d salvage=%d\n",
-                (unsigned long long)std::get<0>(r), (unsigned long long)std::get<1>(r),
-                (unsigned long long)std::get<2>(r), std::get<3>(r), std::get<4>(r));
-        golden = &oracleAt(oracleRetireIdx_); // ring may have grown
-    }
     TCSIM_ASSERT(golden->pc == inst.pc,
                  "retired pc 0x%llx diverges from oracle pc 0x%llx "
                  "at retire index %llu",
@@ -1497,19 +1454,6 @@ Processor::retireOne(DynInst &inst)
                  "retired branch direction diverges at pc %llx seq %llu",
                  static_cast<unsigned long long>(inst.pc),
                  static_cast<unsigned long long>(inst.seq));
-    if (debugRetire_) {
-        debugRetireLog_.emplace_back(
-            inst.pc, inst.inst.op, inst.seq,
-            inst.fetchGroup | (uint64_t(inst.active) << 56) |
-                (uint64_t(inst.endsBlock) << 57) |
-                (uint64_t(inst.followedDir) << 58) |
-                (uint64_t(inst.embeddedTaken) << 59) |
-                (uint64_t(inst.taken) << 60) |
-                (uint64_t(inst.source == fetch::FetchSource::TraceCache)
-                 << 61));
-        if (debugRetireLog_.size() > 48)
-            debugRetireLog_.pop_front();
-    }
     ++oracleRetireIdx_;
     // Retired entries are dead: fetch never looks below the retire
     // boundary (recoveries resynchronize at or above it). Ring slots
@@ -1535,9 +1479,6 @@ Processor::retireOne(DynInst &inst)
     if (inst.isStore()) {
         memory_.store(inst.memAddr, inst.storeData);
         hierarchy_.dcache().access(inst.memAddr, true);
-        TCSIM_ASSERT(!storeQueue_.empty() &&
-                     storeQueue_.front() == inst.seq);
-        storeQueue_.pop_front();
         TCSIM_ASSERT(inst.memAddrKnown);
         storeIndexRemove(inst.memAddr, inst.seq);
     }
@@ -1712,6 +1653,10 @@ Processor::step()
 SimResult
 Processor::run(std::uint64_t max_insts)
 {
+    TCSIM_ASSERT(max_insts <= kMaxRunInsts,
+                 "run budget %llu exceeds the largest, %llu",
+                 static_cast<unsigned long long>(max_insts),
+                 static_cast<unsigned long long>(kMaxRunInsts));
     maxInsts_ = max_insts;
     // A previous run() may have stopped at its instruction budget;
     // resume unless the program actually halted.
@@ -1721,7 +1666,7 @@ Processor::run(std::uint64_t max_insts)
     }
     const std::uint64_t cycle_budget =
         (max_insts == 0 ? std::uint64_t{1} << 40
-                        : max_insts * kMaxCyclesPerInst + 1'000'000);
+                        : max_insts * kMaxCyclesPerInst + kCycleSlack);
     Cycle last_progress_cycle = 0;
     std::uint64_t last_retired = 0;
     while (!done_) {

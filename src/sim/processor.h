@@ -73,9 +73,15 @@ class Processor
     Processor(const Processor &) = delete;
     Processor &operator=(const Processor &) = delete;
 
+    /** The largest max_insts run() takes: the largest count whose
+     * hang-detection cycle bound fits in 64 bits. */
+    static const std::uint64_t kMaxRunInsts;
+
     /**
      * Run until the program halts or @p max_insts instructions have
-     * retired.
+     * retired (0 = until the program halts). @p max_insts is an
+     * absolute retired count, so a run after a warm-up passes warm-up
+     * plus budget; it may not exceed kMaxRunInsts.
      * @return the collected metrics
      */
     SimResult run(std::uint64_t max_insts);
@@ -354,8 +360,8 @@ class Processor
     // Window-indexed lookups. The hot per-event scans (load
     // forwarding/disambiguation, promoted-fault checkpoint selection)
     // are answered from incrementally maintained indexes in
-    // O(1)/O(log n) instead of walking robOrder_ or storeQueue_. The
-    // original reference scans are kept as slow* twins;
+    // O(1)/O(log n) instead of walking robOrder_. The original
+    // reference scans are kept as slow* twins;
     // TCSIM_VERIFY_WINDOW_INDEX=1 cross-checks every event.
     // ------------------------------------------------------------------
     /** First robOrder_ position with seq >= @p seq (robOrder_ is
@@ -471,7 +477,6 @@ class Processor
     std::deque<InstSeqNum> robOrder_;
     InstSeqNum nextSeq_ = 1;
     core::NodeTables nodeTables_;
-    std::deque<InstSeqNum> storeQueue_; // sorted by seq
     std::uint32_t outstandingCheckpoints_ = 0;
 
     /**
@@ -541,13 +546,6 @@ class Processor
     Cycle statBaseCycle_ = 0;
     std::uint64_t statBaseInsts_ = 0;
     Accounting accounting_;
-    /** TCSIM_DEBUG_RETIRE=1: keep the last retirements and recoveries
-     * and dump them if the retired stream diverges from the oracle. */
-    bool debugRetire_ = false;
-    std::deque<std::tuple<Addr, isa::Opcode, InstSeqNum, std::uint64_t>>
-        debugRetireLog_;
-    std::deque<std::tuple<Cycle, InstSeqNum, Addr, int, bool>>
-        debugRecoveryLog_;
 
     std::uint64_t retiredCondBranches_ = 0;
     std::uint64_t condMispredicts_ = 0;

@@ -67,15 +67,7 @@ FillUnit::retire(const RetiredInst &retired)
     const isa::Opcode op = retired.inst.op;
     if (isa::isCondBranch(op)) {
         ti.builtTaken = retired.taken;
-        if (params_.staticPromotion) {
-            const auto it = params_.staticPromotions.find(retired.pc);
-            if (it != params_.staticPromotions.end() &&
-                it->second == retired.taken) {
-                ti.promoted = true;
-                ti.promotedDir = it->second;
-            }
-        }
-        if (!ti.promoted && params_.promotion) {
+        if (params_.promotion) {
             // The bias table is updated at retire; the freshly updated
             // state then advises the promotion decision.
             biasTable_.update(retired.pc, retired.taken);

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "bpred/bias_table.h"
@@ -61,14 +60,6 @@ struct FillUnitParams
     bool promotion = false;
     /** Bias table geometry/threshold (used when promotion is on). */
     bpred::BiasTableParams biasTable;
-    /**
-     * Static promotion (paper section 4's alternative): promote the
-     * branches in staticPromotions (pc -> direction) unconditionally,
-     * with no warm-up and no demotion. May be combined with dynamic
-     * promotion; the static set takes precedence.
-     */
-    bool staticPromotion = false;
-    std::unordered_map<Addr, bool> staticPromotions;
 };
 
 /** A retired instruction, as seen by the fill unit. */

@@ -19,20 +19,6 @@ fillReasonName(FillReason reason)
 }
 
 void
-TraceSegment::packBranchMeta()
-{
-    std::uint64_t dirs = 0;
-    unsigned position = 0;
-    for (const TraceInst &ti : insts) {
-        if (!ti.endsBlock)
-            continue;
-        dirs |= static_cast<std::uint64_t>(ti.builtTaken) << position;
-        ++position;
-    }
-    blockBranchDirs = dirs;
-}
-
-void
 TraceSegment::resetForReuse()
 {
     startAddr = kInvalidAddr;
@@ -40,7 +26,6 @@ TraceSegment::resetForReuse()
     reason = FillReason::MaxSize;
     numBlockBranches = 0;
     hasTightBackwardBranch = false;
-    blockBranchDirs = 0;
 }
 
 std::string

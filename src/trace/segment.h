@@ -80,20 +80,9 @@ struct TraceSegment
     unsigned numBlockBranches = 0;
     /** Any conditional branch with backward displacement <= 32. */
     bool hasTightBackwardBranch = false;
-    /**
-     * builtTaken directions of the block-ending branches, packed
-     * LSB-first (bit i = i-th block branch), so the fetch engine's
-     * predicted-path compare works on one word instead of re-scanning
-     * every instruction slot. Valid after packBranchMeta(); the trace
-     * cache packs every segment on insert.
-     */
-    std::uint64_t blockBranchDirs = 0;
 
     unsigned size() const { return static_cast<unsigned>(insts.size()); }
     bool empty() const { return insts.empty(); }
-
-    /** Recompute blockBranchDirs from insts (idempotent). */
-    void packBranchMeta();
 
     /**
      * Reset to the freshly-constructed state while keeping the insts

@@ -61,73 +61,21 @@ TraceCache::peek(Addr addr) const
     return nullptr;
 }
 
-namespace
-{
-
-/** @return true if two segments embed the same branch path. */
-bool
-samePath(const TraceSegment &a, const TraceSegment &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (unsigned i = 0; i < a.size(); ++i) {
-        if (a.insts[i].pc != b.insts[i].pc ||
-            a.insts[i].builtTaken != b.insts[i].builtTaken)
-            return false;
-    }
-    return true;
-}
-
-} // namespace
-
-void
-TraceCache::lookupAll(Addr addr,
-                      std::vector<const TraceSegment *> &candidates)
-{
-    candidates.clear();
-    ++lookups_;
-    ++tick_;
-    Way *base = &ways_[static_cast<std::size_t>(setOf(addr)) *
-                       params_.assoc];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.segment.startAddr == addr) {
-            way.lruStamp = tick_;
-            candidates.push_back(&way.segment);
-        }
-    }
-    if (!candidates.empty()) {
-        ++hits_;
-        TCSIM_TPOINT(tracer_, TC, "hit", "addr=0x%llx candidates=%zu",
-                     static_cast<unsigned long long>(addr),
-                     candidates.size());
-    } else {
-        TCSIM_TPOINT(tracer_, TC, "miss", "addr=0x%llx",
-                     static_cast<unsigned long long>(addr));
-    }
-}
-
 void
 TraceCache::insert(TraceSegment &&segment)
 {
     TCSIM_ASSERT(!segment.empty());
     TCSIM_ASSERT(segment.size() <= kMaxSegmentInsts);
-    // Resident segments always carry packed branch metadata: the
-    // fetch engine's path compare reads blockBranchDirs, not insts.
-    segment.packBranchMeta();
     ++inserts_;
     ++tick_;
 
     Way *base = &ways_[static_cast<std::size_t>(setOf(segment.startAddr)) *
                        params_.assoc];
 
-    // Without path associativity a same-start segment is always
-    // replaced; with it, only an identical-path segment is.
+    // No path associativity: a same-start segment is always replaced.
     for (std::uint32_t w = 0; w < params_.assoc; ++w) {
         Way &way = base[w];
-        if (way.valid && way.segment.startAddr == segment.startAddr &&
-            (!params_.pathAssociativity ||
-             samePath(way.segment, segment))) {
+        if (way.valid && way.segment.startAddr == segment.startAddr) {
             ++sameStartReplacements_;
             TCSIM_TPOINT(tracer_, TC, "insert",
                          "addr=0x%llx size=%u same_start=1",

@@ -27,13 +27,6 @@ struct TraceCacheParams
 {
     std::uint32_t numSegments = 2048;
     std::uint32_t assoc = 4;
-    /**
-     * Path associativity: allow several segments with the same start
-     * address (differing in embedded path) to be resident at once.
-     * The paper's configurations do not use it (section 3); it is
-     * provided for the cited comparison.
-     */
-    bool pathAssociativity = false;
 };
 
 /** The trace cache proper. */
@@ -50,14 +43,6 @@ class TraceCache
 
     /** @return the resident segment without touching statistics/LRU. */
     const TraceSegment *peek(Addr addr) const;
-
-    /**
-     * Collect every resident segment starting at @p addr (more than
-     * one only under path associativity). Counts as one lookup; a hit
-     * is recorded if any candidate exists.
-     */
-    void lookupAll(Addr addr,
-                   std::vector<const TraceSegment *> &candidates);
 
     /**
      * Insert @p segment, replacing any same-start segment in its set,

@@ -1,5 +1,6 @@
 #include "workload/characterize.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 namespace tcsim::workload
@@ -104,36 +105,6 @@ characterize(const Program &program, std::uint64_t max_insts)
             static_cast<double>(long_run_execs) / ws.condBranches;
     }
     return ws;
-}
-
-std::unordered_map<Addr, bool>
-profileStronglyBiased(const Program &program, std::uint64_t max_insts,
-                      double min_bias, std::uint64_t min_executions)
-{
-    FunctionalExecutor exec(program);
-    std::unordered_map<Addr, SiteStats> sites;
-    std::uint64_t executed = 0;
-    while (!exec.halted() && executed < max_insts) {
-        const StepResult step = exec.step();
-        ++executed;
-        if (isa::isCondBranch(step.inst.op)) {
-            SiteStats &site = sites[step.pc];
-            ++site.total;
-            if (step.taken)
-                ++site.taken;
-        }
-    }
-
-    std::unordered_map<Addr, bool> biased;
-    for (const auto &[pc, site] : sites) {
-        if (site.total < min_executions)
-            continue;
-        const std::uint64_t dominant =
-            std::max(site.taken, site.total - site.taken);
-        if (static_cast<double>(dominant) / site.total >= min_bias)
-            biased.emplace(pc, site.taken * 2 >= site.total);
-    }
-    return biased;
 }
 
 } // namespace tcsim::workload

@@ -13,7 +13,6 @@
 #define TCSIM_WORKLOAD_CHARACTERIZE_H
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/stats.h"
 #include "workload/executor.h"
@@ -68,18 +67,6 @@ struct WorkloadStats
 /** Run @p program for at most @p max_insts and characterize it. */
 WorkloadStats characterize(const Program &program,
                            std::uint64_t max_insts);
-
-/**
- * Profile pass for *static* branch promotion (paper section 4: the
- * ISA communicates strongly biased branches found by offline
- * analysis). Executes @p max_insts architecturally and returns the
- * dominant direction of every conditional branch site whose bias is
- * at least @p min_bias over at least @p min_executions executions.
- */
-std::unordered_map<Addr, bool>
-profileStronglyBiased(const Program &program, std::uint64_t max_insts,
-                      double min_bias = 0.98,
-                      std::uint64_t min_executions = 16);
 
 } // namespace tcsim::workload
 

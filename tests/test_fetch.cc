@@ -430,125 +430,3 @@ TEST(FetchTrace, InactiveCallDoesNotTouchRas)
 
 } // namespace
 } // namespace tcsim::fetch
-// Extensions: issue-policy flags and path associativity.
-// (Appended to the anonymous namespace's enclosing namespace scope.)
-
-namespace tcsim::fetch
-{
-namespace
-{
-
-/** A rig with configurable fetch-engine flags. */
-struct FlagRig
-{
-    FlagRig(workload::Program prog, bool partial, bool inactive,
-            bool path_assoc = false)
-        : program(std::move(prog))
-    {
-        trace::TraceCacheParams tc_params{64, 4, path_assoc};
-        traceCache = std::make_unique<trace::TraceCache>(tc_params);
-        mbp = std::make_unique<bpred::TreeMbp>(1024);
-        FetchEngineParams params;
-        params.useTraceCache = true;
-        params.partialMatching = partial;
-        params.inactiveIssue = inactive;
-        params.pathAssociativity = path_assoc;
-        engine = std::make_unique<FetchEngine>(
-            params, program, traceCache.get(), hierarchy.icache(),
-            mbp.get(), nullptr, state);
-    }
-
-    FetchBatch &
-    fetch(Addr pc)
-    {
-        engine->fetchCycle(pc, batch);
-        return batch;
-    }
-
-    workload::Program program;
-    memory::Hierarchy hierarchy;
-    std::unique_ptr<trace::TraceCache> traceCache;
-    std::unique_ptr<bpred::TreeMbp> mbp;
-    FrontEndState state;
-    std::unique_ptr<FetchEngine> engine;
-    FetchBatch batch;
-};
-
-void
-trainFlag(FlagRig &rig, Addr fetch_addr, unsigned pos, unsigned path,
-          bool dir)
-{
-    for (int i = 0; i < 8; ++i) {
-        bpred::MbpCtx ctx;
-        ctx.fetchAddr = fetch_addr;
-        ctx.history = rig.state.history.value();
-        ctx.position = static_cast<std::uint8_t>(pos);
-        ctx.path = static_cast<std::uint8_t>(path);
-        rig.mbp->update(ctx, dir);
-    }
-}
-
-TEST(FetchFlags, NoInactiveIssueTruncatesAtDivergence)
-{
-    FlagRig rig(straightLineProgram(4), true, false);
-    const Addr start = 0x20000;
-    rig.traceCache->insert(makeSegment(start, {false, false, false}));
-    trainFlag(rig, start, 0, 0, true); // diverge at the first branch
-
-    FetchBatch &batch = rig.fetch(start);
-    EXPECT_EQ(batch.source, FetchSource::TraceCache);
-    EXPECT_EQ(batch.insts.size(), 3u); // active prefix only
-    EXPECT_EQ(batch.activeCount, 3u);
-    for (const FetchedInst &fi : batch.insts)
-        EXPECT_TRUE(fi.active);
-}
-
-TEST(FetchFlags, NoPartialMatchTreatsDivergenceAsMiss)
-{
-    FlagRig rig(straightLineProgram(20), false, true);
-    const Addr start = workload::kCodeBase;
-    rig.traceCache->insert(makeSegment(start, {false, false, false}));
-    trainFlag(rig, start, 0, 0, true); // predictor disagrees
-
-    // First fetch warms the icache (the segment is rejected).
-    FetchBatch &cold = rig.fetch(start);
-    EXPECT_GT(cold.icacheStall, 0u);
-    FetchBatch &batch = rig.fetch(start);
-    EXPECT_EQ(batch.source, FetchSource::ICache);
-}
-
-TEST(FetchFlags, PartialMatchAcceptsFullAgreement)
-{
-    FlagRig rig(straightLineProgram(20), false, true);
-    const Addr start = 0x20000;
-    rig.traceCache->insert(makeSegment(start, {false, false, false}));
-    trainFlag(rig, start, 0, 0, false);
-    trainFlag(rig, start, 1, 0, false);
-    trainFlag(rig, start, 2, 0, false);
-
-    FetchBatch &batch = rig.fetch(start);
-    EXPECT_EQ(batch.source, FetchSource::TraceCache);
-    EXPECT_EQ(batch.insts.size(), 9u);
-}
-
-TEST(FetchFlags, PathAssociativitySelectsMatchingPath)
-{
-    FlagRig rig(straightLineProgram(4), true, true, true);
-    const Addr start = 0x20000;
-    // Two same-start segments with opposite first-branch paths.
-    rig.traceCache->insert(makeSegment(start, {false, false, false}));
-    rig.traceCache->insert(makeSegment(start, {true, true, true}));
-    trainFlag(rig, start, 0, 0, true);
-    trainFlag(rig, start, 1, 1, true);
-    trainFlag(rig, start, 2, 3, true);
-
-    FetchBatch &batch = rig.fetch(start);
-    EXPECT_EQ(batch.source, FetchSource::TraceCache);
-    EXPECT_FALSE(batch.partialMatch);
-    EXPECT_EQ(batch.activeCount, batch.insts.size());
-    // The taken-path segment was selected.
-    EXPECT_TRUE(batch.insts[2].embeddedTaken);
-}
-
-} // namespace
-} // namespace tcsim::fetch

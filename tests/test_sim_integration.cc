@@ -50,18 +50,6 @@ configByName(const std::string &name)
         config.disambiguation = Disambiguation::Perfect;
         return config;
     }
-    if (name == "path-assoc") {
-        ProcessorConfig config = promotionPackingConfig(64);
-        config.traceCache.pathAssociativity = true;
-        return config;
-    }
-    if (name == "no-friendly") {
-        // Baseline minus the Friendly et al. techniques.
-        ProcessorConfig config = baselineConfig();
-        config.partialMatching = false;
-        config.inactiveIssue = false;
-        return config;
-    }
     ADD_FAILURE() << "unknown config " << name;
     return baselineConfig();
 }
@@ -110,8 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(benchmarkNames()),
                        ::testing::Values("icache", "baseline",
                                          "promotion", "packing",
-                                         "promo-pack", "perfect",
-                                         "path-assoc", "no-friendly")),
+                                         "promo-pack", "perfect")),
     [](const ::testing::TestParamInfo<
         std::tuple<std::string, std::string>> &param_info) {
         std::string name = std::get<0>(param_info.param) + "_" +
@@ -232,12 +219,6 @@ TEST_P(RandomProfileFuzz, OracleExactUnderPromoPack)
     // keeps its RNG sequence and so its other config choices.
     if (rng.chance(0.3) || rng.chance(0.3))
         config.disambiguation = Disambiguation::Perfect;
-    if (rng.chance(0.25))
-        config.traceCache.pathAssociativity = true;
-    if (rng.chance(0.2))
-        config.partialMatching = false;
-    if (rng.chance(0.2))
-        config.inactiveIssue = false;
 
     Processor proc(config, program);
     const SimResult r = proc.run(40000);

@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,6 +144,32 @@ TEST(SweepUnits, ConfigByNameResolvesPresets)
     EXPECT_FALSE(configByName("promotion-t4294967360").has_value());
     EXPECT_FALSE(
         configByName("promotion-t99999999999999999999").has_value());
+}
+
+TEST(ConfigFingerprint, PresetsPinned)
+{
+    // Every unit hash folds in its config's fingerprint, so these pin
+    // the presets' unit hashes, fragment names and merged documents. A
+    // change that deletes a config field keeps them by hashing a
+    // constant in the field's place, as configFingerprint does for the
+    // deleted front-end switches.
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"icache", 0x04d73ee2ad261acdull},
+        {"baseline", 0x218b3e30508fa450ull},
+        {"promotion-t64", 0x41aac425871c98b8ull},
+        {"packing-unregulated", 0xb2206fe71538235bull},
+        {"promo-pack-unregulated", 0x73ba88b1fb5b0c53ull},
+        {"promo-pack-cost-regulated", 0xccd322f62ee8d2ddull},
+    };
+    for (const auto &[name, fingerprint] : pinned) {
+        const std::optional<sim::ProcessorConfig> config =
+            configByName(name);
+        ASSERT_TRUE(config.has_value()) << name;
+        EXPECT_EQ(sim::configFingerprint(*config), fingerprint) << name;
+    }
+    sim::ProcessorConfig perfect = sim::promotionPackingConfig();
+    perfect.disambiguation = sim::Disambiguation::Perfect;
+    EXPECT_EQ(sim::configFingerprint(perfect), 0xc6ec281f18c5aa55ull);
 }
 
 TEST(SweepUnits, ReplayUnitCountsWhatItsBtraceReplayCounts)

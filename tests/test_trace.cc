@@ -457,63 +457,6 @@ namespace tcsim::trace
 namespace
 {
 
-TEST(TraceCachePathAssoc, SameStartSegmentsCoexist)
-{
-    TraceCacheParams params{64, 4, true};
-    TraceCache tc(params);
-    TraceSegment a = segmentAt(0x1000, 4);
-    a.insts[1].inst = isa::Instruction{Opcode::Bne, 0, 4, 0, 8};
-    a.insts[1].builtTaken = true;
-    TraceSegment b = segmentAt(0x1000, 4);
-    b.insts[1].inst = isa::Instruction{Opcode::Bne, 0, 4, 0, 8};
-    b.insts[1].builtTaken = false;
-    tc.insert(std::move(a));
-    tc.insert(std::move(b));
-    EXPECT_EQ(tc.sameStartReplacements(), 0u);
-    std::vector<const TraceSegment *> candidates;
-    tc.lookupAll(0x1000, candidates);
-    EXPECT_EQ(candidates.size(), 2u);
-}
-
-TEST(TraceCachePathAssoc, IdenticalPathReplacesInPlace)
-{
-    TraceCacheParams params{64, 4, true};
-    TraceCache tc(params);
-    tc.insert(segmentAt(0x1000, 4));
-    tc.insert(segmentAt(0x1000, 4));
-    EXPECT_EQ(tc.sameStartReplacements(), 1u);
-}
-
-TEST(FillStaticPromotion, PromotesFromStaticSet)
-{
-    FillUnitParams p = params(PackingPolicy::Atomic);
-    p.staticPromotion = true;
-    // The branch emitted by block(2) lands at 0x1008.
-    p.staticPromotions.emplace(0x1008, true);
-    FillDriver d(p);
-    d.block(2, Opcode::Bne, true); // matches the static direction
-    d.inst(Instruction{Opcode::Ret, 0, isa::kRegRa, 0, 0});
-    const TraceSegment *seg = d.cache_.peek(0x1000);
-    ASSERT_NE(seg, nullptr);
-    EXPECT_TRUE(seg->insts[2].promoted);
-    EXPECT_TRUE(seg->insts[2].promotedDir);
-    EXPECT_EQ(seg->numBlockBranches, 0u);
-}
-
-TEST(FillStaticPromotion, DirectionMismatchStaysNormal)
-{
-    FillUnitParams p = params(PackingPolicy::Atomic);
-    p.staticPromotion = true;
-    p.staticPromotions.emplace(0x1008, true);
-    FillDriver d(p);
-    d.block(2, Opcode::Bne, false); // retires against the static dir
-    d.inst(Instruction{Opcode::Ret, 0, isa::kRegRa, 0, 0});
-    const TraceSegment *seg = d.cache_.peek(0x1000);
-    ASSERT_NE(seg, nullptr);
-    EXPECT_FALSE(seg->insts[2].promoted);
-    EXPECT_TRUE(seg->insts[2].endsBlock);
-}
-
 TEST(FillResync, MissAddressStartsFreshSegment)
 {
     FillDriver d(params(PackingPolicy::Unregulated));
@@ -663,8 +606,7 @@ dumpSegment(const TraceSegment &seg)
     std::ostringstream os;
     os << std::hex << seg.startAddr << std::dec << '/'
        << static_cast<unsigned>(seg.reason) << '/'
-       << seg.numBlockBranches << '/' << seg.hasTightBackwardBranch
-       << '/' << seg.blockBranchDirs;
+       << seg.numBlockBranches << '/' << seg.hasTightBackwardBranch;
     for (const TraceInst &ti : seg.insts) {
         os << '|' << isa::encode(ti.inst) << ',' << ti.pc << ','
            << ti.promoted << ti.promotedDir << ti.endsBlock

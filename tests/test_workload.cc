@@ -705,59 +705,6 @@ INSTANTIATE_TEST_SUITE_P(
 } // namespace
 } // namespace tcsim::workload
 
-namespace tcsim::workload
-{
-namespace
-{
-
-TEST(ProfileStaticBias, FindsBiasedSitesWithDirections)
-{
-    // A loop with a never-taken check and a strongly-taken latch.
-    ProgramBuilder b("prof");
-    b.addi(3, 0, 2000);
-    Label top = b.here();
-    Label cold = b.newLabel();
-    const Addr check_pc = b.pc();
-    b.bne(0, 0, cold); // never taken
-    b.addi(4, 4, 1);
-    const Addr latch_pc = b.pc();
-    b.addi(3, 3, -1);
-    b.bne(3, 0, top);
-    b.halt();
-    b.bind(cold);
-    b.j(top);
-    Program p = b.build();
-
-    const auto biased = profileStronglyBiased(p, 100000, 0.98, 16);
-    ASSERT_TRUE(biased.count(check_pc));
-    EXPECT_FALSE(biased.at(check_pc)); // dominant direction: not taken
-    ASSERT_TRUE(biased.count(latch_pc + isa::kInstBytes));
-    EXPECT_TRUE(biased.at(latch_pc + isa::kInstBytes)); // latch: taken
-}
-
-TEST(ProfileStaticBias, IgnoresRareAndUnbiasedSites)
-{
-    ProgramBuilder b("prof2");
-    b.addi(3, 0, 400);
-    Label top = b.here();
-    b.andi(5, 3, 1);
-    Label skip = b.newLabel();
-    const Addr alternating_pc = b.pc();
-    b.beq(5, 0, skip); // alternates every iteration
-    b.addi(6, 6, 1);
-    b.bind(skip);
-    b.addi(3, 3, -1);
-    b.bne(3, 0, top);
-    b.halt();
-    Program p = b.build();
-
-    const auto biased = profileStronglyBiased(p, 100000, 0.98, 16);
-    EXPECT_FALSE(biased.count(alternating_pc));
-}
-
-} // namespace
-} // namespace tcsim::workload
-
 #include "workload/serialize.h"
 
 #include <sstream>

@@ -16,15 +16,11 @@
  *                           measure [n, n + insts) (default 0)
  *     --disambiguation <d>  conservative | perfect (default
  *                           conservative)
- *     --path-assoc          enable trace-cache path associativity
- *     --no-partial-match    disable partial matching
- *     --no-inactive-issue   disable inactive issue
- *     --static-promotion    profile-driven static promotion
  *     --histogram           print the fetch-width histogram
  *     --stats               print the full statistics dump
- *   --config icache has no trace cache or fill unit, so it takes none
- *   of --packing, --path-assoc, --no-partial-match, --no-inactive-issue
- *   and --static-promotion.
+ *   --config icache has no trace cache or fill unit, so it takes no
+ *   --packing. --warmup plus --insts may not exceed
+ *   Processor::kMaxRunInsts (about 9.2e16).
  *
  *   Branch/fetch trace record & replay (tcsim-btrace-v1):
  *     --record-trace <file> run the control-flow pass through the
@@ -36,8 +32,7 @@
  *                           block to the recording run
  *   Neither takes --warmup, --stats, --histogram, --intervals, --trace
  *   or --profile: those apply to the cycle-level run only. The walker
- *   has no fetch engine and no core, so neither takes
- *   --disambiguation, --no-partial-match or --no-inactive-issue.
+ *   has no core, so neither takes --disambiguation.
  *
  *   Observability (src/obs):
  *     --trace <cats>        enable trace points: comma list of
@@ -62,7 +57,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -76,7 +70,6 @@
 #include "obs/trace.h"
 #include "sim/processor.h"
 #include "workload/btrace.h"
-#include "workload/characterize.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
 
@@ -91,9 +84,8 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--bench <name>|list] [--config <name>] "
                  "[--threshold <n>] [--packing <policy>] [--insts <n>] "
-                 "[--warmup <n>] [--disambiguation <d>] [--path-assoc] "
-                 "[--no-partial-match] [--no-inactive-issue] "
-                 "[--static-promotion] [--histogram] [--stats] "
+                 "[--warmup <n>] [--disambiguation <d>] "
+                 "[--histogram] [--stats] "
                  "[--record-trace <file>] [--replay-trace <file>] "
                  "[--trace <cats>] [--trace-out <path>] "
                  "[--trace-format text|jsonl|chrome] [--intervals <n>] "
@@ -134,18 +126,6 @@ parsePacking(const std::string &name, std::uint32_t &granule)
     fatal("unknown packing policy '%s'", name.c_str());
 }
 
-/** fatal() naming the first given flag of @p flags: @p context ignores
- * all of them. */
-void
-rejectFlags(std::initializer_list<std::pair<const char *, bool>> flags,
-            const std::string &context)
-{
-    for (const auto &[flag, given] : flags) {
-        if (given)
-            fatal("%s does not apply to %s", flag, context.c_str());
-    }
-}
-
 } // namespace
 
 int
@@ -158,8 +138,7 @@ main(int argc, char **argv)
     std::optional<std::uint32_t> threshold;
     std::uint64_t insts = 1'000'000;
     std::uint64_t warmup = 0;
-    bool path_assoc = false, no_partial = false, no_inactive = false;
-    bool static_promotion = false, histogram = false, full_stats = false;
+    bool histogram = false, full_stats = false;
     std::string trace_cats, trace_out, trace_format;
     std::optional<std::string> intervals_out; // tcsim-intervals.json
     std::uint64_t interval_insts = 0;
@@ -200,14 +179,6 @@ main(int argc, char **argv)
             warmup = requireUint("--warmup", value());
         else if (arg == "--disambiguation")
             disambiguation = value();
-        else if (arg == "--path-assoc")
-            path_assoc = true;
-        else if (arg == "--no-partial-match")
-            no_partial = true;
-        else if (arg == "--no-inactive-issue")
-            no_inactive = true;
-        else if (arg == "--static-promotion")
-            static_promotion = true;
         else if (arg == "--histogram")
             histogram = true;
         else if (arg == "--stats")
@@ -238,6 +209,15 @@ main(int argc, char **argv)
     // A zero budget would run to halt, which may never come.
     if (insts == 0)
         fatal("--insts: the budget must be positive");
+    // The measured run goes to warmup + insts.
+    if (insts > sim::Processor::kMaxRunInsts ||
+        warmup > sim::Processor::kMaxRunInsts - insts) {
+        fatal("--warmup %llu plus --insts %llu exceeds the largest run, "
+              "%llu instructions",
+              static_cast<unsigned long long>(warmup),
+              static_cast<unsigned long long>(insts),
+              static_cast<unsigned long long>(sim::Processor::kMaxRunInsts));
+    }
     const bool control_flow = !record_trace.empty() || !replay_trace.empty();
     if (!record_trace.empty() && !replay_trace.empty())
         fatal("--record-trace and --replay-trace are mutually exclusive");
@@ -247,12 +227,9 @@ main(int argc, char **argv)
         fatal("--warmup, --stats, --histogram, --intervals, --trace and "
               "--profile do not apply to --record-trace or --replay-trace");
     }
-    if (control_flow) {
-        rejectFlags({{"--disambiguation", disambiguation.has_value()},
-                     {"--no-partial-match", no_partial},
-                     {"--no-inactive-issue", no_inactive}},
-                    "--record-trace or --replay-trace (the walker has no "
-                    "fetch engine and no core)");
+    if (control_flow && disambiguation) {
+        fatal("--disambiguation does not apply to --record-trace or "
+              "--replay-trace (the walker has no core)");
     }
 
     // An output flag without the flag that produces its output would
@@ -283,16 +260,15 @@ main(int argc, char **argv)
         config = sim::promotionPackingConfig(threshold.value_or(64));
     else
         fatal("unknown config '%s'", config_name.c_str());
-    if (config_name != "promotion" && config_name != "promo-pack")
-        rejectFlags({{"--threshold", threshold.has_value()}},
-                    "--config " + config_name + " (it does not promote)");
-    if (config_name == "icache") {
-        rejectFlags({{"--packing", !packing.empty()},
-                     {"--path-assoc", path_assoc},
-                     {"--no-partial-match", no_partial},
-                     {"--no-inactive-issue", no_inactive},
-                     {"--static-promotion", static_promotion}},
-                    "--config icache (it has no trace cache)");
+    if (threshold && config_name != "promotion" &&
+        config_name != "promo-pack") {
+        fatal("--threshold does not apply to --config %s (it does not "
+              "promote)",
+              config_name.c_str());
+    }
+    if (config_name == "icache" && !packing.empty()) {
+        fatal("--packing does not apply to --config icache (it has no "
+              "trace cache)");
     }
 
     if (!packing.empty()) {
@@ -304,18 +280,10 @@ main(int argc, char **argv)
         config.disambiguation = sim::Disambiguation::Perfect;
     else if (disambiguation && *disambiguation != "conservative")
         fatal("unknown disambiguation '%s'", disambiguation->c_str());
-    config.traceCache.pathAssociativity = path_assoc;
-    config.partialMatching = !no_partial;
-    config.inactiveIssue = !no_inactive;
 
     const workload::BenchmarkProfile &bench_profile =
         workload::findProfile(bench);
     workload::Program program = workload::generateProgram(bench_profile);
-    if (static_promotion) {
-        config.fillUnit.staticPromotion = true;
-        config.fillUnit.staticPromotions =
-            workload::profileStronglyBiased(program, insts / 2);
-    }
 
     sim::Processor processor(config, program);
 
